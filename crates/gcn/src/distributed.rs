@@ -479,9 +479,7 @@ pub fn train_distributed_with_opts(
                     };
                     let body = || {
                         // Lines 10–11: local loss and gradients.
-                        let mut local =
-                            Gcn::new(in_dim, hidden, classes, &mut SmallRng::seed_from_u64(0));
-                        local.set_parameters(&params);
+                        let local = Gcn::from_parameters(&params);
                         let tape = Tape::new();
                         let fwd = local.forward(&tape, Arc::clone(&data.adj), &data.x);
                         let loss = tape.cross_entropy(fwd.logits, &data.labels, &data.train_mask);
@@ -613,9 +611,7 @@ pub fn train_distributed_with_opts(
                     .store
                     .get::<Arc<PartitionData>>(key)
                     .expect("partition scattered");
-                let mut local = Gcn::new(in_dim, hidden, classes, &mut SmallRng::seed_from_u64(0));
-                local.set_parameters(&params);
-                let logits = infer(&local, &data.adj, &data.x);
+                let logits = infer(&Gcn::from_parameters(&params), &data.adj, &data.x);
                 (data.nodes.clone(), logits.argmax_rows())
             })
             .expect("worker exists");
@@ -1325,5 +1321,44 @@ mod tests {
             seq.test_accuracy
         );
         assert_eq!(dist.edge_cut, 0.0);
+    }
+
+    /// FNV-1a over the bit patterns of every trained parameter, in
+    /// optimizer order.
+    fn parameter_fingerprint(model: &Gcn) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in model.parameters() {
+            for v in t.data() {
+                h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn resident_bucketed_fused_run_matches_recorded_bits() {
+        // Pinned against values recorded before the host kernels were
+        // rewritten (runtime SIMD dispatch, skipped input gradients,
+        // counting sparse transpose): a host-side speedup must not move a
+        // single bit of the trajectory or a nanosecond of sim time.
+        let r = train_distributed_with_opts(
+            &ds(),
+            4,
+            &cfg(),
+            PartitionStrategy::Metis,
+            DistOptions {
+                residency: ResidencyMode::Resident,
+                comm: CommMode::BucketedOverlap { bucket_bytes: 2560 },
+                exec: ExecMode::FusedOverlapped,
+                ..DistOptions::default()
+            },
+        )
+        .unwrap();
+        let final_loss = r.epoch_stats.last().unwrap().loss;
+        assert_eq!(final_loss.to_bits(), 0x3c1f_b9d0, "final loss {final_loss}");
+        assert_eq!(r.test_accuracy.to_bits(), 0x3fee_7627_6276_2762);
+        assert_eq!(r.test_accuracy_full_graph.to_bits(), 0x3fef_13b1_3b13_b13b);
+        assert_eq!(r.sim_time_ns, 4_776_373);
+        assert_eq!(parameter_fingerprint(&r.model), 0xe056_6ed8_5b61_a56a);
     }
 }

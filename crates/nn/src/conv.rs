@@ -93,7 +93,7 @@ impl SmallCnn {
     pub fn forward(&self, tape: &Tape, images: &ImageBatch) -> CnnForward {
         let cols = im2col(images, self.k);
         let p = patches_per_image(images.height, images.width, self.k);
-        let x = tape.leaf(cols);
+        let x = tape.constant(cols);
         let (conv_out, w_conv, b_conv) = self.conv.forward(tape, x);
         let activated = tape.relu(conv_out);
         // Global average pooling: one row per image.
@@ -197,6 +197,43 @@ mod tests {
         assert_eq!(cols.row(2), &[4.0, 5.0, 7.0, 8.0]);
         assert_eq!(cols.row(3), &[5.0, 6.0, 8.0, 9.0]);
         assert_eq!(patches_per_image(3, 3, 2), 4);
+    }
+
+    #[test]
+    fn cnn_constant_im2col_matches_leaf_input_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let cnn = SmallCnn::new(3, 4, 4, &mut rng);
+        let (images, labels) = stroke_digits(3, 0.2, 9);
+        let mask = vec![true; labels.len()];
+        let param_grads = |tape: &Tape, logits: Var, params: [Var; 4]| {
+            let loss = tape.cross_entropy(logits, &labels, &mask);
+            let grads = tape.backward(loss);
+            let input_grad = grads[0].is_some();
+            let params: Vec<Tensor> = params
+                .iter()
+                .map(|v| grads[v.index()].clone().expect("param grad"))
+                .collect();
+            (input_grad, params)
+        };
+
+        let tape = Tape::new();
+        let fwd = cnn.forward(&tape, &images);
+        let (const_input_grad, constant) = param_grads(&tape, fwd.logits, fwd.params);
+
+        // The same forward with the im2col matrix recorded as a leaf.
+        let tape = Tape::new();
+        let x = tape.leaf(im2col(&images, cnn.k));
+        let (conv_out, w_conv, b_conv) = cnn.conv.forward(&tape, x);
+        let pooled = tape.mean_pool_rows(
+            tape.relu(conv_out),
+            patches_per_image(images.height, images.width, cnn.k),
+        );
+        let (logits, w_head, b_head) = cnn.head.forward(&tape, pooled);
+        let (leaf_input_grad, leaf) = param_grads(&tape, logits, [w_conv, b_conv, w_head, b_head]);
+
+        assert!(!const_input_grad, "the im2col constant gets no gradient");
+        assert!(leaf_input_grad);
+        assert_eq!(constant, leaf);
     }
 
     #[test]

@@ -110,9 +110,29 @@ impl Gcn {
         }
     }
 
+    /// A GCN holding exactly `params`, in the order of
+    /// [`GcnForward::params`] (a broadcast receive).
+    pub fn from_parameters(params: &[Tensor]) -> Self {
+        let [w1, b1, w2, b2] = params else {
+            panic!("a GCN has 4 parameter tensors, got {}", params.len());
+        };
+        let layer = |weight: &Tensor, bias: &Tensor| GcnLayer {
+            linear: Linear {
+                weight: weight.clone(),
+                bias: bias.clone(),
+            },
+        };
+        Self {
+            layer1: layer(w1, b1),
+            layer2: layer(w2, b2),
+        }
+    }
+
     /// Records the forward pass over features `x` with adjacency `adj`.
+    /// The features enter as a [`Tape::constant`]: nothing reads their
+    /// gradient, so `backward` computes none.
     pub fn forward(&self, tape: &Tape, adj: Arc<CsrMatrix>, x: &Tensor) -> GcnForward {
-        let vx = tape.leaf(x.clone());
+        let vx = tape.constant(x.clone());
         let (h1, w1, b1) = self.layer1.forward_relu(tape, Arc::clone(&adj), vx);
         let (logits, w2, b2) = self.layer2.forward(tape, adj, h1);
         GcnForward {
@@ -187,9 +207,10 @@ impl Mlp {
         }
     }
 
-    /// Records the forward pass over input rows `x`.
+    /// Records the forward pass over input rows `x` (a
+    /// [`Tape::constant`]).
     pub fn forward(&self, tape: &Tape, x: &Tensor) -> MlpForward {
-        let vx = tape.leaf(x.clone());
+        let vx = tape.constant(x.clone());
         let (h, w1, b1) = self.layer1.forward_relu(tape, vx);
         let (logits, w2, b2) = self.layer2.forward(tape, h);
         MlpForward {
@@ -299,6 +320,96 @@ mod tests {
         }
         let after = loss_of(&gcn);
         assert!(after < before, "loss {before} → {after}");
+    }
+
+    /// Parameter gradients of one backward pass, in `params` order.
+    fn param_grads(tape: &Tape, logits: Var, params: [Var; 4], labels: &[usize]) -> Vec<Tensor> {
+        let loss = tape.cross_entropy(logits, labels, &vec![true; labels.len()]);
+        let grads = tape.backward(loss);
+        // Every forward records its input first, as node 0.
+        assert!(grads[0].is_none(), "the constant input gets no gradient");
+        params
+            .iter()
+            .map(|v| grads[v.index()].clone().expect("param grad"))
+            .collect()
+    }
+
+    #[test]
+    fn gcn_constant_features_match_leaf_features_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let gcn = Gcn::new(5, 8, 3, &mut rng);
+        let adj = Arc::new(
+            CsrMatrix::from_triplets(
+                4,
+                4,
+                &[
+                    (0, 0, 0.5),
+                    (0, 1, 0.5),
+                    (1, 1, 1.0),
+                    (2, 3, 0.7),
+                    (3, 2, 0.7),
+                    (3, 3, 0.3),
+                ],
+            )
+            .unwrap(),
+        );
+        let x = Tensor::randn(4, 5, &mut rng);
+        let labels = [0, 2, 1, 1];
+
+        let tape = Tape::new();
+        let fwd = gcn.forward(&tape, Arc::clone(&adj), &x);
+        let constant = param_grads(&tape, fwd.logits, fwd.params, &labels);
+
+        let tape = Tape::new();
+        let vx = tape.leaf(x.clone());
+        let (h1, w1, b1) = gcn.layer1.forward_relu(&tape, Arc::clone(&adj), vx);
+        let (logits, w2, b2) = gcn.layer2.forward(&tape, adj, h1);
+        let loss = tape.cross_entropy(logits, &labels, &[true; 4]);
+        let grads = tape.backward(loss);
+        assert!(grads[vx.index()].is_some(), "a leaf input does get one");
+        let leaf: Vec<Tensor> = [w1, b1, w2, b2]
+            .iter()
+            .map(|v| grads[v.index()].clone().unwrap())
+            .collect();
+        assert_eq!(constant, leaf);
+    }
+
+    #[test]
+    fn mlp_constant_input_matches_leaf_input_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mlp = Mlp::new(6, 10, 3, &mut rng);
+        let x = Tensor::randn(5, 6, &mut rng);
+        let labels = [0, 1, 2, 1, 0];
+
+        let tape = Tape::new();
+        let fwd = mlp.forward(&tape, &x);
+        let constant = param_grads(&tape, fwd.logits, fwd.params, &labels);
+
+        let tape = Tape::new();
+        let vx = tape.leaf(x);
+        let (h, w1, b1) = mlp.layer1.forward_relu(&tape, vx);
+        let (logits, w2, b2) = mlp.layer2.forward(&tape, h);
+        let loss = tape.cross_entropy(logits, &labels, &[true; 5]);
+        let grads = tape.backward(loss);
+        assert!(grads[vx.index()].is_some());
+        let leaf: Vec<Tensor> = [w1, b1, w2, b2]
+            .iter()
+            .map(|v| grads[v.index()].clone().unwrap())
+            .collect();
+        assert_eq!(constant, leaf);
+    }
+
+    #[test]
+    fn gcn_from_parameters_roundtrip() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let a = Gcn::new(4, 6, 2, &mut rng);
+        assert_eq!(Gcn::from_parameters(&a.get_parameters()), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "4 parameter tensors")]
+    fn gcn_from_parameters_rejects_wrong_count() {
+        let _ = Gcn::from_parameters(&[Tensor::zeros(1, 1)]);
     }
 
     #[test]

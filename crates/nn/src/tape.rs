@@ -4,6 +4,13 @@
 //! the tape in reverse, accumulating gradients. Variables are lightweight
 //! indices into the tape, so graphs are cheap to build per training step
 //! (the PyTorch "define-by-run" style the course taught, minus the Python).
+//!
+//! Each node records whether it needs a gradient (PyTorch's
+//! `requires_grad`): a [`Tape::leaf`] does, a [`Tape::constant`] does not,
+//! and an op does when any input does. `backward` computes no gradient for
+//! a node that does not need one, so feeding a data matrix in as a constant
+//! skips its input-gradient products (for a GCN: the `∂X` sgemm, the
+//! `Âᵀ·∂` spmm and the sparse transpose behind it).
 
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::sparse::CsrMatrix;
@@ -15,7 +22,7 @@ use std::sync::Arc;
 pub struct Var(usize);
 
 enum Op {
-    /// A leaf (parameter or input).
+    /// A leaf: a parameter, an input or a constant.
     Leaf,
     /// `C = A · B`.
     MatMul(Var, Var),
@@ -55,6 +62,9 @@ enum Op {
 struct Node {
     op: Op,
     value: Tensor,
+    /// Whether a gradient flows to this node: false for constants and for
+    /// ops whose inputs are all constant.
+    needs_grad: bool,
 }
 
 /// The autograd tape.
@@ -81,13 +91,43 @@ impl Tape {
 
     fn push(&self, op: Op, value: Tensor) -> Var {
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node { op, value });
+        let needs_grad = match &op {
+            Op::Leaf => true,
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddBias(a, b) => {
+                nodes[a.0].needs_grad || nodes[b.0].needs_grad
+            }
+            Op::Spmm(_, a)
+            | Op::Relu(a)
+            | Op::Scale(a, _)
+            | Op::CrossEntropy { logits: a, .. }
+            | Op::MseIndexed { pred: a, .. }
+            | Op::MeanPoolRows { input: a, .. } => nodes[a.0].needs_grad,
+            Op::Linear { x, w, b, .. } => {
+                nodes[x.0].needs_grad || nodes[w.0].needs_grad || nodes[b.0].needs_grad
+            }
+        };
+        nodes.push(Node {
+            op,
+            value,
+            needs_grad,
+        });
         Var(nodes.len() - 1)
     }
 
-    /// Records a leaf holding `value` (an input or parameter).
+    /// Records a leaf holding `value` (a parameter or an input whose
+    /// gradient is wanted).
     pub fn leaf(&self, value: Tensor) -> Var {
         self.push(Op::Leaf, value)
+    }
+
+    /// Records a leaf holding `value` that needs no gradient (a data
+    /// matrix): `backward` returns `None` for it and computes no gradient
+    /// that only it would consume. Parameter gradients are bit-identical
+    /// to the same tape built with [`Self::leaf`].
+    pub fn constant(&self, value: Tensor) -> Var {
+        let v = self.push(Op::Leaf, value);
+        self.nodes.borrow_mut()[v.0].needs_grad = false;
+        v
     }
 
     /// The forward value of `v` (cloned).
@@ -275,14 +315,18 @@ impl Tape {
     }
 
     /// Reverse pass from scalar `loss`; returns gradient tensors indexed by
-    /// var id (`None` where no gradient flows).
+    /// var id (`None` where no gradient flows, and for every node that needs
+    /// none).
     pub fn backward(&self, loss: Var) -> Vec<Option<Tensor>> {
         let nodes = self.nodes.borrow();
         let n = nodes.len();
         let mut grads: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
         let (lr, lc) = nodes[loss.0].value.shape();
         assert_eq!((lr, lc), (1, 1), "backward() requires a scalar loss");
-        grads[loss.0] = Some(Tensor::ones(1, 1));
+        if nodes[loss.0].needs_grad {
+            grads[loss.0] = Some(Tensor::ones(1, 1));
+        }
+        let needs = |v: &Var| nodes[v.0].needs_grad;
 
         let accumulate = |slot: &mut Option<Tensor>, add: Tensor| {
             *slot = Some(match slot.take() {
@@ -298,32 +342,38 @@ impl Tape {
             match &nodes[i].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    let a_val = &nodes[a.0].value;
-                    let b_val = &nodes[b.0].value;
-                    let da = grad.matmul(&b_val.transpose()).expect("dA");
-                    let db = a_val.transpose().matmul(&grad).expect("dB");
-                    accumulate(&mut grads[a.0], da);
-                    accumulate(&mut grads[b.0], db);
+                    if needs(a) {
+                        let b_val = &nodes[b.0].value;
+                        let da = grad.matmul(&b_val.transpose()).expect("dA");
+                        accumulate(&mut grads[a.0], da);
+                    }
+                    if needs(b) {
+                        let a_val = &nodes[a.0].value;
+                        let db = a_val.transpose().matmul(&grad).expect("dB");
+                        accumulate(&mut grads[b.0], db);
+                    }
                 }
                 Op::Spmm(s, x) => {
+                    // The op needs a gradient only if `x` does.
                     let dx = s.transpose().spmm(&grad).expect("dX");
                     accumulate(&mut grads[x.0], dx);
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads[a.0], grad.clone());
-                    accumulate(&mut grads[b.0], grad);
+                    if needs(a) {
+                        accumulate(&mut grads[a.0], grad.clone());
+                    }
+                    if needs(b) {
+                        accumulate(&mut grads[b.0], grad);
+                    }
                 }
                 Op::AddBias(a, bias) => {
-                    // dBias = column sums of grad.
-                    let cols = grad.cols();
-                    let mut db = Tensor::zeros(1, cols);
-                    for r in 0..grad.rows() {
-                        for c in 0..cols {
-                            db.set(0, c, db.get(0, c) + grad.get(r, c));
-                        }
+                    let db = needs(bias).then(|| column_sums(&grad));
+                    if needs(a) {
+                        accumulate(&mut grads[a.0], grad);
                     }
-                    accumulate(&mut grads[a.0], grad);
-                    accumulate(&mut grads[bias.0], db);
+                    if let Some(db) = db {
+                        accumulate(&mut grads[bias.0], db);
+                    }
                 }
                 Op::Relu(a) => {
                     let a_val = &nodes[a.0].value;
@@ -349,20 +399,19 @@ impl Tape {
                             }
                         }
                     }
-                    let x_val = &nodes[x.0].value;
-                    let w_val = &nodes[w.0].value;
-                    let dx = g.matmul(&w_val.transpose()).expect("dX");
-                    let dw = x_val.transpose().matmul(&g).expect("dW");
-                    let cols = g.cols();
-                    let mut db = Tensor::zeros(1, cols);
-                    for r in 0..g.rows() {
-                        for c in 0..cols {
-                            db.set(0, c, db.get(0, c) + g.get(r, c));
-                        }
+                    if needs(x) {
+                        let w_val = &nodes[w.0].value;
+                        let dx = g.matmul(&w_val.transpose()).expect("dX");
+                        accumulate(&mut grads[x.0], dx);
                     }
-                    accumulate(&mut grads[x.0], dx);
-                    accumulate(&mut grads[w.0], dw);
-                    accumulate(&mut grads[b.0], db);
+                    if needs(w) {
+                        let x_val = &nodes[x.0].value;
+                        let dw = x_val.transpose().matmul(&g).expect("dW");
+                        accumulate(&mut grads[w.0], dw);
+                    }
+                    if needs(b) {
+                        accumulate(&mut grads[b.0], column_sums(&g));
+                    }
                 }
                 Op::Scale(a, k) => {
                     accumulate(&mut grads[a.0], grad.scale(*k));
@@ -418,6 +467,19 @@ impl Tape {
         }
         grads
     }
+}
+
+/// `1 × cols` column sums of `grad` (a broadcast bias's gradient), summed
+/// top to bottom.
+fn column_sums(grad: &Tensor) -> Tensor {
+    let cols = grad.cols();
+    let mut db = Tensor::zeros(1, cols);
+    for r in 0..grad.rows() {
+        for c in 0..cols {
+            db.set(0, c, db.get(0, c) + grad.get(r, c));
+        }
+    }
+    db
 }
 
 impl Var {
@@ -772,6 +834,65 @@ mod tests {
             &numerical_grad(&w0, &run),
             3e-3,
         );
+    }
+
+    #[test]
+    fn constant_input_gets_no_gradient_and_leaves_param_grads_bitwise() {
+        // x -> spmm -> linear_relu -> matmul -> cross-entropy, with x fed
+        // once as a leaf and once as a constant.
+        let mut rng = SmallRng::seed_from_u64(12);
+        let s = Arc::new(
+            CsrMatrix::from_triplets(4, 4, &[(0, 1, 0.5), (1, 0, 0.5), (2, 2, 1.0), (3, 0, 0.2)])
+                .unwrap(),
+        );
+        let x0 = Tensor::randn(4, 3, &mut rng);
+        let w0 = Tensor::randn(3, 5, &mut rng);
+        let b0 = Tensor::randn(1, 5, &mut rng);
+        let v0 = Tensor::randn(5, 2, &mut rng);
+        let run = |constant: bool| {
+            let tape = Tape::new();
+            let vx = if constant {
+                tape.constant(x0.clone())
+            } else {
+                tape.leaf(x0.clone())
+            };
+            let (vw, vb, vv) = (
+                tape.leaf(w0.clone()),
+                tape.leaf(b0.clone()),
+                tape.leaf(v0.clone()),
+            );
+            let agg = tape.spmm(Arc::clone(&s), vx);
+            let h = tape.linear_relu(agg, vw, vb);
+            let logits = tape.matmul(h, vv);
+            let loss = tape.cross_entropy(logits, &[0, 1, 1, 0], &[true; 4]);
+            let grads = tape.backward(loss);
+            let params: Vec<Tensor> = [vw, vb, vv]
+                .iter()
+                .map(|v| grads[v.index()].clone().expect("param grad"))
+                .collect();
+            (
+                grads[vx.index()].is_some(),
+                grads[agg.index()].is_some(),
+                params,
+            )
+        };
+        let (leaf_x, leaf_agg, leaf_params) = run(false);
+        let (const_x, const_agg, const_params) = run(true);
+        assert!(leaf_x && leaf_agg, "a leaf input receives a gradient");
+        assert!(!const_x, "a constant input gets None");
+        assert!(!const_agg, "an op over constants only needs no gradient");
+        assert_eq!(
+            leaf_params, const_params,
+            "parameter gradients bitwise equal"
+        );
+    }
+
+    #[test]
+    fn loss_over_constants_only_has_no_gradients() {
+        let tape = Tape::new();
+        let v = tape.constant(Tensor::zeros(2, 3));
+        let loss = tape.cross_entropy(v, &[0, 1], &[true, true]);
+        assert!(tape.backward(loss).iter().all(Option::is_none));
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! sleeping and wake-ups cannot be lost. Dropping the scheduler marks
 //! shutdown, wakes everyone, and joins; workers drain all remaining queues
 //! before exiting so every accepted task is executed.
+//!
+//! Each worker caps the data parallelism of the tasks it runs at
+//! `max(1, cores / workers)` threads, so rayon-style `par_*` calls inside a
+//! task split this worker's share of the cores instead of spawning onto
+//! cores the other workers already fill.
 
 use crate::metrics::{SchedulerMetrics, TaskSpan, WorkerMetrics};
 use crate::policy::Dispatch;
@@ -146,6 +151,7 @@ fn worker_loop(
     gpu: Option<Arc<Gpu>>,
     store: Arc<ObjectStore>,
 ) {
+    rayon::set_thread_width(rayon::available_cores() / inner.queues.len());
     let ctx = WorkerCtx {
         worker_id,
         gpu,

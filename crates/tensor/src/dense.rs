@@ -1,5 +1,6 @@
 //! Row-major dense f32 matrices/vectors.
 
+use crate::kernels::{self, Isa};
 use crate::TensorError;
 use rand::Rng;
 use rayon::prelude::*;
@@ -291,6 +292,9 @@ impl Tensor {
     }
 
     /// Dense matmul `self (m×k) · other (k×n)`, parallelized over rows.
+    /// Each output element sums `a[i,kk] · b[kk,j]` in `kk` order, skipping
+    /// zero `a[i,kk]` (the bit-identity contract of the
+    /// private `kernels` module).
     pub fn matmul(&self, other: &Self) -> Result<Self, TensorError> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
@@ -303,17 +307,10 @@ impl Tensor {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
+        let isa = Isa::detect();
         out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
             let a_row = &self.data[i * k..(i + 1) * k];
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            kernels::matmul_row(isa, a_row, &other.data, n, out_row);
         });
         Ok(Self {
             rows: m,
@@ -444,6 +441,49 @@ mod tests {
                 }
                 assert!((c.get(i, j) - acc).abs() < 1e-4);
             }
+        }
+    }
+
+    #[test]
+    fn matmul_is_bitwise_the_accumulating_scalar_loop() {
+        // Widths on and off the 64-column register block, zero entries in
+        // A (skipped) and non-finite entries in B; NaN results are stored as
+        // the canonical `f32::NAN`.
+        let mut rng = SmallRng::seed_from_u64(11);
+        for &(m, k, n) in &[(3, 0, 5), (4, 7, 1), (5, 9, 64), (3, 13, 131), (6, 5, 200)] {
+            let mut a = Tensor::randn(m, k, &mut rng);
+            let mut b = Tensor::randn(k, n, &mut rng);
+            for (i, v) in a.data_mut().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            for (i, v) in b.data_mut().iter_mut().enumerate() {
+                match i % 17 {
+                    0 => *v = f32::INFINITY,
+                    5 => *v = -0.0,
+                    9 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+            let mut want = vec![0.0f32; m * n];
+            for i in 0..m {
+                for kk in 0..k {
+                    let x = a.get(i, kk);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        want[i * n + j] += x * b.get(kk, j);
+                    }
+                }
+            }
+            for w in want.iter_mut().filter(|w| w.is_nan()) {
+                *w = f32::NAN;
+            }
+            let got = a.matmul(&b).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.data()), bits(&want), "{m}x{k}·{k}x{n}");
         }
     }
 

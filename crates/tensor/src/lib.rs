@@ -30,6 +30,7 @@
 
 pub mod dense;
 pub mod gpu_exec;
+mod kernels;
 pub mod residency;
 pub mod sparse;
 

@@ -6,6 +6,7 @@
 //! CSR implementation here.
 
 use crate::dense::Tensor;
+use crate::kernels::{self, Isa};
 use crate::TensorError;
 use rayon::prelude::*;
 
@@ -132,6 +133,8 @@ impl CsrMatrix {
     }
 
     /// Sparse-dense product `self (m×k) · dense (k×n)`, rayon over rows.
+    /// Each output element sums `v · dense[c, j]` in stored-entry order
+    /// (explicit zeros included).
     pub fn spmm(&self, dense: &Tensor) -> Result<Tensor, TensorError> {
         if self.cols != dense.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -141,13 +144,17 @@ impl CsrMatrix {
         }
         let n = dense.cols();
         let mut out = vec![0.0f32; self.rows * n];
+        let isa = Isa::detect();
         out.par_chunks_mut(n).enumerate().for_each(|(r, out_row)| {
-            for (c, v) in self.row_entries(r) {
-                let d_row = dense.row(c);
-                for (o, &d) in out_row.iter_mut().zip(d_row) {
-                    *o += v * d;
-                }
-            }
+            let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
+            kernels::spmm_row(
+                isa,
+                &self.indices[lo..hi],
+                &self.values[lo..hi],
+                dense.data(),
+                n,
+                out_row,
+            );
         });
         Tensor::from_vec(self.rows, n, out)
     }
@@ -177,21 +184,61 @@ impl CsrMatrix {
         out
     }
 
-    /// Transposed copy (CSR of the transpose).
+    /// Transposed copy (CSR of the transpose): a counting transpose in
+    /// O(rows + cols + nnz). Rows are visited in order, so each output row
+    /// comes out sorted by column; repeated entries are then summed left to
+    /// right, exactly as [`Self::from_triplets`] merges duplicates.
     pub fn transpose(&self) -> Self {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut next = indptr.clone();
+        let mut indices = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
         for r in 0..self.rows {
             for (c, v) in self.row_entries(r) {
-                triplets.push((c, r, v));
+                indices[next[c]] = r;
+                values[next[c]] = v;
+                next[c] += 1;
             }
         }
-        Self::from_triplets(self.cols, self.rows, &triplets).expect("valid by construction")
+        // Merge repeated (row, col) entries in place; `kept` never passes
+        // the read position, so nothing is read after being overwritten.
+        let mut kept = 0usize;
+        for c in 0..self.cols {
+            let (lo, hi) = (indptr[c], indptr[c + 1]);
+            indptr[c] = kept;
+            for p in lo..hi {
+                if kept > indptr[c] && indices[kept - 1] == indices[p] {
+                    values[kept - 1] += values[p];
+                } else {
+                    indices[kept] = indices[p];
+                    values[kept] = values[p];
+                    kept += 1;
+                }
+            }
+        }
+        indptr[self.cols] = kept;
+        indices.truncate(kept);
+        values.truncate(kept);
+        Self {
+            rows: self.cols,
+            cols: self.rows,
+            indptr,
+            indices,
+            values,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> CsrMatrix {
         // [[1, 0, 2],
@@ -251,6 +298,75 @@ mod tests {
         assert_eq!(t.shape(), (3, 3));
         assert_eq!(t.to_dense(), m.to_dense().transpose());
         assert_eq!(t.transpose().to_dense(), m.to_dense());
+    }
+
+    /// Reference transpose: re-sort the swapped triplets through
+    /// `from_triplets`.
+    fn transpose_via_triplets(m: &CsrMatrix) -> CsrMatrix {
+        let mut triplets = Vec::with_capacity(m.nnz());
+        for r in 0..m.rows {
+            for (c, v) in m.row_entries(r) {
+                triplets.push((c, r, v));
+            }
+        }
+        CsrMatrix::from_triplets(m.cols, m.rows, &triplets).unwrap()
+    }
+
+    fn value_bits(m: &CsrMatrix) -> Vec<u32> {
+        m.values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn counting_transpose_merges_duplicates_like_from_triplets() {
+        // Row 0 repeats column 2 three times (out of order), row 1 is
+        // empty, row 3 repeats column 0 as two -0.0 entries; column 1 of
+        // the input is empty.
+        let m = CsrMatrix::new(
+            4,
+            3,
+            vec![0, 4, 4, 5, 8],
+            vec![2, 0, 2, 2, 0, 0, 0, 2],
+            vec![0.1, 1.0, 0.2, 0.3, 5.0, -0.0, -0.0, 7.0],
+        )
+        .unwrap();
+        let t = m.transpose();
+        let want = transpose_via_triplets(&m);
+        assert_eq!(t, want);
+        assert_eq!(value_bits(&t), value_bits(&want));
+        assert_eq!(t.nnz(), 5);
+        assert_eq!(t.row_entries(1).count(), 0);
+        assert_eq!(t.to_dense(), m.to_dense().transpose());
+        let merged: Vec<u32> = t.row_entries(0).map(|(_, v)| v.to_bits()).collect();
+        // The merge starts from the first value, so -0.0 + -0.0 stays -0.0.
+        assert_eq!(merged[2], (-0.0f32).to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random CSR arrays (unsorted and repeated columns, empty rows)
+        /// transpose to exactly what `from_triplets` builds.
+        #[test]
+        fn counting_transpose_equals_from_triplets(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            lens in prop::collection::vec(0usize..6, 12..13),
+            raw_cols in prop::collection::vec(0usize..12, 72..73),
+            raw_vals in prop::collection::vec(-4.0f32..4.0, 72..73),
+        ) {
+            let mut indptr = vec![0usize];
+            for &len in &lens[..rows] {
+                indptr.push(indptr.last().unwrap() + len);
+            }
+            let nnz = *indptr.last().unwrap();
+            let indices: Vec<usize> = raw_cols[..nnz].iter().map(|&c| c % cols).collect();
+            let m = CsrMatrix::new(rows, cols, indptr, indices, raw_vals[..nnz].to_vec()).unwrap();
+            let t = m.transpose();
+            let want = transpose_via_triplets(&m);
+            prop_assert_eq!(&t, &want);
+            prop_assert_eq!(value_bits(&t), value_bits(&want));
+            prop_assert_eq!(t.transpose(), transpose_via_triplets(&t));
+        }
     }
 
     #[test]

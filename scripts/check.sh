@@ -45,6 +45,10 @@
 #    tests/golden/*.trace.json. `--bless` re-records the goldens.
 # 13. repro_output.txt mentions every committed BENCH_A*.json artifact —
 #    catches the transcript drifting behind newly shipped experiments.
+# 14. sagebench (a package of its own, outside the workspace): its unit
+#    tests, then a short untraced run of every workload, each of which must
+#    end with `"correct": true` (served hits, training bits and replay all
+#    check out).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,6 +108,17 @@ echo "==> repro_output.txt mentions every shipped BENCH_A*.json"
 for artifact in BENCH_A*.json; do
   if ! grep -q "$artifact" repro_output.txt; then
     echo "repro_output.txt is stale: no mention of $artifact (re-run \`repro > repro_output.txt\`)" >&2
+    exit 1
+  fi
+done
+
+echo "==> sagebench: unit tests + short run of every workload"
+cargo test --offline --release -q --manifest-path sagebench/Cargo.toml
+for workload in rag-hot rag-cold gcn-train; do
+  result=$(cargo run --offline --release -q --manifest-path sagebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "sagebench $workload is not correct: $result" >&2
     exit 1
   fi
 done
