@@ -121,11 +121,16 @@ fn main() {
         return;
     }
 
-    let selected: Option<&str> = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str());
+    let selected: Option<&str> = match args.iter().position(|a| a == "--exp") {
+        None => None,
+        Some(i) => match args.get(i + 1) {
+            Some(id) => Some(id.as_str()),
+            None => {
+                eprintln!("usage: repro [--list | --exp <id>]");
+                std::process::exit(2);
+            }
+        },
+    };
 
     let mut matched = false;
     for (id, _, f) in &exps {

@@ -42,7 +42,7 @@ pub enum IndexError {
     DimMismatch { expected: usize, got: usize },
     /// Device residency failed while pinning codes or tables.
     Tensor(TensorError),
-    /// A parallel build or scatter-gather task failed.
+    /// A parallel shard-build task failed.
     Task(TaskError),
 }
 

@@ -8,19 +8,22 @@
 //! transformer serving does, which is what the latency/throughput labs
 //! measure.
 
-use crate::tokenize::tokenize;
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use std::collections::HashMap;
 
-/// A bigram Markov language model.
+/// A bigram Markov language model over interned tokens.
 #[derive(Debug, Clone)]
 pub struct MarkovGenerator {
-    /// Successor lists per token (with multiplicity = observed frequency).
-    transitions: HashMap<String, Vec<String>>,
-    vocab_size: usize,
+    /// Token id → token text.
+    vocab: Vec<String>,
+    /// Token text → token id.
+    ids: HashMap<String, u32>,
+    /// Successor ids per token id, in text order (multiplicity = observed
+    /// frequency).
+    succ: Vec<Vec<u32>>,
     /// Simulated "model width" used for the decode cost model.
     model_dim: u64,
 }
@@ -29,25 +32,40 @@ impl MarkovGenerator {
     /// Trains on `text`. `model_dim` scales the simulated per-token cost
     /// (a stand-in for transformer hidden width).
     pub fn train(text: &str, model_dim: u64) -> Self {
-        let tokens = tokenize(text);
-        let mut transitions: HashMap<String, Vec<String>> = HashMap::new();
-        for w in tokens.windows(2) {
-            transitions
-                .entry(w[0].clone())
-                .or_default()
-                .push(w[1].clone());
+        let mut vocab: Vec<String> = Vec::new();
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut succ: Vec<Vec<u32>> = Vec::new();
+        let mut prev: Option<u32> = None;
+        for token in text.to_lowercase().split(|c: char| !c.is_alphanumeric()) {
+            if token.is_empty() {
+                continue;
+            }
+            let id = match ids.get(token) {
+                Some(&id) => id,
+                None => {
+                    let id = vocab.len() as u32;
+                    vocab.push(token.to_owned());
+                    ids.insert(token.to_owned(), id);
+                    succ.push(Vec::new());
+                    id
+                }
+            };
+            if let Some(p) = prev {
+                succ[p as usize].push(id);
+            }
+            prev = Some(id);
         }
-        let vocab: std::collections::HashSet<&String> = tokens.iter().collect();
         Self {
-            transitions,
-            vocab_size: vocab.len(),
+            vocab,
+            ids,
+            succ,
             model_dim: model_dim.max(1),
         }
     }
 
     /// Vocabulary size seen in training.
     pub fn vocab_size(&self) -> usize {
-        self.vocab_size
+        self.vocab.len()
     }
 
     /// The per-token decode kernel profile (matrix-vector shape:
@@ -67,24 +85,25 @@ impl MarkovGenerator {
     /// token of `context` (seeded; deterministic per inputs).
     pub fn generate(&self, context: &str, max_tokens: usize, seed: u64) -> String {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ctx_tokens = tokenize(context);
-        let mut current = match ctx_tokens.last() {
-            Some(t) => t.clone(),
-            None => return String::new(),
+        let lowered = context.to_lowercase();
+        let last = lowered
+            .rsplit(|c: char| !c.is_alphanumeric())
+            .find(|t| !t.is_empty());
+        let Some(mut current) = last.and_then(|t| self.ids.get(t)).copied() else {
+            return String::new();
         };
-        let mut out: Vec<String> = Vec::with_capacity(max_tokens);
+        let mut out = String::new();
         for _ in 0..max_tokens {
-            let Some(successors) = self.transitions.get(&current) else {
+            let Some(&next) = self.succ[current as usize].choose(&mut rng) else {
                 break;
             };
-            let next = successors
-                .choose(&mut rng)
-                .expect("non-empty successor list")
-                .clone();
-            out.push(next.clone());
+            if !out.is_empty() {
+                out.push(' ');
+            }
+            out.push_str(&self.vocab[next as usize]);
             current = next;
         }
-        out.join(" ")
+        out
     }
 
     /// Generates for a batch of contexts while charging decode kernels to
@@ -137,7 +156,9 @@ impl MarkovGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::tokenize;
     use gpu_sim::{DeviceSpec, Gpu};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     const TRAINING: &str = "the gpu runs the kernel and the kernel uses shared memory \
@@ -147,10 +168,17 @@ mod tests {
     fn generates_only_observed_bigrams() {
         let g = MarkovGenerator::train(TRAINING, 64);
         let text = g.generate("the", 20, 1);
-        let tokens = tokenize(&format!("the {text}"));
-        for w in tokens.windows(2) {
-            let successors = g.transitions.get(&w[0]).expect("known token");
-            assert!(successors.contains(&w[1]), "unseen bigram {w:?}");
+        let ids: Vec<u32> = tokenize(&format!("the {text}"))
+            .iter()
+            .map(|t| g.ids[t])
+            .collect();
+        for w in ids.windows(2) {
+            assert!(
+                g.succ[w[0] as usize].contains(&w[1]),
+                "unseen bigram {:?} {:?}",
+                g.vocab[w[0] as usize],
+                g.vocab[w[1] as usize]
+            );
         }
     }
 
@@ -213,5 +241,100 @@ mod tests {
         assert_eq!(p8.flops, 8 * p1.flops);
         // Bytes grow sub-linearly (weight streaming dominates).
         assert!(p8.bytes < 2 * p1.bytes);
+    }
+
+    /// The string-keyed generator the interned one replaced: successor
+    /// lists of owned strings, context tokenized in full for its last
+    /// token. Kept as the reference the interned tables must reproduce.
+    struct StringMapOracle(HashMap<String, Vec<String>>);
+
+    impl StringMapOracle {
+        fn train(text: &str) -> Self {
+            let tokens = tokenize(text);
+            let mut transitions: HashMap<String, Vec<String>> = HashMap::new();
+            for w in tokens.windows(2) {
+                transitions
+                    .entry(w[0].clone())
+                    .or_default()
+                    .push(w[1].clone());
+            }
+            Self(transitions)
+        }
+
+        fn generate(&self, context: &str, max_tokens: usize, seed: u64) -> String {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let Some(mut current) = tokenize(context).pop() else {
+                return String::new();
+            };
+            let mut out = Vec::new();
+            while out.len() < max_tokens {
+                let Some(successors) = self.0.get(&current) else {
+                    break;
+                };
+                let next = successors.choose(&mut rng).expect("non-empty").clone();
+                out.push(next.clone());
+                current = next;
+            }
+            out.join(" ")
+        }
+    }
+
+    /// Mixed case, punctuation glued to words, and non-ASCII text whose
+    /// lowercase form depends on context (final sigma) or is longer than
+    /// the input (dotted capital I).
+    const WORDS: [&str; 14] = [
+        "the",
+        "GPU",
+        "kernel",
+        "Kernel!",
+        "naïve",
+        "Straße",
+        "ΣΟΦΟΣ",
+        "İstanbul",
+        "x86_64",
+        "über.",
+        "CUDA,",
+        "memory",
+        "shared",
+        "fast",
+    ];
+    const TAILS: [&str; 5] = ["", ".", "!?", " — ", "…"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn interned_generator_matches_string_map_oracle(
+            train in prop::collection::vec(0usize..WORDS.len(), 0..40),
+            context in prop::collection::vec(0usize..WORDS.len() + 1, 0..6),
+            tail in 0usize..TAILS.len(),
+            terminal in 0usize..2,
+            max_tokens in 0usize..12,
+            seed in 0u64..1_000,
+        ) {
+            let text: Vec<&str> = train.iter().map(|&w| WORDS[w]).collect();
+            let text = text.join(" ");
+            let g = MarkovGenerator::train(&text, 8);
+            let oracle = StringMapOracle::train(&text);
+            let distinct: std::collections::HashSet<String> =
+                tokenize(&text).into_iter().collect();
+            prop_assert_eq!(g.vocab_size(), distinct.len());
+            // Index `WORDS.len()` stands for a token the model never saw.
+            let mut ctx: Vec<&str> = context
+                .iter()
+                .map(|&w| WORDS.get(w).copied().unwrap_or("zzunknown"))
+                .collect();
+            if terminal == 1 {
+                // The training text's last token has no successors.
+                ctx.extend(train.last().map(|&w| WORDS[w]));
+            }
+            let ctx = ctx.join(" ") + TAILS[tail];
+            prop_assert_eq!(
+                g.generate(&ctx, max_tokens, seed),
+                oracle.generate(&ctx, max_tokens, seed),
+                "context {:?}",
+                ctx
+            );
+        }
     }
 }

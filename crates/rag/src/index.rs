@@ -109,28 +109,49 @@ impl Ord for WorstFirst {
     }
 }
 
+/// A bounded best-`k` set fed one hit at a time, so a scan can select as
+/// it scores instead of materializing every candidate first.
+pub(crate) struct TopK {
+    k: usize,
+    heap: std::collections::BinaryHeap<WorstFirst>,
+}
+
+impl TopK {
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            k,
+            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, hit: SearchHit) {
+        if self.heap.len() < self.k {
+            self.heap.push(WorstFirst(hit));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if hit_order(&hit, &worst.0) == std::cmp::Ordering::Less {
+                *worst = WorstFirst(hit);
+            }
+        }
+    }
+
+    /// The retained hits, best first.
+    pub(crate) fn into_sorted(self) -> Vec<SearchHit> {
+        let mut out: Vec<SearchHit> = self.heap.into_iter().map(|w| w.0).collect();
+        out.sort_by(hit_order);
+        out
+    }
+}
+
 /// Selects the best `k` hits in `O(n log k)` with a bounded heap instead of
 /// sorting the full candidate list — the candidate set is the whole corpus
 /// (flat) or every probed list (IVF), while `k` is a handful.
 pub(crate) fn top_k(scores: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut heap: std::collections::BinaryHeap<WorstFirst> =
-        std::collections::BinaryHeap::with_capacity(k + 1);
+    let mut best = TopK::new(k);
     for hit in scores {
-        if heap.len() < k {
-            heap.push(WorstFirst(hit));
-        } else if hit_order(&hit, &heap.peek().expect("heap at capacity").0)
-            == std::cmp::Ordering::Less
-        {
-            heap.pop();
-            heap.push(WorstFirst(hit));
-        }
+        best.push(hit);
     }
-    let mut out: Vec<SearchHit> = heap.into_iter().map(|w| w.0).collect();
-    out.sort_by(hit_order);
-    out
+    best.into_sorted()
 }
 
 /// Merges two lists already sorted by [`hit_order`], keeping at most `k`.
@@ -990,33 +1011,39 @@ mod tests {
         assert_eq!(hits[1].doc_id, 3);
     }
 
-    #[test]
-    fn heap_top_k_matches_full_sort_on_random_inputs() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        // Reference: the old full-sort implementation.
-        let reference = |mut scores: Vec<SearchHit>, k: usize| -> Vec<SearchHit> {
-            scores.sort_by(hit_order);
-            scores.truncate(k);
-            scores
-        };
-        let mut rng = SmallRng::seed_from_u64(7);
-        for trial in 0..50 {
-            let n = rng.gen_range(0..60usize);
-            let hits: Vec<SearchHit> = (0..n)
-                .map(|_| SearchHit {
-                    doc_id: rng.gen_range(0..30usize),
-                    // Coarse grid to force plenty of score ties.
-                    score: (rng.gen_range(-5..5i32) as f32) / 4.0,
-                })
+    /// Scores drawn from a small palette so ties are common, including
+    /// both zeros and both NaN signs (`total_cmp` orders all of them).
+    const SCORES: [f32; 8] = [-1.0, -0.0, 0.0, 0.25, 0.25, 1.0, f32::NAN, -f32::NAN];
+
+    /// Bit patterns, so NaN scores compare equal to themselves.
+    fn bits(hits: &[SearchHit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streaming_top_k_matches_top_k_and_full_sort(
+            docs in proptest::collection::vec(0usize..30, 0..60),
+            scores in proptest::collection::vec(0usize..SCORES.len(), 60..61),
+            k in 0usize..70,
+        ) {
+            let hits: Vec<SearchHit> = docs
+                .iter()
+                .zip(&scores)
+                .map(|(&doc_id, &s)| SearchHit { doc_id, score: SCORES[s] })
                 .collect();
-            for k in [0, 1, 3, n / 2, n, n + 5] {
-                assert_eq!(
-                    top_k(hits.clone(), k),
-                    reference(hits.clone(), k),
-                    "trial {trial}, n {n}, k {k}"
-                );
+            let mut sorted = hits.clone();
+            sorted.sort_by(hit_order);
+            sorted.truncate(k);
+            let mut streamed = TopK::new(k);
+            for &hit in &hits {
+                streamed.push(hit);
             }
+            let streamed = bits(&streamed.into_sorted());
+            proptest::prop_assert_eq!(&streamed, &bits(&top_k(hits, k)));
+            proptest::prop_assert_eq!(&streamed, &bits(&sorted));
         }
     }
 

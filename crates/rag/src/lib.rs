@@ -28,8 +28,8 @@
 //!   memory stay resident (the FAISS `IndexIVFPQ` design).
 //! - [`shard`] — [`shard::ShardedIndex`]: inverted lists partitioned
 //!   across a simulated multi-GPU cluster (size-balanced greedy placement
-//!   by default) with taskflow scatter-gather search and an order-stable
-//!   top-k merge tree.
+//!   by default): one shared search plan per batch, inline per-shard
+//!   scans, and an order-stable top-k merge tree.
 //! - [`residency`] — [`residency::ListResidency`]: tiered list residency
 //!   under a device byte budget — hot lists hold pooled leases, cold
 //!   lists spill to host and promote charge-on-miss, with clock/LRU

@@ -323,7 +323,7 @@ pub fn build_flat_pipeline(
 
 /// Builds the scale-out variant of the demo pipeline: the same synthetic
 /// corpus, embedded once and indexed as sharded IVF-PQ across the devices
-/// of a simulated cluster. Retrieval scatter-gathers across every device;
+/// of a simulated cluster. Retrieval is priced on every device;
 /// generation is charged to device 0.
 pub fn build_sharded_pipeline(
     corpus_size: usize,

@@ -26,7 +26,7 @@
 //! the CPU path, so hits are bit-identical at every residency budget.
 
 use crate::error::IndexError;
-use crate::index::{top_k, RetrievalIndex, SearchHit};
+use crate::index::{top_k, RetrievalIndex, SearchHit, TopK};
 use crate::residency::{EvictionPolicy, ListResidency, TierStats};
 use gpu_sim::pool::PoolStats;
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
@@ -464,6 +464,29 @@ pub(crate) fn residual(v: &[f32], centroid: &[f32]) -> Vec<f32> {
     v.iter().zip(centroid).map(|(a, b)| a - b).collect()
 }
 
+/// The host half of one batch search (see [`IvfPqIndex::plan`]).
+pub(crate) struct BatchPlan {
+    /// Per query: every coarse centroid's score.
+    coarse: Vec<Vec<f32>>,
+    /// Per query: the top-`nprobe` list ids in probe order.
+    probes: Vec<Vec<usize>>,
+    /// Per query: the ADC table as one row per subspace, zero past `ksub`.
+    tables: Vec<Vec<[f32; 256]>>,
+}
+
+/// [`PqCodebook::adc_score`] over a table stored as `[f32; 256]` rows: a
+/// one-byte code indexes its row with no bounds check, and the partial
+/// products are summed in the same left-to-right order, so the score bits
+/// are identical.
+#[inline]
+fn adc_score_rows(rows: &[[f32; 256]], codes: &[u8]) -> f32 {
+    codes
+        .iter()
+        .zip(rows)
+        .map(|(&c, row)| row[c as usize])
+        .sum()
+}
+
 impl IvfPqIndex {
     /// Trains the coarse quantizer on `data` and the PQ codebook on the
     /// coarse *residuals*, then encodes every vector into its inverted
@@ -706,7 +729,7 @@ impl IvfPqIndex {
 
     /// The global probe order for `query`: every list id ranked by
     /// centroid score (ties to the lowest id). Shards rank the *same*
-    /// full centroid set, which is what makes the scattered scan cover
+    /// full centroid set, which is what makes the sharded scan cover
     /// exactly the lists a single-shard scan probes.
     fn probe_order(centroid_scores: &[f32]) -> Vec<usize> {
         let mut ranked: Vec<(usize, f32)> = centroid_scores.iter().copied().enumerate().collect();
@@ -714,113 +737,163 @@ impl IvfPqIndex {
         ranked.into_iter().map(|(c, _)| c).collect()
     }
 
-    /// Ranks the coarse centroids for a whole query batch. The GPU path
-    /// is one fused `ivf_coarse_batch` launch (query block H2D, one
-    /// kernel over `b × nlist` dot products, score D2H) — per-*batch*
-    /// fixed cost, not per-query, so the launch overhead does not
-    /// replicate with the batch size. Host arithmetic is the same
-    /// left-to-right sum as the CPU path.
-    fn coarse_scores_batch(&self, queries: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let host = || -> Vec<Vec<f32>> {
-            queries
-                .iter()
-                .map(|q| self.host_centroid_scores(q))
-                .collect()
-        };
-        match &self.gpu {
-            Some(state) => {
-                let (b, nlist) = (queries.len() as u64, self.nlist() as u64);
-                let dim = self.dim as u64;
-                let query_bytes = 4 * b * dim;
-                let _q = state
-                    .exec
-                    .gpu()
-                    .htod_pooled(state.exec.pool(), query_bytes)
-                    .expect("query upload");
-                state.exec.residency().add_h2d(query_bytes);
-                let cfg = LaunchConfig::for_elements(b * nlist, 256);
-                let profile = KernelProfile {
-                    flops: 2 * b * nlist * dim,
-                    bytes: 4 * (nlist * dim + b * dim + b * nlist),
-                    access: AccessPattern::Coalesced,
-                    registers_per_thread: 32,
-                };
-                let scores: Vec<Vec<f32>> = LaunchSpec::new("ivf_coarse_batch", cfg, profile)
-                    .run(state.exec.gpu(), host)
-                    .expect("coarse scoring kernel");
-                let score_bytes = 4 * b * nlist;
-                let lease = state.exec.pool().lease(score_bytes).expect("score buffer");
-                state
-                    .exec
-                    .gpu()
-                    .dtoh_pooled(&lease)
-                    .expect("score readback");
-                state.exec.residency().add_d2h(score_bytes);
-                scores
-            }
-            None => host(),
+    /// The host half of a batch search: coarse scores, probe lists and
+    /// ADC tables. They depend only on the queries and the quantizers, so
+    /// shards that share centroids and codebook share one plan.
+    pub(crate) fn plan(&self, queries: &[Vec<f32>]) -> BatchPlan {
+        let coarse: Vec<Vec<f32>> = queries
+            .iter()
+            .map(|q| self.host_centroid_scores(q))
+            .collect();
+        let probes = coarse
+            .iter()
+            .map(|scores| {
+                Self::probe_order(scores)
+                    .into_iter()
+                    .take(self.nprobe)
+                    .collect()
+            })
+            .collect();
+        let ksub = self.codebook.ksub();
+        let tables = queries
+            .iter()
+            .map(|q| {
+                self.codebook
+                    .adc_table(q)
+                    .chunks(ksub)
+                    .map(|sub| {
+                        let mut row = [0.0f32; 256];
+                        row[..ksub].copy_from_slice(sub);
+                        row
+                    })
+                    .collect()
+            })
+            .collect();
+        BatchPlan {
+            coarse,
+            probes,
+            tables,
         }
     }
 
-    /// Builds the ADC tables for a whole query batch. On the GPU path all
-    /// `b` tables come from one `pq_adc_table` launch and stay
-    /// device-resident for the scan; the arithmetic is the same host
-    /// expression either way.
-    fn build_tables(&self, queries: &[Vec<f32>]) -> (Vec<Vec<f32>>, Option<DeviceTensor>) {
-        let cb = &self.codebook;
-        let host = || -> Vec<Vec<f32>> { queries.iter().map(|q| cb.adc_table(q)).collect() };
-        match &self.gpu {
-            Some(state) => {
-                let b = queries.len() as u64;
-                let table_elems = (cb.m() * cb.ksub()) as u64;
-                let cfg = LaunchConfig::for_elements(b * table_elems, 256);
-                let profile = KernelProfile {
-                    flops: 2 * b * table_elems * cb.dsub() as u64,
-                    // Codebook (read once from cache), the query block, and
-                    // the emitted tables.
-                    bytes: 4
-                        * (table_elems * cb.dsub() as u64 + b * self.dim as u64 + b * table_elems),
-                    access: AccessPattern::Coalesced,
-                    registers_per_thread: 32,
-                };
-                let tables: Vec<Vec<f32>> = LaunchSpec::new("pq_adc_table", cfg, profile)
-                    .run(state.exec.gpu(), host)
-                    .expect("adc table kernel");
-                let flat: Vec<f32> = tables.iter().flatten().copied().collect();
-                let host_mat =
-                    Tensor::from_vec(queries.len(), cb.m() * cb.ksub(), flat).expect("table shape");
-                let resident = state
-                    .exec
-                    .alloc_on_device(host_mat)
-                    .expect("adc tables fit on device");
-                (tables, Some(resident))
-            }
-            None => (host(), None),
-        }
-    }
-
-    /// Scans every query's probed lists and selects its top-k. The GPU
-    /// path prices the whole batch as one gather-heavy `pq_adc_scan`
-    /// launch (codes are read at random through the per-query tables),
-    /// one `topk_select` reduction launch, and a read-back of only the
-    /// `b × k` selected hits — so the data-dependent scan volume is the
-    /// term that scales, and it is exactly the work sharding divides.
-    /// Hit scores come from the identical host arithmetic on both paths.
-    fn scan_and_select(
+    /// Searches with a precomputed [`BatchPlan`] of `queries`. Coarse
+    /// ranking, table build, list scan, and top-k selection are each
+    /// priced as one launch for the whole batch, so fixed launch/transfer
+    /// costs amortize across queries and the scanned-row volume
+    /// dominates.
+    pub(crate) fn search_planned(
         &self,
-        per_query_probes: &[Vec<usize>],
-        coarse: &[Vec<f32>],
-        tables: &[Vec<f32>],
+        plan: &BatchPlan,
+        queries: &[Vec<f32>],
         k: usize,
     ) -> Vec<Vec<SearchHit>> {
+        if self.ids.is_empty() || queries.is_empty() {
+            return queries.iter().map(|_| Vec::new()).collect();
+        }
+        self.price_coarse(queries.len());
+        let _resident = self.price_tables(plan);
+        if self.refine == 0 {
+            return self.scan_and_select(plan, k);
+        }
+        // Refine: pull a deeper PQ candidate list, then re-rank it with
+        // exact host-side scores.
+        let deep = self.refine.max(k);
+        let candidates = self.scan_and_select(plan, deep);
+        queries
+            .iter()
+            .zip(candidates)
+            .map(|(q, cands)| self.refine_exact(q, cands, k))
+            .collect()
+    }
+
+    /// Prices coarse ranking for a batch of `b` queries as one fused
+    /// `ivf_coarse_batch` launch (query block H2D, one kernel over
+    /// `b × nlist` dot products, score D2H) — per-*batch* fixed cost, not
+    /// per-query, so the launch overhead does not replicate with the
+    /// batch size.
+    fn price_coarse(&self, b: usize) {
+        let Some(state) = &self.gpu else { return };
+        let (b, nlist) = (b as u64, self.nlist() as u64);
+        let dim = self.dim as u64;
+        let query_bytes = 4 * b * dim;
+        let _q = state
+            .exec
+            .gpu()
+            .htod_pooled(state.exec.pool(), query_bytes)
+            .expect("query upload");
+        state.exec.residency().add_h2d(query_bytes);
+        let cfg = LaunchConfig::for_elements(b * nlist, 256);
+        let profile = KernelProfile {
+            flops: 2 * b * nlist * dim,
+            bytes: 4 * (nlist * dim + b * dim + b * nlist),
+            access: AccessPattern::Coalesced,
+            registers_per_thread: 32,
+        };
+        LaunchSpec::new("ivf_coarse_batch", cfg, profile)
+            .run(state.exec.gpu(), || ())
+            .expect("coarse scoring kernel");
+        let score_bytes = 4 * b * nlist;
+        let lease = state.exec.pool().lease(score_bytes).expect("score buffer");
+        state
+            .exec
+            .gpu()
+            .dtoh_pooled(&lease)
+            .expect("score readback");
+        state.exec.residency().add_d2h(score_bytes);
+    }
+
+    /// Prices the ADC tables of a whole batch as one `pq_adc_table`
+    /// launch; the tables then stay device-resident for the scan.
+    fn price_tables(&self, plan: &BatchPlan) -> Option<DeviceTensor> {
+        let state = self.gpu.as_ref()?;
+        let cb = &self.codebook;
+        let b = plan.tables.len() as u64;
+        let table_elems = (cb.m() * cb.ksub()) as u64;
+        let cfg = LaunchConfig::for_elements(b * table_elems, 256);
+        let profile = KernelProfile {
+            flops: 2 * b * table_elems * cb.dsub() as u64,
+            // Codebook (read once from cache), the query block, and the
+            // emitted tables.
+            bytes: 4 * (table_elems * cb.dsub() as u64 + b * self.dim as u64 + b * table_elems),
+            access: AccessPattern::Coalesced,
+            registers_per_thread: 32,
+        };
+        LaunchSpec::new("pq_adc_table", cfg, profile)
+            .run(state.exec.gpu(), || ())
+            .expect("adc table kernel");
+        let flat: Vec<f32> = plan
+            .tables
+            .iter()
+            .flatten()
+            .flat_map(|row| &row[..cb.ksub()])
+            .copied()
+            .collect();
+        let host_mat =
+            Tensor::from_vec(plan.tables.len(), table_elems as usize, flat).expect("table shape");
+        Some(
+            state
+                .exec
+                .alloc_on_device(host_mat)
+                .expect("adc tables fit on device"),
+        )
+    }
+
+    /// Scans every query's probed lists and selects its top-k as it
+    /// scores. The GPU path prices the whole batch as one gather-heavy
+    /// `pq_adc_scan` launch (codes are read at random through the
+    /// per-query tables), one `topk_select` reduction launch, and a
+    /// read-back of only the `b × k` selected hits — so the
+    /// data-dependent scan volume is the term that scales, and it is
+    /// exactly the work sharding divides.
+    fn scan_and_select(&self, plan: &BatchPlan, k: usize) -> Vec<Vec<SearchHit>> {
         let (m, ksub) = (self.codebook.m(), self.codebook.ksub());
         let scan = || -> Vec<Vec<SearchHit>> {
-            per_query_probes
+            plan.probes
                 .iter()
-                .zip(coarse)
-                .zip(tables)
-                .map(|((probes, centroid_scores), table)| {
-                    let mut hits = Vec::new();
+                .zip(&plan.coarse)
+                .zip(&plan.tables)
+                .map(|((probes, centroid_scores), rows)| {
+                    let mut best = TopK::new(k);
                     for &list in probes {
                         // Codes are residuals off the list centroid, so a
                         // row's score is the query·centroid part (already
@@ -828,82 +901,77 @@ impl IvfPqIndex {
                         let bias = centroid_scores[list];
                         for &row in &self.lists[list] {
                             let codes = &self.codes[row * m..(row + 1) * m];
-                            hits.push(SearchHit {
+                            best.push(SearchHit {
                                 doc_id: self.ids[row],
-                                score: bias + PqCodebook::adc_score(table, ksub, codes),
+                                score: bias + adc_score_rows(rows, codes),
                             });
                         }
                     }
-                    hits
+                    best.into_sorted()
                 })
                 .collect()
         };
-        match &self.gpu {
-            Some(state) => {
-                let b = per_query_probes.len() as u64;
-                let scanned: u64 = per_query_probes
-                    .iter()
-                    .flat_map(|probes| probes.iter().map(|&l| self.lists[l].len() as u64))
-                    .sum();
-                if scanned == 0 {
-                    return vec![Vec::new(); per_query_probes.len()];
-                }
-                // Residency gate: every list this batch scans must be
-                // device-resident before the scan launches. Hits are free;
-                // misses charge a promotion copy (and evictions) in front
-                // of the kernel — the exposed time the profiler
-                // attributes. Each distinct list is touched once per
-                // batch, first-touch order.
-                {
-                    let mut res = state.residency.lock().expect("residency lock");
-                    let mut seen = vec![false; self.lists.len()];
-                    for probes in per_query_probes {
-                        for &list in probes {
-                            if !seen[list] {
-                                seen[list] = true;
-                                res.touch(list).expect("list promotion");
-                            }
-                        }
+        let Some(state) = &self.gpu else {
+            return scan();
+        };
+        let b = plan.probes.len() as u64;
+        let scanned: u64 = plan
+            .probes
+            .iter()
+            .flat_map(|probes| probes.iter().map(|&l| self.lists[l].len() as u64))
+            .sum();
+        if scanned == 0 {
+            return vec![Vec::new(); plan.probes.len()];
+        }
+        // Residency gate: every list this batch scans must be
+        // device-resident before the scan launches. Hits are free; misses
+        // charge a promotion copy (and evictions) in front of the kernel —
+        // the exposed time the profiler attributes. Each distinct list is
+        // touched once per batch, first-touch order.
+        {
+            let mut res = state.residency.lock().expect("residency lock");
+            let mut seen = vec![false; self.lists.len()];
+            for probes in &plan.probes {
+                for &list in probes {
+                    if !seen[list] {
+                        seen[list] = true;
+                        res.touch(list).expect("list promotion");
                     }
                 }
-                let cfg = LaunchConfig::for_elements(scanned, 256);
-                let profile = KernelProfile {
-                    flops: scanned * m as u64,
-                    // Codes (1 byte each), the resident tables, and the
-                    // raw scores left on device for selection.
-                    bytes: scanned * m as u64 + 4 * b * (m * ksub) as u64 + 4 * scanned,
-                    access: AccessPattern::Random,
-                    registers_per_thread: 32,
-                };
-                let all_hits: Vec<Vec<SearchHit>> = LaunchSpec::new("pq_adc_scan", cfg, profile)
-                    .run(state.exec.gpu(), scan)
-                    .expect("adc scan kernel");
-                // Device-side top-k selection: one coalesced sweep of the
-                // raw scores emitting b×k (doc, score) pairs, so only the
-                // selected hits cross the host link.
-                let sel_cfg = LaunchConfig::for_elements(scanned, 256);
-                let sel_profile = KernelProfile {
-                    flops: scanned,
-                    bytes: 4 * scanned + 8 * b * k as u64,
-                    access: AccessPattern::Coalesced,
-                    registers_per_thread: 32,
-                };
-                let selected: Vec<Vec<SearchHit>> =
-                    LaunchSpec::new("topk_select", sel_cfg, sel_profile)
-                        .run(state.exec.gpu(), move || {
-                            all_hits.into_iter().map(|h| top_k(h, k)).collect()
-                        })
-                        .expect("top-k select kernel");
-                let hit_bytes: u64 = selected.iter().map(|h| 8 * h.len() as u64).sum();
-                if hit_bytes > 0 {
-                    let lease = state.exec.pool().lease(hit_bytes).expect("hit buffer");
-                    state.exec.gpu().dtoh_pooled(&lease).expect("hit readback");
-                    state.exec.residency().add_d2h(hit_bytes);
-                }
-                selected
             }
-            None => scan().into_iter().map(|h| top_k(h, k)).collect(),
         }
+        let cfg = LaunchConfig::for_elements(scanned, 256);
+        let profile = KernelProfile {
+            flops: scanned * m as u64,
+            // Codes (1 byte each), the resident tables, and the raw scores
+            // left on device for selection.
+            bytes: scanned * m as u64 + 4 * b * (m * ksub) as u64 + 4 * scanned,
+            access: AccessPattern::Random,
+            registers_per_thread: 32,
+        };
+        let selected: Vec<Vec<SearchHit>> = LaunchSpec::new("pq_adc_scan", cfg, profile)
+            .run(state.exec.gpu(), scan)
+            .expect("adc scan kernel");
+        // Device-side top-k selection: one coalesced sweep of the raw
+        // scores emitting b×k (doc, score) pairs, so only the selected
+        // hits cross the host link. The host selected while scanning.
+        let sel_cfg = LaunchConfig::for_elements(scanned, 256);
+        let sel_profile = KernelProfile {
+            flops: scanned,
+            bytes: 4 * scanned + 8 * b * k as u64,
+            access: AccessPattern::Coalesced,
+            registers_per_thread: 32,
+        };
+        LaunchSpec::new("topk_select", sel_cfg, sel_profile)
+            .run(state.exec.gpu(), || ())
+            .expect("top-k select kernel");
+        let hit_bytes: u64 = selected.iter().map(|h| 8 * h.len() as u64).sum();
+        if hit_bytes > 0 {
+            let lease = state.exec.pool().lease(hit_bytes).expect("hit buffer");
+            state.exec.gpu().dtoh_pooled(&lease).expect("hit readback");
+            state.exec.residency().add_d2h(hit_bytes);
+        }
+        selected
     }
 }
 
@@ -915,42 +983,15 @@ impl RetrievalIndex for IvfPqIndex {
             .unwrap_or_default()
     }
 
-    /// Batched search: coarse ranking, table build, list scan, and top-k
-    /// selection each run as one launch for the whole batch, so fixed
-    /// launch/transfer costs amortize across queries and the scanned-row
-    /// volume dominates. Hits are bit-identical to per-query
-    /// [`RetrievalIndex::search`] — per-query arithmetic never depends on
-    /// the batch it rode in on.
+    /// Batched search: the host plan (coarse scores, probe lists, ADC
+    /// tables), then one priced launch per stage for the whole batch. Hits
+    /// are bit-identical to per-query [`RetrievalIndex::search`] —
+    /// per-query arithmetic never depends on the batch it rode in on.
     fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>> {
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
         }
-        if self.ids.is_empty() || queries.is_empty() {
-            return queries.iter().map(|_| Vec::new()).collect();
-        }
-        let coarse = self.coarse_scores_batch(queries);
-        let per_query_probes: Vec<Vec<usize>> = coarse
-            .iter()
-            .map(|scores| {
-                Self::probe_order(scores)
-                    .into_iter()
-                    .take(self.nprobe)
-                    .collect()
-            })
-            .collect();
-        let (tables, _resident) = self.build_tables(queries);
-        if self.refine == 0 {
-            return self.scan_and_select(&per_query_probes, &coarse, &tables, k);
-        }
-        // Refine: pull a deeper PQ candidate list, then re-rank it with
-        // exact host-side scores.
-        let deep = self.refine.max(k);
-        let candidates = self.scan_and_select(&per_query_probes, &coarse, &tables, deep);
-        queries
-            .iter()
-            .zip(candidates)
-            .map(|(q, cands)| self.refine_exact(q, cands, k))
-            .collect()
+        self.search_planned(&self.plan(queries), queries, k)
     }
 
     fn len(&self) -> usize {
@@ -1050,6 +1091,44 @@ mod tests {
                 (adc - direct).abs() <= 1e-4 * direct.abs().max(1.0),
                 "adc {adc} vs direct {direct}"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn row_adc_matches_adc_score_bitwise(
+            nbits in 1u32..9,
+            m in 1usize..13,
+            dsub in 1usize..4,
+            n in 1usize..40,
+            seed in 0u64..1_000,
+        ) {
+            let dim = m * dsub;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut vector = || -> Vec<f32> { (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+            let data: Vec<(usize, Vec<f32>)> = (0..n).map(|i| (i, vector())).collect();
+            let query = vector();
+            let cb = PqCodebook::train(dim, PqConfig::new(m, nbits), &data, seed).expect("trains");
+            let plan = IvfPqIndex::from_trained(dim, 1, 1, vec![0.0; dim], cb.clone(), &[])
+                .plan(std::slice::from_ref(&query));
+            let table = cb.adc_table(&query);
+            for (_, v) in &data {
+                let codes = cb.encode(v);
+                proptest::prop_assert_eq!(
+                    adc_score_rows(&plan.tables[0], &codes).to_bits(),
+                    PqCodebook::adc_score(&table, cb.ksub(), &codes).to_bits()
+                );
+            }
+            // Every code value, not only the ones the encoder emitted.
+            for c in 0..cb.ksub() {
+                let codes = vec![c as u8; m];
+                proptest::prop_assert_eq!(
+                    adc_score_rows(&plan.tables[0], &codes).to_bits(),
+                    PqCodebook::adc_score(&table, cb.ksub(), &codes).to_bits()
+                );
+            }
         }
     }
 

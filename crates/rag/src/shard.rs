@@ -9,15 +9,19 @@
 //! per-device memory shrinks ~linearly with the shard count while the
 //! probe decision stays global.
 //!
-//! Search is scatter-gather through `taskflow`: the query batch is
-//! broadcast to one pinned task per shard (`submit_to`, never stolen —
-//! GPU affinity), each shard ranks the full centroid set, scans the
-//! intersection of the global top-`nprobe` lists with its own, and
-//! returns its local top-k; the gather side folds the per-shard lists
-//! through the [`merge_top_k`] merge tree. Because every shard prices
-//! its scan on its own device's command stream, wall-clock is the
-//! cluster makespan — the per-device *max*, which is what shrinks as
-//! shards are added.
+//! Search plans once and scans each shard inline. The host half of a
+//! batch — coarse scores, probe lists, ADC tables — depends only on the
+//! queries and the shared quantizers, so it is computed once and handed
+//! to every shard. Each shard then, in order on the calling thread, prices
+//! its own command sequence on its own device (coarse probe, table build,
+//! residency touches, scan, top-k select, hit read-back), scans the
+//! intersection of the global top-`nprobe` lists with its own, and returns
+//! its local top-k; the per-shard lists fold through the [`merge_top_k`]
+//! merge tree. Because every shard prices its scan on its own device's
+//! command stream, the simulated latency is the cluster makespan — the
+//! per-device *max*, which is what shrinks as shards are added. The host
+//! scans run serially: a thread pool scattering four sub-millisecond
+//! scans cost more in wake-ups than it saved.
 //!
 //! The merge is bit-identical to a single-shard scan: shards partition
 //! exactly the rows one shard would visit, score them with the identical
@@ -38,7 +42,7 @@ use gpu_sim::GpuCluster;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::TensorError;
 use std::sync::Arc;
-use taskflow::{ClusterBuilder, LocalCluster};
+use taskflow::ClusterBuilder;
 
 /// How inverted lists map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,11 +113,10 @@ pub struct ShardedIndex {
     dim: usize,
     len: usize,
     refine: usize,
-    shards: Vec<Arc<IvfPqIndex>>,
+    shards: Vec<IvfPqIndex>,
     /// Full-precision host copy (doc id → vector) — the gather-side
     /// refine source. Host RAM only; never counted in device bytes.
     host_vectors: std::collections::HashMap<usize, Vec<f32>>,
-    cluster: LocalCluster,
     gpus: Arc<GpuCluster>,
 }
 
@@ -259,7 +262,7 @@ impl ShardedIndex {
         }
         let mut shards = Vec::with_capacity(plan.shards);
         for fut in futures {
-            shards.push(Arc::new(fut.wait().map_err(IndexError::Task)??));
+            shards.push(fut.wait().map_err(IndexError::Task)??);
         }
 
         let host_vectors = if plan.refine > 0 {
@@ -273,7 +276,6 @@ impl ShardedIndex {
             refine: plan.refine,
             shards,
             host_vectors,
-            cluster,
             gpus,
         })
     }
@@ -284,7 +286,7 @@ impl ShardedIndex {
     }
 
     /// The per-shard indexes (shard `s` is pinned to device `s`).
-    pub fn shards(&self) -> &[Arc<IvfPqIndex>] {
+    pub fn shards(&self) -> &[IvfPqIndex] {
         &self.shards
     }
 
@@ -293,7 +295,7 @@ impl ShardedIndex {
         &self.gpus
     }
 
-    /// Simulated wall-clock of the slowest device — the scatter-gather
+    /// Simulated wall-clock of the slowest device — the sharded search
     /// latency metric (per-device work shrinks as shards are added).
     pub fn makespan_ns(&self) -> u64 {
         self.gpus.makespan_ns()
@@ -307,13 +309,14 @@ impl RetrievalIndex for ShardedIndex {
             .unwrap_or_default()
     }
 
-    /// Scatter-gather batch search: the query batch is broadcast to one
-    /// pinned scan task per shard, each shard returns its local top-k per
-    /// query (priced on its own device), and the gather side merges the
-    /// per-shard lists through the order-stable merge tree. When
-    /// `refine > 0` the merged PQ top-`max(refine, k)` is re-scored
-    /// exactly on the gather node — after the merge, so the candidate set
-    /// (and therefore the refined top-k) is shard-count independent.
+    /// Batch search: the host plan (coarse scores, probe lists, ADC
+    /// tables) is computed once — every shard holds the same centroids and
+    /// codebook — then each shard, in order on the calling thread, prices
+    /// its own commands on its own device and returns its local top-k per
+    /// query, and the per-shard lists merge through the order-stable merge
+    /// tree. When `refine > 0` the merged PQ top-`max(refine, k)` is
+    /// re-scored exactly after the merge, so the candidate set (and
+    /// therefore the refined top-k) is shard-count independent.
     fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>> {
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
@@ -328,31 +331,21 @@ impl RetrievalIndex for ShardedIndex {
         } else {
             k
         };
-        // Broadcast: one shared copy of the batch, one pinned task per
-        // shard.
-        let batch: Arc<Vec<Vec<f32>>> = Arc::new(queries.to_vec());
-        let futures: Vec<_> = self
+        let plan = self.shards[0].plan(queries);
+        let mut per_shard: Vec<_> = self
             .shards
             .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let shard = Arc::clone(shard);
-                let batch = Arc::clone(&batch);
-                self.cluster
-                    .submit_to(s, move |_ctx| shard.search_batch(&batch, kprime))
-                    .expect("shard worker exists")
-            })
+            .map(|shard| shard.search_planned(&plan, queries, kprime).into_iter())
             .collect();
-        // Gather: per-shard results, then a merge tree per query.
-        let per_shard: Vec<Vec<Vec<SearchHit>>> = futures
-            .into_iter()
-            .map(|f| f.wait().expect("shard scan"))
-            .collect();
-        let merged: Vec<Vec<SearchHit>> = (0..queries.len())
-            .map(|q| merge_top_k(per_shard.iter().map(|s| s[q].clone()).collect(), kprime))
-            .collect();
+        let merged = queries.iter().map(|_| {
+            let lists = per_shard
+                .iter_mut()
+                .map(|hits| hits.next().unwrap_or_default())
+                .collect();
+            merge_top_k(lists, kprime)
+        });
         if self.refine == 0 {
-            return merged;
+            return merged.collect();
         }
         queries
             .iter()
@@ -535,7 +528,7 @@ mod tests {
         assert_eq!(
             one.search_batch(&queries, 10),
             four.search_batch(&queries, 10),
-            "scatter-gather must be bit-identical to one shard"
+            "sharded search must be bit-identical to one shard"
         );
         assert_eq!(one.search(&queries[0], 5), four.search(&queries[0], 5));
     }

@@ -48,7 +48,9 @@
 # 14. sagebench (a package of its own, outside the workspace): its unit
 #    tests, then a short untraced run of every workload, each of which must
 #    end with `"correct": true` (served hits, training bits and replay all
-#    check out).
+#    check out), then a short traced rag-cold run, whose layer pass calls
+#    the sharded and per-shard searches directly and checks the sharded
+#    hits against a reference build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -122,5 +124,11 @@ for workload in rag-hot rag-cold gcn-train; do
     exit 1
   fi
 done
+result=$(cargo run --offline --release -q --manifest-path sagebench/Cargo.toml -- \
+  --workload rag-cold --seed 1 --seconds 3 --trace 1 | tail -n 1)
+if [[ "$result" != *'"correct": true'* ]]; then
+  echo "sagebench rag-cold (traced) is not correct: $result" >&2
+  exit 1
+fi
 
 echo "OK: all checks passed"
