@@ -4,12 +4,15 @@
 //! ```text
 //! repro                 # run every experiment
 //! repro --exp table3    # one experiment
-//! repro --list          # list experiment ids
+//! repro --list          # list experiment ids and their BENCH_A*.json artifacts
 //! ```
 
+use sagegpu_bench::artifact::{Ablation, ABLATIONS, ARTIFACT_DIR};
 use sagegpu_bench::render;
+use std::path::Path;
 
-/// (id, description, renderer).
+/// (id, description, renderer) of the experiments without an artifact;
+/// they run before the [`ABLATIONS`].
 type Experiment = (&'static str, &'static str, fn() -> String);
 
 fn experiments() -> Vec<Experiment> {
@@ -72,42 +75,30 @@ fn experiments() -> Vec<Experiment> {
             "Ablation: device residency (A06)",
             render::render_residency,
         ),
-        (
-            "fusion",
-            "Ablation: fused kernels + stream pipelining (A07)",
-            render::render_fusion,
-        ),
-        (
-            "scaling",
-            "Ablation: comm overlap x worker scaling (A08)",
-            render::render_comm_scaling,
-        ),
-        (
-            "graph",
-            "Ablation: graph capture/replay (A09)",
-            render::render_graph,
-        ),
-        (
-            "topology",
-            "Ablation: two-tier topology x hierarchical collectives (A10)",
-            render::render_topology,
-        ),
-        (
-            "whatif",
-            "Ablation: trace what-if replay (A11)",
-            render::render_whatif,
-        ),
-        (
-            "retrieval",
-            "Ablation: sharded IVF-PQ retrieval at scale (A12)",
-            render::render_retrieval,
-        ),
-        (
-            "residency_serving",
-            "Ablation: tiered-residency serving under device budgets (A13)",
-            render::render_residency_serving,
-        ),
     ]
+}
+
+/// Runs one ablation, writes its artifact and checks its bounds. Returns
+/// false when the write failed or a bound is violated.
+fn reproduce(ablation: &Ablation) -> bool {
+    let v = ablation.run();
+    print!("{}", ablation.render(&v));
+    let file = format!("BENCH_{}.json", ablation.artifact);
+    let mut ok = match ablation.publish(Path::new(ARTIFACT_DIR), &v) {
+        Ok(()) => {
+            println!("wrote {file}");
+            true
+        }
+        Err(e) => {
+            eprintln!("error: could not write {file}: {e}");
+            false
+        }
+    };
+    for violation in ablation.check(&v) {
+        eprintln!("{}: bound violated: {violation}", ablation.artifact);
+        ok = false;
+    }
+    ok
 }
 
 fn main() {
@@ -116,7 +107,10 @@ fn main() {
 
     if args.iter().any(|a| a == "--list") {
         for (id, desc, _) in &exps {
-            println!("{id:<10} {desc}");
+            println!("{id:<18} -    {desc}");
+        }
+        for a in &ABLATIONS {
+            println!("{:<18} {}  Ablation: {}", a.id, a.artifact, a.title);
         }
         return;
     }
@@ -132,18 +126,25 @@ fn main() {
         },
     };
 
+    let wanted = |id: &str| selected.is_none_or(|s| s == id);
     let mut matched = false;
-    for (id, _, f) in &exps {
-        if selected.is_none_or(|s| s == *id) {
-            print!("{}", f());
-            matched = true;
-        }
+    for (_, _, f) in exps.iter().filter(|e| wanted(e.0)) {
+        print!("{}", f());
+        matched = true;
+    }
+    let mut ok = true;
+    for a in ABLATIONS.iter().filter(|a| wanted(a.id)) {
+        ok &= reproduce(a);
+        matched = true;
     }
     if !matched {
         eprintln!(
             "unknown experiment '{}'; try --list",
             selected.unwrap_or_default()
         );
+        std::process::exit(1);
+    }
+    if !ok {
         std::process::exit(1);
     }
 }

@@ -31,6 +31,9 @@ use sagegpu_core::tensor::dense::Tensor;
 use sagegpu_core::tensor::gpu_exec::GpuExecutor;
 use std::sync::Arc;
 
+use crate::artifact::{artifact_schema, bounds, rows, Check, NumField};
+use serde_json::Value;
+
 /// The fixed seed every experiment uses (determinism is part of the
 /// reproduction contract).
 pub const SEED: u64 = 2025;
@@ -1022,46 +1025,48 @@ pub fn residency_ablation() -> ResidencyAblation {
 // A07 — fused kernels + stream pipelining ablation
 // ---------------------------------------------------------------------
 
-/// One distributed GCN training run under an execution mode.
-pub struct FusionGcnRow {
-    pub mode: &'static str,
-    /// Total kernel launches charged across both workers.
-    pub kernel_launches: u64,
-    pub sim_time_ms: f64,
-    /// Device 0's share of kernel time lost to fixed launch overhead.
-    pub launch_overhead_fraction: f64,
-    pub final_loss: f32,
-    pub test_accuracy: f64,
-}
+artifact_schema! {
+    /// One distributed GCN training run under an execution mode.
+    pub struct FusionGcnRow {
+        pub mode: &'static str,
+        /// Total kernel launches charged across both workers.
+        pub kernel_launches: u64,
+        pub sim_time_ms: f64,
+        /// Device 0's share of kernel time lost to fixed launch overhead.
+        pub launch_overhead_fraction: f64,
+        pub final_loss: f32,
+        pub test_accuracy: f64,
+    }
 
-/// One 32-query RAG scoring run under an execution mode.
-pub struct FusionRagRow {
-    pub mode: &'static str,
-    pub kernel_launches: u64,
-    pub sim_time_us: f64,
-    /// Engine-busy ÷ makespan: above the serial run's value means the
-    /// two-stream pipeline genuinely overlapped copies with compute.
-    pub overlap_efficiency: f64,
-}
+    /// One 32-query RAG scoring run under an execution mode.
+    pub struct FusionRagRow {
+        pub mode: &'static str,
+        pub kernel_launches: u64,
+        pub sim_time_us: f64,
+        /// Engine-busy ÷ makespan: above the serial run's value means the
+        /// two-stream pipeline genuinely overlapped copies with compute.
+        pub overlap_efficiency: f64,
+    }
 
-/// The full fusion ablation: distributed GCN training charged per-op vs
-/// with fused epilogues, and RAG scoring per-query vs double-buffered.
-pub struct FusionAblation {
-    pub gcn: Vec<FusionGcnRow>,
-    /// Serial ÷ fused kernel launches for the GCN runs.
-    pub gcn_launch_reduction: f64,
-    /// Serial ÷ fused simulated makespan for the GCN runs.
-    pub gcn_speedup: f64,
-    /// True when both GCN runs produced bit-identical losses, accuracy,
-    /// and trained parameters.
-    pub gcn_identical: bool,
-    pub rag: Vec<FusionRagRow>,
-    /// Serial ÷ fused kernel launches for the RAG runs.
-    pub rag_launch_reduction: f64,
-    /// Serial ÷ fused simulated makespan for the RAG runs.
-    pub rag_speedup: f64,
-    /// True when both RAG runs returned identical scores for every query.
-    pub rag_identical: bool,
+    /// The full fusion ablation: distributed GCN training charged per-op vs
+    /// with fused epilogues, and RAG scoring per-query vs double-buffered.
+    pub struct FusionAblation {
+        pub gcn: Vec<FusionGcnRow>,
+        /// Serial ÷ fused kernel launches for the GCN runs.
+        pub gcn_launch_reduction: f64,
+        /// Serial ÷ fused simulated makespan for the GCN runs.
+        pub gcn_speedup: f64,
+        /// True when both GCN runs produced bit-identical losses, accuracy,
+        /// and trained parameters.
+        pub gcn_identical: bool,
+        pub rag: Vec<FusionRagRow>,
+        /// Serial ÷ fused kernel launches for the RAG runs.
+        pub rag_launch_reduction: f64,
+        /// Serial ÷ fused simulated makespan for the RAG runs.
+        pub rag_speedup: f64,
+        /// True when both RAG runs returned identical scores for every query.
+        pub rag_identical: bool,
+    }
 }
 
 /// A07 — the perf-optimization acceptance experiment. Trains the E17 GCN
@@ -1179,50 +1184,32 @@ pub fn fusion_ablation() -> FusionAblation {
     }
 }
 
-/// Machine-readable A07 summary — the content of `BENCH_A07.json`. The
-/// document is emitted by hand because the offline `serde_json` stand-in
-/// only parses.
-pub fn fusion_ablation_json(a: &FusionAblation) -> String {
-    let gcn_rows: Vec<String> = a
-        .gcn
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"mode\":\"{}\",\"kernel_launches\":{},\"sim_time_ms\":{},\
-                 \"launch_overhead_fraction\":{},\"final_loss\":{},\"test_accuracy\":{}}}",
-                r.mode,
-                r.kernel_launches,
-                r.sim_time_ms,
-                r.launch_overhead_fraction,
-                r.final_loss,
-                r.test_accuracy
-            )
-        })
-        .collect();
-    let rag_rows: Vec<String> = a
-        .rag
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"mode\":\"{}\",\"kernel_launches\":{},\"sim_time_us\":{},\
-                 \"overlap_efficiency\":{}}}",
-                r.mode, r.kernel_launches, r.sim_time_us, r.overlap_efficiency
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A07\",\n  \"title\": \"fused kernels + stream pipelining\",\n  \
-         \"gcn\": {{\"rows\": [{}], \"launch_reduction\": {}, \"speedup\": {}, \"identical\": {}}},\n  \
-         \"rag\": {{\"rows\": [{}], \"launch_reduction\": {}, \"speedup\": {}, \"identical\": {}}}\n}}\n",
-        gcn_rows.join(", "),
-        a.gcn_launch_reduction,
-        a.gcn_speedup,
-        a.gcn_identical,
-        rag_rows.join(", "),
-        a.rag_launch_reduction,
-        a.rag_speedup,
-        a.rag_identical
-    )
+/// A07's bounds: in both domains the fused/pipelined run (row 1) makes
+/// strictly fewer launches in strictly less sim time than the serial run
+/// (row 0) with bit-identical outputs; fusion shrinks the GCN launch-
+/// overhead share and pipelining lifts RAG overlap efficiency.
+pub(crate) fn check_fusion(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    let (gcn_serial, gcn_fused) = (&v["gcn"][0], &v["gcn"][1]);
+    let (rag_serial, rag_fused) = (&v["rag"][0], &v["rag"][1]);
+    bounds!(
+        c,
+        rows(v, "gcn").len() == 2,
+        gcn_serial["mode"] == "serial" && gcn_fused["mode"] == "fused",
+        gcn_fused.num("kernel_launches") < gcn_serial.num("kernel_launches"),
+        gcn_fused.num("launch_overhead_fraction") < gcn_serial.num("launch_overhead_fraction"),
+        v.num("gcn_speedup") > 1.0,
+        v.num("gcn_launch_reduction") > 1.0,
+        v["gcn_identical"] == true,
+        rows(v, "rag").len() == 2,
+        rag_serial["mode"] == "serial" && rag_fused["mode"] == "fused",
+        rag_fused.num("kernel_launches") < rag_serial.num("kernel_launches"),
+        rag_fused.num("overlap_efficiency") > rag_serial.num("overlap_efficiency"),
+        v.num("rag_speedup") > 1.0,
+        v.num("rag_launch_reduction") > 1.0,
+        v["rag_identical"] == true,
+    );
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1263,36 +1250,38 @@ pub fn comm_scaling_dataset() -> GraphDataset {
     .expect("valid SBM parameters")
 }
 
-/// One distributed GCN run at a worker count under a comm schedule.
-pub struct CommScalingRow {
-    pub workers: usize,
-    /// "monolithic" or "bucketed".
-    pub comm: &'static str,
-    pub sim_time_ms: f64,
-    /// Same-schedule 1-worker sim time ÷ this run's sim time.
-    pub speedup: f64,
-    /// Gradient-exchange time left on the critical path, summed over epochs.
-    pub exposed_comm_ms: f64,
-    /// Gradient-exchange time hidden behind backward compute.
-    pub overlapped_comm_ms: f64,
-    /// Device 0's profiler verdict: fraction of comm-lane time not covered
-    /// by concurrent kernels.
-    pub comm_exposed_fraction: f64,
-    pub buckets_per_epoch: u64,
-    pub final_loss: f32,
-    pub test_accuracy: f64,
-}
+artifact_schema! {
+    /// One distributed GCN run at a worker count under a comm schedule.
+    pub struct CommScalingRow {
+        pub workers: usize,
+        /// "monolithic" or "bucketed".
+        pub comm: &'static str,
+        pub sim_time_ms: f64,
+        /// Same-schedule 1-worker sim time ÷ this run's sim time.
+        pub speedup: f64,
+        /// Gradient-exchange time left on the critical path, summed over epochs.
+        pub exposed_comm_ms: f64,
+        /// Gradient-exchange time hidden behind backward compute.
+        pub overlapped_comm_ms: f64,
+        /// Device 0's profiler verdict: fraction of comm-lane time not covered
+        /// by concurrent kernels.
+        pub comm_exposed_fraction: f64,
+        pub buckets_per_epoch: u64,
+        pub final_loss: f32,
+        pub test_accuracy: f64,
+    }
 
-/// The full A08 sweep: workers × {monolithic, bucketed-overlap}.
-pub struct CommScalingAblation {
-    pub rows: Vec<CommScalingRow>,
-    /// True when, at every worker count, both schedules produced
-    /// bit-identical losses, accuracy, and trained parameters.
-    pub identical_all_k: bool,
-    pub monolithic_speedup_at_4: f64,
-    pub bucketed_speedup_at_4: f64,
-    /// Monolithic ÷ bucketed sim time at 4 workers — the headline win.
-    pub overlap_win_at_4: f64,
+    /// The full A08 sweep: workers × {monolithic, bucketed-overlap}.
+    pub struct CommScalingAblation {
+        pub rows: Vec<CommScalingRow>,
+        /// True when, at every worker count, both schedules produced
+        /// bit-identical losses, accuracy, and trained parameters.
+        pub identical_all_k: bool,
+        pub monolithic_speedup_at_4: f64,
+        pub bucketed_speedup_at_4: f64,
+        /// Monolithic ÷ bucketed sim time at 4 workers — the headline win.
+        pub overlap_win_at_4: f64,
+    }
 }
 
 /// A08 — the comm-overlap acceptance experiment. Sweeps 1/2/4/8 resident
@@ -1386,84 +1375,84 @@ pub fn comm_scaling_ablation() -> CommScalingAblation {
     }
 }
 
-/// Machine-readable A08 summary — the content of `BENCH_A08.json`. Emitted
-/// by hand because the offline `serde_json` stand-in only parses.
-pub fn comm_scaling_json(a: &CommScalingAblation) -> String {
-    let rows: Vec<String> = a
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workers\":{},\"comm\":\"{}\",\"sim_time_ms\":{},\"speedup\":{},\
-                 \"exposed_comm_ms\":{},\"overlapped_comm_ms\":{},\
-                 \"comm_exposed_fraction\":{},\"buckets_per_epoch\":{},\
-                 \"final_loss\":{},\"test_accuracy\":{}}}",
-                r.workers,
-                r.comm,
-                r.sim_time_ms,
-                r.speedup,
-                r.exposed_comm_ms,
-                r.overlapped_comm_ms,
-                r.comm_exposed_fraction,
-                r.buckets_per_epoch,
-                r.final_loss,
-                r.test_accuracy
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A08\",\n  \"title\": \"overlapped bucketed all-reduce worker scaling\",\n  \
-         \"rows\": [{}],\n  \"identical_all_k\": {},\n  \"monolithic_speedup_at_4\": {},\n  \
-         \"bucketed_speedup_at_4\": {},\n  \"overlap_win_at_4\": {}\n}}\n",
-        rows.join(", "),
-        a.identical_all_k,
-        a.monolithic_speedup_at_4,
-        a.bucketed_speedup_at_4,
-        a.overlap_win_at_4
-    )
+/// A08's bounds: both schedules train bit-identically at every k; the
+/// bucketed arm splits each epoch into >= 2 buckets and, at every k >= 2,
+/// overlaps some comm and finishes strictly sooner (for k <= 4 it also
+/// shrinks the absolute exposed tail; at k=8 the flat Ethernet ring is
+/// latency-bound, which A10 addresses); at k=4 it recovers scaling.
+pub(crate) fn check_comm_scaling(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    bounds!(
+        c,
+        rows(v, "rows").len() == 2 * COMM_SCALING_WORKERS.len(),
+        v["identical_all_k"] == true,
+        v.num("overlap_win_at_4") > 1.0,
+        v.num("bucketed_speedup_at_4") > v.num("monolithic_speedup_at_4"),
+    );
+    for k in COMM_SCALING_WORKERS {
+        c.scope(format!("k={k}"));
+        let [mono, buck] = ["monolithic", "bucketed"]
+            .map(|comm| c.row(v, "rows", comm, |r| r["workers"] == k && r["comm"] == comm));
+        bounds!(
+            c,
+            mono["final_loss"] == buck["final_loss"],
+            mono["test_accuracy"] == buck["test_accuracy"],
+            mono.num("overlapped_comm_ms") == 0.0,
+            mono.num("buckets_per_epoch") == 0.0,
+            buck.num("buckets_per_epoch") >= 2.0,
+            k < 2 || buck.num("overlapped_comm_ms") > 0.0,
+            k < 2 || buck.num("comm_exposed_fraction") < 1.0,
+            k < 2 || buck.num("sim_time_ms") < mono.num("sim_time_ms"),
+            !(2..=4).contains(&k) || buck.num("exposed_comm_ms") < mono.num("exposed_comm_ms"),
+            k != 4 || buck.num("comm_exposed_fraction") < mono.num("comm_exposed_fraction"),
+        );
+    }
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
 // A09 — graph capture/replay ablation
 // ---------------------------------------------------------------------
 
-/// One distributed GCN training run under a submission mode.
-pub struct GraphGcnRow {
-    /// "eager" or "captured".
-    pub submit: &'static str,
-    /// Real command submissions charged across both workers — a replayed
-    /// graph counts as one launch regardless of how many nodes it holds.
-    pub kernel_launches: u64,
-    pub sim_time_ms: f64,
-    /// Device 0's share of kernel time lost to fixed launch overhead.
-    pub launch_overhead_fraction: f64,
-    pub final_loss: f32,
-    pub test_accuracy: f64,
-}
+artifact_schema! {
+    /// One distributed GCN training run under a submission mode.
+    pub struct GraphGcnRow {
+        /// "eager" or "captured".
+        pub submit: &'static str,
+        /// Real command submissions charged across both workers — a replayed
+        /// graph counts as one launch regardless of how many nodes it holds.
+        pub kernel_launches: u64,
+        pub sim_time_ms: f64,
+        /// Device 0's share of kernel time lost to fixed launch overhead.
+        pub launch_overhead_fraction: f64,
+        pub final_loss: f32,
+        pub test_accuracy: f64,
+    }
 
-/// One batched RAG scoring loop under a submission mode.
-pub struct GraphRagRow {
-    /// "eager" or "captured".
-    pub submit: &'static str,
-    pub kernel_launches: u64,
-    pub sim_time_us: f64,
-}
+    /// One batched RAG scoring loop under a submission mode.
+    pub struct GraphRagRow {
+        /// "eager" or "captured".
+        pub submit: &'static str,
+        pub kernel_launches: u64,
+        pub sim_time_us: f64,
+    }
 
-/// The full A09 ablation: distributed GCN training and a repeated RAG
-/// batch-scoring loop, each submitted eagerly vs replayed from a captured
-/// command graph.
-pub struct GraphAblation {
-    pub gcn: Vec<GraphGcnRow>,
-    /// Eager ÷ captured kernel launches for the GCN runs.
-    pub gcn_launch_reduction: f64,
-    /// True when both GCN runs produced bit-identical losses, accuracy,
-    /// and trained parameters.
-    pub gcn_identical: bool,
-    pub rag: Vec<GraphRagRow>,
-    /// Eager ÷ captured kernel launches for the RAG runs.
-    pub rag_launch_reduction: f64,
-    /// True when both RAG loops returned identical scores for every query.
-    pub rag_identical: bool,
+    /// The full A09 ablation: distributed GCN training and a repeated RAG
+    /// batch-scoring loop, each submitted eagerly vs replayed from a captured
+    /// command graph.
+    pub struct GraphAblation {
+        pub gcn: Vec<GraphGcnRow>,
+        /// Eager ÷ captured kernel launches for the GCN runs.
+        pub gcn_launch_reduction: f64,
+        /// True when both GCN runs produced bit-identical losses, accuracy,
+        /// and trained parameters.
+        pub gcn_identical: bool,
+        pub rag: Vec<GraphRagRow>,
+        /// Eager ÷ captured kernel launches for the RAG runs.
+        pub rag_launch_reduction: f64,
+        /// True when both RAG loops returned identical scores for every query.
+        pub rag_identical: bool,
+    }
 }
 
 /// A09 — the command-stream acceptance experiment. Trains the E17 GCN
@@ -1578,46 +1567,35 @@ pub fn graph_ablation() -> GraphAblation {
     }
 }
 
-/// Machine-readable A09 summary — the content of `BENCH_A09.json`. Emitted
-/// by hand because the offline `serde_json` stand-in only parses.
-pub fn graph_ablation_json(a: &GraphAblation) -> String {
-    let gcn_rows: Vec<String> = a
-        .gcn
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"submit\":\"{}\",\"kernel_launches\":{},\"sim_time_ms\":{},\
-                 \"launch_overhead_fraction\":{},\"final_loss\":{},\"test_accuracy\":{}}}",
-                r.submit,
-                r.kernel_launches,
-                r.sim_time_ms,
-                r.launch_overhead_fraction,
-                r.final_loss,
-                r.test_accuracy
-            )
-        })
-        .collect();
-    let rag_rows: Vec<String> = a
-        .rag
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"submit\":\"{}\",\"kernel_launches\":{},\"sim_time_us\":{}}}",
-                r.submit, r.kernel_launches, r.sim_time_us
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A09\",\n  \"title\": \"graph capture/replay\",\n  \
-         \"gcn\": {{\"rows\": [{}], \"launch_reduction\": {}, \"identical\": {}}},\n  \
-         \"rag\": {{\"rows\": [{}], \"launch_reduction\": {}, \"identical\": {}}}\n}}\n",
-        gcn_rows.join(", "),
-        a.gcn_launch_reduction,
-        a.gcn_identical,
-        rag_rows.join(", "),
-        a.rag_launch_reduction,
-        a.rag_identical
-    )
+/// A09's bounds: eager (row 0) and captured (row 1) submission agree
+/// bit-for-bit in both domains; replay cuts submissions >= 4x and sim
+/// time strictly; the eager fused GCN epoch is launch-bound (overhead share
+/// > 0.15) and capture more than halves that share.
+pub(crate) fn check_graph(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    let (gcn_eager, gcn_captured) = (&v["gcn"][0], &v["gcn"][1]);
+    let (rag_eager, rag_captured) = (&v["rag"][0], &v["rag"][1]);
+    let gcn_eager_share = gcn_eager.num("launch_overhead_fraction");
+    bounds!(
+        c,
+        rows(v, "gcn").len() == 2,
+        gcn_eager["submit"] == "eager" && gcn_captured["submit"] == "captured",
+        v["gcn_identical"] == true,
+        gcn_eager["final_loss"] == gcn_captured["final_loss"],
+        gcn_eager["test_accuracy"] == gcn_captured["test_accuracy"],
+        v.num("gcn_launch_reduction") >= 4.0,
+        gcn_captured.num("kernel_launches") < gcn_eager.num("kernel_launches"),
+        gcn_captured.num("sim_time_ms") < gcn_eager.num("sim_time_ms"),
+        gcn_eager_share > 0.15,
+        gcn_captured.num("launch_overhead_fraction") < gcn_eager_share / 2.0,
+        rows(v, "rag").len() == 2,
+        rag_eager["submit"] == "eager" && rag_captured["submit"] == "captured",
+        v["rag_identical"] == true,
+        v.num("rag_launch_reduction") >= 4.0,
+        rag_captured.num("kernel_launches") < rag_eager.num("kernel_launches"),
+        rag_captured.num("sim_time_us") < rag_eager.num("sim_time_us"),
+    );
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1652,54 +1630,56 @@ pub fn topology_scaling_dataset() -> GraphDataset {
     .expect("valid SBM parameters")
 }
 
-/// One distributed GCN run at a worker count under a topology, comm
-/// schedule, and gradient wire format.
-pub struct TopologyScalingRow {
-    pub workers: usize,
-    /// "flat" or "hierarchical".
-    pub topology: &'static str,
-    /// "monolithic" or "bucketed".
-    pub comm: &'static str,
-    /// "f32" or "fp16".
-    pub compression: &'static str,
-    pub sim_time_ms: f64,
-    /// Same-arm 1-worker sim time ÷ this run's sim time.
-    pub speedup: f64,
-    pub exposed_comm_ms: f64,
-    pub overlapped_comm_ms: f64,
-    /// Device 0's profiler verdict: fraction of comm-lane time not covered
-    /// by concurrent kernels.
-    pub comm_exposed_fraction: f64,
-    /// The same verdict, restricted to intra-island (or flat-ring) steps.
-    pub comm_exposed_fraction_intra: f64,
-    /// The same verdict, restricted to bridge-tier steps.
-    pub comm_exposed_fraction_inter: f64,
-    pub buckets_per_epoch: u64,
-    pub p2p_gb: f64,
-    pub final_loss: f32,
-    pub test_accuracy: f64,
-}
+artifact_schema! {
+    /// One distributed GCN run at a worker count under a topology, comm
+    /// schedule, and gradient wire format.
+    pub struct TopologyScalingRow {
+        pub workers: usize,
+        /// "flat" or "hierarchical".
+        pub topology: &'static str,
+        /// "monolithic" or "bucketed".
+        pub comm: &'static str,
+        /// "f32" or "fp16".
+        pub compression: &'static str,
+        pub sim_time_ms: f64,
+        /// Same-arm 1-worker sim time ÷ this run's sim time.
+        pub speedup: f64,
+        pub exposed_comm_ms: f64,
+        pub overlapped_comm_ms: f64,
+        /// Device 0's profiler verdict: fraction of comm-lane time not covered
+        /// by concurrent kernels.
+        pub comm_exposed_fraction: f64,
+        /// The same verdict, restricted to intra-island (or flat-ring) steps.
+        pub comm_exposed_fraction_intra: f64,
+        /// The same verdict, restricted to bridge-tier steps.
+        pub comm_exposed_fraction_inter: f64,
+        pub buckets_per_epoch: u64,
+        pub p2p_gb: f64,
+        pub final_loss: f32,
+        pub test_accuracy: f64,
+    }
 
-/// The full A10 sweep: workers × {flat, hierarchical} × {monolithic,
-/// bucketed}, plus an fp16-compressed hierarchical+bucketed arm.
-pub struct TopologyScalingAblation {
-    pub rows: Vec<TopologyScalingRow>,
-    /// True when, at every worker count, all four uncompressed arms
-    /// produced bit-identical losses, accuracy, and trained parameters.
-    pub identical_all_k: bool,
-    /// Profiler comm-exposed fraction of the hierarchical+bucketed arm at
-    /// k=8 — the number the A08 collapse was about.
-    pub hier_bucketed_exposed_fraction_at_8: f64,
-    /// Flat-monolithic sim time ÷ hierarchical+bucketed sim time at k=8.
-    pub speedup_vs_mono_at_8: f64,
-    /// The same ratio at k=16 — must strictly exceed the k=8 ratio: the
-    /// flat exchange keeps collapsing while the hierarchy keeps it hidden.
-    pub speedup_vs_mono_at_16: f64,
-    /// Largest |f32 − fp16| final-loss gap across worker counts on the
-    /// hierarchical+bucketed arm — the error-feedback bound, empirically.
-    pub fp16_max_final_loss_drift: f64,
-    /// f32 ÷ fp16 peer-link bytes at k=8 (≈2 by construction).
-    pub fp16_wire_reduction_at_8: f64,
+    /// The full A10 sweep: workers × {flat, hierarchical} × {monolithic,
+    /// bucketed}, plus an fp16-compressed hierarchical+bucketed arm.
+    pub struct TopologyScalingAblation {
+        pub rows: Vec<TopologyScalingRow>,
+        /// True when, at every worker count, all four uncompressed arms
+        /// produced bit-identical losses, accuracy, and trained parameters.
+        pub identical_all_k: bool,
+        /// Profiler comm-exposed fraction of the hierarchical+bucketed arm at
+        /// k=8 — the number the A08 collapse was about.
+        pub hier_bucketed_exposed_fraction_at_8: f64,
+        /// Flat-monolithic sim time ÷ hierarchical+bucketed sim time at k=8.
+        pub speedup_vs_mono_at_8: f64,
+        /// The same ratio at k=16 — must strictly exceed the k=8 ratio: the
+        /// flat exchange keeps collapsing while the hierarchy keeps it hidden.
+        pub speedup_vs_mono_at_16: f64,
+        /// Largest |f32 − fp16| final-loss gap across worker counts on the
+        /// hierarchical+bucketed arm — the error-feedback bound, empirically.
+        pub fp16_max_final_loss_drift: f64,
+        /// f32 ÷ fp16 peer-link bytes at k=8 (≈2 by construction).
+        pub fp16_wire_reduction_at_8: f64,
+    }
 }
 
 /// A10 — the topology acceptance experiment. Re-runs the A08 sweep to
@@ -1841,89 +1821,108 @@ pub fn topology_scaling_ablation() -> TopologyScalingAblation {
     }
 }
 
-/// Machine-readable A10 summary — the content of `BENCH_A10.json`. Emitted
-/// by hand because the offline `serde_json` stand-in only parses.
-pub fn topology_scaling_json(a: &TopologyScalingAblation) -> String {
-    let rows: Vec<String> = a
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workers\":{},\"topology\":\"{}\",\"comm\":\"{}\",\
-                 \"compression\":\"{}\",\"sim_time_ms\":{},\"speedup\":{},\
-                 \"exposed_comm_ms\":{},\"overlapped_comm_ms\":{},\
-                 \"comm_exposed_fraction\":{},\"comm_exposed_fraction_intra\":{},\
-                 \"comm_exposed_fraction_inter\":{},\"buckets_per_epoch\":{},\
-                 \"p2p_gb\":{},\"final_loss\":{},\"test_accuracy\":{}}}",
-                r.workers,
-                r.topology,
-                r.comm,
-                r.compression,
-                r.sim_time_ms,
-                r.speedup,
-                r.exposed_comm_ms,
-                r.overlapped_comm_ms,
-                r.comm_exposed_fraction,
-                r.comm_exposed_fraction_intra,
-                r.comm_exposed_fraction_inter,
-                r.buckets_per_epoch,
-                r.p2p_gb,
-                r.final_loss,
-                r.test_accuracy
-            )
+/// A10's bounds: hierarchical+bucketed keeps the k=8 exposed comm fraction
+/// under 0.25 and beats flat+bucketed there; its lead over flat-monolithic
+/// widens from k=8 to k=16; every f32 arm trains bit-identically; fp16
+/// halves the wire with final-loss drift under 0.05; bucketed arms split
+/// into >= 2 buckets; flat arms expose nothing on the bridge tier.
+pub(crate) fn check_topology_scaling(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    let row = |c: &mut Check, k: usize, topology: &str, comm: &str, wire: &str| {
+        let label = format!("k={k} {topology}/{comm}/{wire}");
+        c.row(v, "rows", &label, |r| {
+            r["workers"] == k
+                && r["topology"] == topology
+                && r["comm"] == comm
+                && r["compression"] == wire
         })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A10\",\n  \"title\": \"two-tier topology x hierarchical collectives\",\n  \
-         \"rows\": [{}],\n  \"identical_all_k\": {},\n  \
-         \"hier_bucketed_exposed_fraction_at_8\": {},\n  \
-         \"speedup_vs_mono_at_8\": {},\n  \"speedup_vs_mono_at_16\": {},\n  \
-         \"fp16_max_final_loss_drift\": {},\n  \"fp16_wire_reduction_at_8\": {}\n}}\n",
-        rows.join(", "),
-        a.identical_all_k,
-        a.hier_bucketed_exposed_fraction_at_8,
-        a.speedup_vs_mono_at_8,
-        a.speedup_vs_mono_at_16,
-        a.fp16_max_final_loss_drift,
-        a.fp16_wire_reduction_at_8
-    )
+    };
+    let hier_8 = row(&mut c, 8, "hierarchical", "bucketed", "f32");
+    let flat_8 = row(&mut c, 8, "flat", "bucketed", "f32");
+    let fp16_8 = row(&mut c, 8, "hierarchical", "bucketed", "fp16");
+    bounds!(
+        c,
+        rows(v, "rows").len() == 20,
+        v["identical_all_k"] == true,
+        v.num("hier_bucketed_exposed_fraction_at_8") < 0.25,
+        hier_8.num("comm_exposed_fraction") < 0.25,
+        hier_8.num("sim_time_ms") < flat_8.num("sim_time_ms"),
+        v.num("speedup_vs_mono_at_8") > 1.0,
+        v.num("speedup_vs_mono_at_16") > v.num("speedup_vs_mono_at_8"),
+        v.num("fp16_wire_reduction_at_8") > 1.9,
+        v.num("fp16_max_final_loss_drift") < 0.05,
+        fp16_8.num("p2p_gb") < hier_8.num("p2p_gb"),
+    );
+    for k in TOPOLOGY_SCALING_WORKERS {
+        let base = row(&mut c, k, "flat", "monolithic", "f32");
+        for (topology, comm) in [
+            ("flat", "bucketed"),
+            ("hierarchical", "monolithic"),
+            ("hierarchical", "bucketed"),
+        ] {
+            let r = row(&mut c, k, topology, comm, "f32");
+            c.scope(format!("k={k} {topology}/{comm}"));
+            bounds!(
+                c,
+                r["final_loss"] == base["final_loss"],
+                r["test_accuracy"] == base["test_accuracy"],
+            );
+        }
+    }
+    for r in rows(v, "rows") {
+        c.scope(format!(
+            "k={} {}/{}",
+            r["workers"], r["topology"], r["comm"]
+        ));
+        let buckets = r.num("buckets_per_epoch");
+        bounds!(
+            c,
+            r["comm"] == "bucketed" || r["comm"] == "monolithic",
+            r["comm"] != "bucketed" || buckets >= 2.0,
+            r["comm"] != "monolithic" || buckets == 0.0,
+            r["topology"] != "flat" || r.num("comm_exposed_fraction_inter") == 0.0,
+        );
+    }
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
 // A11 — trace what-if replay
 // ---------------------------------------------------------------------
 
-/// One replay arm of the A11 what-if study.
-pub struct WhatIfArm {
-    /// "identity", "flat-ethernet", "nvlink-everywhere", "comm-streams-1".
-    pub arm: &'static str,
-    /// Replay-predicted makespan under the override.
-    pub predicted_ms: f64,
-    /// Ground truth from a fresh run with the same configuration — `None`
-    /// for predicted-only arms (no fresh run exists to compare against).
-    pub fresh_ms: Option<f64>,
-    /// |predicted − fresh| / fresh × 100, when ground truth exists.
-    pub err_pct: Option<f64>,
-    /// (predicted − recorded) / recorded × 100 — what the override buys
-    /// or costs relative to the recorded schedule.
-    pub delta_vs_recorded_pct: f64,
-}
+artifact_schema! {
+    /// One replay arm of the A11 what-if study.
+    pub struct WhatIfArm {
+        /// "identity", "flat-ethernet", "nvlink-everywhere", "comm-streams-1".
+        pub arm: &'static str,
+        /// Replay-predicted makespan under the override.
+        pub predicted_ms: f64,
+        /// Ground truth from a fresh run with the same configuration — `None`
+        /// for predicted-only arms (no fresh run exists to compare against).
+        pub fresh_ms: Option<f64>,
+        /// |predicted − fresh| / fresh × 100, when ground truth exists.
+        pub err_pct: Option<f64>,
+        /// (predicted − recorded) / recorded × 100 — what the override buys
+        /// or costs relative to the recorded schedule.
+        pub delta_vs_recorded_pct: f64,
+    }
 
-/// The A11 study: the k=8 hierarchical+bucketed A10 arm recorded through
-/// the `gpu_sim::trace` interposer, then re-priced under interconnect and
-/// comm-stream overrides *without re-running the workload*.
-pub struct WhatIfAblation {
-    pub workers: usize,
-    /// Recorded (hierarchical, bucketed) makespan.
-    pub recorded_ms: f64,
-    pub recorded_submissions: u64,
-    pub recorded_kernel_launches: u64,
-    /// True when the no-override replay reproduced sim-time, submission
-    /// count, and kernel-launch count exactly.
-    pub identity_exact: bool,
-    pub arms: Vec<WhatIfArm>,
-    /// Headline: NVLink-everywhere prediction error vs its fresh run (%).
-    pub nvlink_err_pct: f64,
+    /// The A11 study: the k=8 hierarchical+bucketed A10 arm recorded through
+    /// the `gpu_sim::trace` interposer, then re-priced under interconnect and
+    /// comm-stream overrides *without re-running the workload*.
+    pub struct WhatIfAblation {
+        pub workers: usize,
+        /// Recorded (hierarchical, bucketed) makespan.
+        pub recorded_ms: f64,
+        pub recorded_submissions: u64,
+        pub recorded_kernel_launches: u64,
+        /// True when the no-override replay reproduced sim-time, submission
+        /// count, and kernel-launch count exactly.
+        pub identity_exact: bool,
+        pub arms: Vec<WhatIfArm>,
+        /// Headline: NVLink-everywhere prediction error vs its fresh run (%).
+        pub nvlink_err_pct: f64,
+    }
 }
 
 /// A11 — record the k=8 hierarchical trace once, then answer "what if the
@@ -2048,37 +2047,35 @@ pub fn whatif_ablation() -> WhatIfAblation {
     }
 }
 
-/// Machine-readable A11 summary — the content of `BENCH_A11.json`.
-pub fn whatif_json(a: &WhatIfAblation) -> String {
-    let arms: Vec<String> = a
-        .arms
-        .iter()
-        .map(|r| {
-            let opt = |v: Option<f64>| v.map_or("null".to_owned(), |x| format!("{x}"));
-            format!(
-                "{{\"arm\":\"{}\",\"predicted_ms\":{},\"fresh_ms\":{},\
-                 \"err_pct\":{},\"delta_vs_recorded_pct\":{}}}",
-                r.arm,
-                r.predicted_ms,
-                opt(r.fresh_ms),
-                opt(r.err_pct),
-                r.delta_vs_recorded_pct
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A11\",\n  \"title\": \"trace record + what-if replay\",\n  \
-         \"workers\": {},\n  \"recorded_ms\": {},\n  \"recorded_submissions\": {},\n  \
-         \"recorded_kernel_launches\": {},\n  \"identity_exact\": {},\n  \
-         \"nvlink_err_pct\": {},\n  \"arms\": [{}]\n}}\n",
-        a.workers,
-        a.recorded_ms,
-        a.recorded_submissions,
-        a.recorded_kernel_launches,
-        a.identity_exact,
-        a.nvlink_err_pct,
-        arms.join(", ")
-    )
+/// A11's bounds: the identity replay of the recorded k=8 trace is exact;
+/// the NVLink-everywhere and flat-Ethernet what-ifs predict their fresh
+/// runs within 5% (and Ethernet cannot be faster than the recording); the
+/// one-comm-stream arm is predicted-only.
+pub(crate) fn check_whatif(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    let [identity, ethernet, nvlink, one_stream] = [
+        "identity",
+        "flat-ethernet",
+        "nvlink-everywhere",
+        "comm-streams-1",
+    ]
+    .map(|name| c.row(v, "arms", name, |a| a["arm"] == name));
+    bounds!(
+        c,
+        v["workers"] == 8,
+        v["identity_exact"] == true,
+        identity.num("err_pct") == 0.0,
+        identity["predicted_ms"] == v["recorded_ms"],
+        v.num("nvlink_err_pct") < 5.0,
+        nvlink.num("err_pct") == v.num("nvlink_err_pct"),
+        nvlink.num("fresh_ms") > 0.0,
+        ethernet.num("err_pct") < 5.0,
+        ethernet.num("delta_vs_recorded_pct") >= 0.0,
+        one_stream["fresh_ms"].is_null(),
+        one_stream["err_pct"].is_null(),
+        one_stream.num("predicted_ms") > 0.0,
+    );
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -2106,46 +2103,48 @@ pub fn pricing_reconciliation() -> Vec<(&'static str, f64, f64)> {
 // A12 — retrieval at scale: sharded IVF-PQ
 // ---------------------------------------------------------------------
 
-/// One arm of the A12 retrieval-scale study.
-pub struct RetrievalArm {
-    /// "flat", "ivf", "ivfpq", or "sharded".
-    pub arm: &'static str,
-    /// Lists probed (0 for the exhaustive flat scan).
-    pub nprobe: usize,
-    /// Shard count (1 for single-device arms).
-    pub shards: usize,
-    /// Mean recall@10 against the exact flat baseline.
-    pub recall_at_10: f64,
-    /// Index bytes resident on device (summed across shards).
-    pub device_bytes: u64,
-    /// Simulated time to search the whole query batch (per-device max).
-    pub search_ms: f64,
-}
+artifact_schema! {
+    /// One arm of the A12 retrieval-scale study.
+    pub struct RetrievalArm {
+        /// "flat", "ivf", "ivfpq", or "sharded".
+        pub arm: &'static str,
+        /// Lists probed (0 for the exhaustive flat scan).
+        pub nprobe: usize,
+        /// Shard count (1 for single-device arms).
+        pub shards: usize,
+        /// Mean recall@10 against the exact flat baseline.
+        pub recall_at_10: f64,
+        /// Index bytes resident on device (summed across shards).
+        pub device_bytes: u64,
+        /// Simulated time to search the whole query batch (per-device max).
+        pub search_ms: f64,
+    }
 
-/// The A12 study: Flat vs IVF vs IVF-PQ accuracy/latency/memory on one
-/// device, then the same IVF-PQ index scattered across 1/2/4 shards.
-pub struct RetrievalScaleAblation {
-    pub corpus: usize,
-    pub dim: usize,
-    pub queries: usize,
-    pub nlist: usize,
-    pub pq_m: usize,
-    pub pq_nbits: u32,
-    pub arms: Vec<RetrievalArm>,
-    /// Flat index bytes — the uncompressed baseline.
-    pub flat_bytes: u64,
-    /// Single-shard IVF-PQ bytes (centroids + codebook + codes).
-    pub pq_bytes: u64,
-    /// Exact re-rank depth applied to the PQ/sharded arms.
-    pub refine: usize,
-    /// `flat_bytes / pq_bytes` — the compression headline.
-    pub memory_reduction: f64,
-    /// Best IVF-PQ recall@10 over the swept nprobe values.
-    pub best_pq_recall: f64,
-    /// Sharded search speedup from 1 to 4 shards at fixed nprobe.
-    pub sharded_speedup_4x: f64,
-    /// True when 4-shard scatter-gather hits equal 1-shard hits bitwise.
-    pub sharded_identical: bool,
+    /// The A12 study: Flat vs IVF vs IVF-PQ accuracy/latency/memory on one
+    /// device, then the same IVF-PQ index scattered across 1/2/4 shards.
+    pub struct RetrievalScaleAblation {
+        pub corpus: usize,
+        pub dim: usize,
+        pub queries: usize,
+        pub nlist: usize,
+        pub pq_m: usize,
+        pub pq_nbits: u32,
+        pub arms: Vec<RetrievalArm>,
+        /// Flat index bytes — the uncompressed baseline.
+        pub flat_bytes: u64,
+        /// Single-shard IVF-PQ bytes (centroids + codebook + codes).
+        pub pq_bytes: u64,
+        /// Exact re-rank depth applied to the PQ/sharded arms.
+        pub refine: usize,
+        /// `flat_bytes / pq_bytes` — the compression headline.
+        pub memory_reduction: f64,
+        /// Best IVF-PQ recall@10 over the swept nprobe values.
+        pub best_pq_recall: f64,
+        /// Sharded search speedup from 1 to 4 shards at fixed nprobe.
+        pub sharded_speedup_4x: f64,
+        /// True when 4-shard scatter-gather hits equal 1-shard hits bitwise.
+        pub sharded_identical: bool,
+    }
 }
 
 /// Batch-search an index on its own device and return (per-query hits,
@@ -2314,107 +2313,110 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
     }
 }
 
-/// Machine-readable A12 summary — the content of `BENCH_A12.json`.
-pub fn retrieval_json(a: &RetrievalScaleAblation) -> String {
-    let arms: Vec<String> = a
-        .arms
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"arm\":\"{}\",\"nprobe\":{},\"shards\":{},\"recall_at_10\":{},\
-                 \"device_bytes\":{},\"search_ms\":{}}}",
-                r.arm, r.nprobe, r.shards, r.recall_at_10, r.device_bytes, r.search_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A12\",\n  \"title\": \"sharded IVF-PQ retrieval at scale\",\n  \
-         \"corpus\": {},\n  \"dim\": {},\n  \"queries\": {},\n  \"nlist\": {},\n  \
-         \"pq_m\": {},\n  \"pq_nbits\": {},\n  \"flat_bytes\": {},\n  \"pq_bytes\": {},\n  \
-         \"refine\": {},\n  \"memory_reduction\": {},\n  \"best_pq_recall\": {},\n  \
-         \"sharded_speedup_4x\": {},\n  \"sharded_identical\": {},\n  \"arms\": [{}]\n}}\n",
-        a.corpus,
-        a.dim,
-        a.queries,
-        a.nlist,
-        a.pq_m,
-        a.pq_nbits,
-        a.flat_bytes,
-        a.pq_bytes,
-        a.refine,
-        a.memory_reduction,
-        a.best_pq_recall,
-        a.sharded_speedup_4x,
-        a.sharded_identical,
-        arms.join(", ")
-    )
+/// A12's bounds: one flat arm, >= 3 swept nprobes per IVF kind, shards
+/// 1/2/4; IVF-PQ is >= 8x smaller with recall@10 >= 0.9, both on one swept
+/// arm; refined PQ recall equals plain IVF's at every nprobe; 4 shards are
+/// >= 2x faster than 1, makespan falls with every shard, hits identical.
+pub(crate) fn check_retrieval(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    let arms = |name: &'static str| rows(v, "arms").iter().filter(move |a| a["arm"] == name);
+    let shards: Vec<f64> = arms("sharded").map(|a| a.num("shards")).collect();
+    let sharded_ms: Vec<f64> = arms("sharded").map(|a| a.num("search_ms")).collect();
+    let pq_arm_clears_both_floors = arms("ivfpq").any(|a| {
+        a.num("recall_at_10") >= 0.9 && v.num("flat_bytes") / a.num("device_bytes") >= 8.0
+    });
+    bounds!(
+        c,
+        arms("flat").count() == 1,
+        arms("ivf").count() >= 3,
+        arms("ivfpq").count() >= 3,
+        shards == [1.0, 2.0, 4.0],
+        v.num("memory_reduction") >= 8.0,
+        v.num("best_pq_recall") >= 0.9,
+        pq_arm_clears_both_floors,
+        v.num("refine") > 0.0,
+        v.num("sharded_speedup_4x") >= 2.0,
+        v["sharded_identical"] == true,
+        sharded_ms.windows(2).all(|w| w[0] > w[1]),
+    );
+    for pq in arms("ivfpq") {
+        c.scope(format!("nprobe {}", pq["nprobe"]));
+        let ivf = arms("ivf").find(|a| a["nprobe"] == pq["nprobe"]);
+        bounds!(
+            c,
+            ivf.is_some_and(|ivf| ivf["recall_at_10"] == pq["recall_at_10"])
+        );
+    }
+    c.finish()
 }
 
 // ---------------------------------------------------------------------
 // A13 — tiered residency: sharded serving under a device budget
 // ---------------------------------------------------------------------
 
-/// One arm of the A13 residency-serving study: a live
-/// [`RagServer`](sagegpu_core::rag::serve::RagServer) over
-/// a 4-shard IVF-PQ index whose inverted lists live under a device byte
-/// budget, driven by one query-skew pattern.
-pub struct ResidencyServingArm {
-    /// "uniform" or "zipf".
-    pub skew: &'static str,
-    /// Device budget as a percent of the packed list-code bytes.
-    pub budget_pct: u64,
-    /// Absolute budget handed to the server (bytes, summed over shards).
-    pub budget_bytes: u64,
-    /// Requests served to completion.
-    pub served: u64,
-    /// Served queries per second of simulated cluster time (makespan
-    /// delta over the serving window).
-    pub sim_qps: f64,
-    /// p99 simulated retrieval latency (ms, ceil nearest-rank).
-    pub p99_retrieve_ms: f64,
-    /// Tier hit ratio over the serving window (build prewarm excluded).
-    pub hit_ratio: f64,
-    /// Host-link bytes moved by charge-on-miss promotions while serving.
-    pub host_link_bytes: u64,
-    /// Peak resident bytes under the budget in force (summed over shards).
-    pub high_water_bytes: u64,
-    /// True when the high-water never exceeded the budget.
-    pub budget_ok: bool,
-    /// True when every served hit equals the fully-resident ground truth.
-    pub hits_identical: bool,
-    /// Allocator reuse ratio across the shard pools at shutdown.
-    pub pool_reuse_ratio: f64,
-    /// `trim()` calls that released spilled reservations to the device.
-    pub pool_trims: u64,
-}
+artifact_schema! {
+    /// One arm of the A13 residency-serving study: a live
+    /// [`RagServer`](sagegpu_core::rag::serve::RagServer) over
+    /// a 4-shard IVF-PQ index whose inverted lists live under a device byte
+    /// budget, driven by one query-skew pattern.
+    pub struct ResidencyServingArm {
+        /// "uniform" or "zipf".
+        pub skew: &'static str,
+        /// Device budget as a percent of the packed list-code bytes.
+        pub budget_pct: u64,
+        /// Absolute budget handed to the server (bytes, summed over shards).
+        pub budget_bytes: u64,
+        /// Requests served to completion.
+        pub served: u64,
+        /// Served queries per second of simulated cluster time (makespan
+        /// delta over the serving window).
+        pub sim_qps: f64,
+        /// p99 simulated retrieval latency (ms, ceil nearest-rank).
+        pub p99_retrieve_ms: f64,
+        /// Tier hit ratio over the serving window (build prewarm excluded).
+        pub hit_ratio: f64,
+        /// Host-link bytes moved by charge-on-miss promotions while serving.
+        pub host_link_bytes: u64,
+        /// Peak resident bytes under the budget in force (summed over shards).
+        pub high_water_bytes: u64,
+        /// True when the high-water never exceeded the budget.
+        pub budget_ok: bool,
+        /// True when every served hit equals the fully-resident ground truth.
+        pub hits_identical: bool,
+        /// Allocator reuse ratio across the shard pools at shutdown.
+        pub pool_reuse_ratio: f64,
+        /// `trim()` calls that released spilled reservations to the device.
+        pub pool_trims: u64,
+    }
 
-/// The A13 study: budget {100, 50, 25, 10}% of index code bytes × query
-/// skew {uniform, Zipfian} on a live server, plus the profiler's offline
-/// promotion-copy attribution of the tightest interesting arm (25% +
-/// zipf).
-pub struct ResidencyServingAblation {
-    pub corpus: usize,
-    pub dim: usize,
-    pub shards: usize,
-    pub nlist: usize,
-    pub nprobe: usize,
-    /// Requests served per arm.
-    pub requests: usize,
-    /// Distinct queries in the pool the streams draw from.
-    pub distinct_queries: usize,
-    /// Total packed list-code bytes — the spillable set budgets scale.
-    pub code_bytes: u64,
-    pub arms: Vec<ResidencyServingArm>,
-    /// sim-QPS(25% budget, zipf) / sim-QPS(100% budget, zipf) — the
-    /// serving-throughput price of a 4x smaller device footprint.
-    pub qps_ratio_25_zipf: f64,
-    /// Max promotion-copy exposed fraction across devices, from the
-    /// profiler's offline ingestion of the 25%-zipf arm's trace.
-    pub promotion_exposed_fraction: f64,
-    /// Promotion H2D bytes the profiler attributed in that trace.
-    pub promotion_h2d_bytes: u64,
-    /// True when the grow-budget/shrink-nprobe advice fired on any device.
-    pub advice_fired: bool,
+    /// The A13 study: budget {100, 50, 25, 10}% of index code bytes × query
+    /// skew {uniform, Zipfian} on a live server, plus the profiler's offline
+    /// promotion-copy attribution of the tightest interesting arm (25% +
+    /// zipf).
+    pub struct ResidencyServingAblation {
+        pub corpus: usize,
+        pub dim: usize,
+        pub shards: usize,
+        pub nlist: usize,
+        pub nprobe: usize,
+        /// Requests served per arm.
+        pub requests: usize,
+        /// Distinct queries in the pool the streams draw from.
+        pub distinct_queries: usize,
+        /// Total packed list-code bytes — the spillable set budgets scale.
+        pub code_bytes: u64,
+        pub arms: Vec<ResidencyServingArm>,
+        /// sim-QPS(25% budget, zipf) / sim-QPS(100% budget, zipf) — the
+        /// serving-throughput price of a 4x smaller device footprint.
+        pub qps_ratio_25_zipf: f64,
+        /// Max promotion-copy exposed fraction across devices, from the
+        /// profiler's offline ingestion of the 25%-zipf arm's trace.
+        pub promotion_exposed_fraction: f64,
+        /// Promotion H2D bytes the profiler attributed in that trace.
+        pub promotion_h2d_bytes: u64,
+        /// True when the grow-budget/shrink-nprobe advice fired on any device.
+        pub advice_fired: bool,
+    }
 }
 
 /// Deterministic 64-bit mix (splitmix64) — the experiment's only source
@@ -2637,55 +2639,59 @@ pub fn residency_serving_ablation() -> ResidencyServingAblation {
     }
 }
 
-/// Machine-readable A13 summary — the content of `BENCH_A13.json`.
-pub fn residency_serving_json(a: &ResidencyServingAblation) -> String {
-    let arms: Vec<String> = a
-        .arms
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"skew\":\"{}\",\"budget_pct\":{},\"budget_bytes\":{},\"served\":{},\
-                 \"sim_qps\":{},\"p99_retrieve_ms\":{},\"hit_ratio\":{},\
-                 \"host_link_bytes\":{},\"high_water_bytes\":{},\"budget_ok\":{},\
-                 \"hits_identical\":{},\"pool_reuse_ratio\":{},\"pool_trims\":{}}}",
-                r.skew,
-                r.budget_pct,
-                r.budget_bytes,
-                r.served,
-                r.sim_qps,
-                r.p99_retrieve_ms,
-                r.hit_ratio,
-                r.host_link_bytes,
-                r.high_water_bytes,
-                r.budget_ok,
-                r.hits_identical,
-                r.pool_reuse_ratio,
-                r.pool_trims
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"experiment\": \"A13\",\n  \
-         \"title\": \"tiered-residency serving under device budgets\",\n  \
-         \"corpus\": {},\n  \"dim\": {},\n  \"shards\": {},\n  \"nlist\": {},\n  \
-         \"nprobe\": {},\n  \"requests\": {},\n  \"distinct_queries\": {},\n  \
-         \"code_bytes\": {},\n  \"qps_ratio_25_zipf\": {},\n  \
-         \"promotion_exposed_fraction\": {},\n  \"promotion_h2d_bytes\": {},\n  \
-         \"advice_fired\": {},\n  \"arms\": [{}]\n}}\n",
-        a.corpus,
-        a.dim,
-        a.shards,
-        a.nlist,
-        a.nprobe,
-        a.requests,
-        a.distinct_queries,
-        a.code_bytes,
-        a.qps_ratio_25_zipf,
-        a.promotion_exposed_fraction,
-        a.promotion_h2d_bytes,
-        a.advice_fired,
-        arms.join(", ")
-    )
+/// A13's bounds: every arm of the 4-budget x 2-skew grid serves the whole
+/// stream with hits bit-identical to the fully-resident index, stays
+/// within its budget and reports a hit ratio in [0, 1]; full budgets never
+/// promote, 25%/10% budgets promote and trim; Zipf beats the uniform sweep
+/// at every spilling budget; a 25% budget keeps >= 0.5x the unbudgeted
+/// Zipf QPS; the profiler sees exposed promotions (> 0.25) and advises.
+pub(crate) fn check_residency_serving(v: &Value) -> Vec<String> {
+    let mut c = Check::default();
+    for skew in ["uniform", "zipf"] {
+        for pct in [100, 50, 25, 10] {
+            let label = format!("{skew}/{pct}%");
+            c.row(v, "arms", &label, |a| {
+                a["skew"] == skew && a["budget_pct"] == pct
+            });
+        }
+    }
+    let at = |skew: &str, pct: f64, field: &str| {
+        rows(v, "arms")
+            .iter()
+            .find(|a| a["skew"] == skew && a.num("budget_pct") == pct)
+            .map_or(f64::NAN, |a| a.num(field))
+    };
+    let (zipf_full, zipf_quarter) = (at("zipf", 100.0, "sim_qps"), at("zipf", 25.0, "sim_qps"));
+    let exposed = v.num("promotion_exposed_fraction");
+    bounds!(
+        c,
+        v.num("qps_ratio_25_zipf") >= 0.5,
+        zipf_full > 0.0 && zipf_quarter > 0.0,
+        (zipf_quarter / zipf_full - v.num("qps_ratio_25_zipf")).abs() < 1e-9,
+        v.num("promotion_h2d_bytes") > 0.0,
+        exposed > 0.25 && exposed <= 1.0,
+        v["advice_fired"] == true,
+    );
+    for a in rows(v, "arms") {
+        let pct = a.num("budget_pct");
+        c.scope(format!("{}/{pct}%", a["skew"].as_str().unwrap_or("?")));
+        bounds!(
+            c,
+            a.num("served") == v.num("requests"),
+            a["hits_identical"] == true,
+            a["budget_ok"] == true,
+            a.num("high_water_bytes") <= a.num("budget_bytes"),
+            (0.0..=1.0).contains(&a.num("hit_ratio")),
+            pct != 100.0 || a.num("host_link_bytes") == 0.0,
+            pct != 100.0 || a.num("hit_ratio") == 1.0,
+            pct > 25.0 || a.num("host_link_bytes") > 0.0,
+            pct > 25.0 || a.num("pool_trims") > 0.0,
+            a["skew"] != "zipf"
+                || pct == 100.0
+                || a.num("hit_ratio") > at("uniform", pct, "hit_ratio"),
+        );
+    }
+    c.finish()
 }
 
 #[cfg(test)]
@@ -2832,209 +2838,6 @@ mod tests {
         assert_eq!(a.gcn[1].residency_hit_ratio, 1.0);
         assert_eq!(a.gcn[0].residency_hit_ratio, 0.0);
         assert_eq!(a.rag[1].residency_hit_ratio, 1.0);
-    }
-
-    #[test]
-    fn fusion_ablation_meets_acceptance() {
-        let a = fusion_ablation();
-        // Bit-identical outputs in both domains — fusion and pipelining
-        // only reprice the schedule, never the arithmetic.
-        assert!(a.gcn_identical, "GCN training trajectories diverged");
-        assert!(a.rag_identical, "RAG scores diverged");
-        // Strictly fewer launches AND strictly lower makespan, both domains.
-        assert_eq!(a.gcn[0].mode, "serial");
-        assert_eq!(a.gcn[1].mode, "fused");
-        assert!(
-            a.gcn[1].kernel_launches < a.gcn[0].kernel_launches,
-            "fused GCN launches {} not below serial {}",
-            a.gcn[1].kernel_launches,
-            a.gcn[0].kernel_launches
-        );
-        assert!(
-            a.gcn_speedup > 1.0,
-            "fused GCN makespan not lower (speedup {:.3})",
-            a.gcn_speedup
-        );
-        assert_eq!(a.rag[0].mode, "serial");
-        assert_eq!(a.rag[1].mode, "fused");
-        assert!(
-            a.rag[1].kernel_launches < a.rag[0].kernel_launches,
-            "batched RAG launches {} not below serial {}",
-            a.rag[1].kernel_launches,
-            a.rag[0].kernel_launches
-        );
-        assert!(
-            a.rag_speedup > 1.0,
-            "batched RAG makespan not lower (speedup {:.3})",
-            a.rag_speedup
-        );
-        // Fusing shrinks the launch-overhead share of kernel time; the
-        // two-stream pipeline pushes overlap efficiency above the
-        // back-to-back serial schedule.
-        assert!(
-            a.gcn[1].launch_overhead_fraction < a.gcn[0].launch_overhead_fraction,
-            "fused launch-overhead share {:.3} not below serial {:.3}",
-            a.gcn[1].launch_overhead_fraction,
-            a.gcn[0].launch_overhead_fraction
-        );
-        assert!(
-            a.rag[1].overlap_efficiency > a.rag[0].overlap_efficiency,
-            "pipelined overlap {:.3} not above serial {:.3}",
-            a.rag[1].overlap_efficiency,
-            a.rag[0].overlap_efficiency
-        );
-        // The JSON artifact parses and carries the headline fields.
-        let json = fusion_ablation_json(&a);
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["experiment"], "A07");
-        assert_eq!(v["gcn"]["rows"].as_array().expect("rows").len(), 2);
-        assert_eq!(v["rag"]["rows"].as_array().expect("rows").len(), 2);
-        assert_eq!(v["gcn"]["identical"].as_bool(), Some(true));
-        assert_eq!(v["rag"]["identical"].as_bool(), Some(true));
-        assert!(v["gcn"]["speedup"].as_f64().expect("speedup") > 1.0);
-        assert!(v["rag"]["speedup"].as_f64().expect("speedup") > 1.0);
-    }
-
-    #[test]
-    fn comm_scaling_ablation_meets_acceptance() {
-        let a = comm_scaling_ablation();
-        // Both schedules compute bit-identical averaged gradients, so the
-        // training trajectories must agree at every worker count.
-        assert!(a.identical_all_k, "comm schedules diverged");
-        assert_eq!(a.rows.len(), 2 * COMM_SCALING_WORKERS.len());
-        let at = |k: usize, comm: &str| {
-            a.rows
-                .iter()
-                .find(|r| r.workers == k && r.comm == comm)
-                .expect("swept row")
-        };
-        for &k in &COMM_SCALING_WORKERS {
-            let mono = at(k, "monolithic");
-            let buck = at(k, "bucketed");
-            assert_eq!(mono.final_loss, buck.final_loss, "loss at k={k}");
-            assert_eq!(mono.test_accuracy, buck.test_accuracy, "accuracy at k={k}");
-            assert_eq!(mono.overlapped_comm_ms, 0.0, "monolithic never overlaps");
-            // Regression pin: the cap must actually split the payload at
-            // the layer boundary — a degenerate single bucket is the
-            // monolithic schedule wearing a different name.
-            assert!(
-                buck.buckets_per_epoch >= 2,
-                "k={k}: bucketed arm degenerated to {} bucket(s) per epoch",
-                buck.buckets_per_epoch
-            );
-            if k >= 2 {
-                // The bucketed collective launches from inside backward, so
-                // part of the comm lane is always covered and the end-to-end
-                // schedule is strictly faster. (The absolute exposed tail can
-                // exceed monolithic's at k=8 where per-bucket ring latency
-                // dominates the flat Ethernet exchange — that collapse is
-                // what the A10 topology ablation addresses.)
-                assert!(buck.overlapped_comm_ms > 0.0, "k={k}: nothing overlapped");
-                assert!(
-                    buck.comm_exposed_fraction < 1.0,
-                    "k={k}: no part of the comm lane was covered"
-                );
-                assert!(
-                    buck.sim_time_ms < mono.sim_time_ms,
-                    "k={k}: bucketed wall-time {} not below monolithic {}",
-                    buck.sim_time_ms,
-                    mono.sim_time_ms
-                );
-            }
-            if (2..=4).contains(&k) {
-                // With a wide backward window relative to the ring, overlap
-                // also strictly shrinks the absolute exposed tail.
-                assert!(
-                    buck.exposed_comm_ms < mono.exposed_comm_ms,
-                    "k={k}: bucketed exposed {} not below monolithic {}",
-                    buck.exposed_comm_ms,
-                    mono.exposed_comm_ms
-                );
-            }
-        }
-        // The headline: overlap recovers scaling the monolithic exchange
-        // squandered, and the profiler sees the comm lane get covered.
-        assert!(a.overlap_win_at_4 > 1.0, "no win at 4 workers");
-        assert!(
-            a.bucketed_speedup_at_4 > a.monolithic_speedup_at_4,
-            "bucketed speedup {:.3} not above monolithic {:.3} at 4 workers",
-            a.bucketed_speedup_at_4,
-            a.monolithic_speedup_at_4
-        );
-        assert!(
-            at(4, "bucketed").comm_exposed_fraction < at(4, "monolithic").comm_exposed_fraction,
-            "profiler did not see the comm lane overlap"
-        );
-        // The JSON artifact parses and carries the headline fields.
-        let json = comm_scaling_json(&a);
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["experiment"], "A08");
-        assert_eq!(
-            v["rows"].as_array().expect("rows").len(),
-            2 * COMM_SCALING_WORKERS.len()
-        );
-        assert_eq!(v["identical_all_k"].as_bool(), Some(true));
-        assert!(v["overlap_win_at_4"].as_f64().expect("win") > 1.0);
-    }
-
-    #[test]
-    fn graph_ablation_meets_acceptance() {
-        let a = graph_ablation();
-        // Bit-identical outputs in both domains — replaying a captured
-        // graph re-issues the same commands, never new arithmetic.
-        assert!(a.gcn_identical, "GCN training trajectories diverged");
-        assert!(a.rag_identical, "RAG scores diverged");
-        assert_eq!(a.gcn[0].submit, "eager");
-        assert_eq!(a.gcn[1].submit, "captured");
-        assert_eq!(a.rag[0].submit, "eager");
-        assert_eq!(a.rag[1].submit, "captured");
-        // One graph launch per replay collapses per-kernel submissions.
-        assert!(
-            a.gcn_launch_reduction >= 4.0,
-            "GCN launch reduction {:.1}x below 4x",
-            a.gcn_launch_reduction
-        );
-        assert!(
-            a.rag_launch_reduction >= 4.0,
-            "RAG launch reduction {:.1}x below 4x",
-            a.rag_launch_reduction
-        );
-        // The headline: replay amortizes fixed launch overhead, so the
-        // captured runs finish sooner and the profiler's overhead share
-        // collapses on the GCN side (~0.26 eager for the fused epoch).
-        assert!(
-            a.gcn[1].sim_time_ms < a.gcn[0].sim_time_ms,
-            "captured GCN sim time {} not below eager {}",
-            a.gcn[1].sim_time_ms,
-            a.gcn[0].sim_time_ms
-        );
-        assert!(
-            a.rag[1].sim_time_us < a.rag[0].sim_time_us,
-            "captured RAG sim time {} not below eager {}",
-            a.rag[1].sim_time_us,
-            a.rag[0].sim_time_us
-        );
-        assert!(
-            a.gcn[0].launch_overhead_fraction > 0.15,
-            "eager fused epoch should be launch-bound, got {:.3}",
-            a.gcn[0].launch_overhead_fraction
-        );
-        assert!(
-            a.gcn[1].launch_overhead_fraction < a.gcn[0].launch_overhead_fraction / 2.0,
-            "captured overhead share {:.3} not well below eager {:.3}",
-            a.gcn[1].launch_overhead_fraction,
-            a.gcn[0].launch_overhead_fraction
-        );
-        // The JSON artifact parses and carries the headline fields.
-        let json = graph_ablation_json(&a);
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["experiment"], "A09");
-        assert_eq!(v["gcn"]["rows"].as_array().expect("rows").len(), 2);
-        assert_eq!(v["rag"]["rows"].as_array().expect("rows").len(), 2);
-        assert_eq!(v["gcn"]["identical"].as_bool(), Some(true));
-        assert_eq!(v["rag"]["identical"].as_bool(), Some(true));
-        assert!(v["gcn"]["launch_reduction"].as_f64().expect("red") >= 4.0);
-        assert!(v["rag"]["launch_reduction"].as_f64().expect("red") >= 4.0);
     }
 
     #[test]

@@ -26,6 +26,8 @@ use sagegpu_core::rag::corpus::Corpus;
 use sagegpu_core::rag::embed::Embedder;
 use sagegpu_core::tensor::dense::Tensor;
 use sagegpu_core::tensor::gpu_exec::GpuExecutor;
+use serde_json::Value;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Directory holding the golden traces and the gate tolerances.
@@ -123,11 +125,18 @@ impl GateTolerances {
 
     /// The `gate.json` serialization of these tolerances.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"sim_time_rel_tol\": {},\n  \"submissions_exact\": true,\n  \
-             \"exposed_comm_abs_tol\": {}\n}}\n",
-            self.sim_time_rel, self.exposed_comm_abs
-        )
+        let v = Value::Object(BTreeMap::from([
+            (
+                "sim_time_rel_tol".to_owned(),
+                Value::Number(self.sim_time_rel),
+            ),
+            ("submissions_exact".to_owned(), Value::Bool(true)),
+            (
+                "exposed_comm_abs_tol".to_owned(),
+                Value::Number(self.exposed_comm_abs),
+            ),
+        ]));
+        serde_json::to_string_pretty(&v).expect("a Value always writes") + "\n"
     }
 }
 

@@ -3,6 +3,7 @@
 //! figures (see DESIGN.md's experiment index E01–E21) and returns printable
 //! rows; the binary formats them next to the paper's reported values.
 
+pub mod artifact;
 pub mod experiments;
 pub mod gate;
 pub mod render;

@@ -369,377 +369,6 @@ pub fn render_residency() -> String {
     out
 }
 
-/// A07 — fusion + stream-pipelining ablation. Also refreshes the committed
-/// `BENCH_A07.json` artifact at the repository root.
-pub fn render_fusion() -> String {
-    let a = fusion_ablation();
-    let json = fusion_ablation_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A07.json");
-    let mut out = header("Ablation — fused kernels + stream pipelining vs per-op serial (A07)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A07.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A07.json: {e}\n")),
-    }
-    out.push_str("GCN: 40 epochs, hidden=32, k=2 over NVLink, METIS, resident:\n");
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>12} {:>14} {:>9} {:>8}\n",
-        "mode", "launches", "sim-time(ms)", "overhead-share", "loss", "acc"
-    ));
-    for r in &a.gcn {
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>12.2} {:>14.3} {:>9.4} {:>8.3}\n",
-            r.mode,
-            r.kernel_launches,
-            r.sim_time_ms,
-            r.launch_overhead_fraction,
-            r.final_loss,
-            r.test_accuracy
-        ));
-    }
-    out.push_str(&format!(
-        "GCN: {:.2}x fewer launches, {:.2}x faster  (bit-identical: {})\n\n",
-        a.gcn_launch_reduction, a.gcn_speedup, a.gcn_identical
-    ));
-    out.push_str("RAG: 32 queries against a 60-doc x 96-dim resident index:\n");
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>12} {:>9}\n",
-        "mode", "launches", "sim-time(us)", "overlap"
-    ));
-    for r in &a.rag {
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>12.2} {:>9.3}\n",
-            r.mode, r.kernel_launches, r.sim_time_us, r.overlap_efficiency
-        ));
-    }
-    out.push_str(&format!(
-        "RAG: {:.2}x fewer launches, {:.2}x faster  (identical scores: {})\n",
-        a.rag_launch_reduction, a.rag_speedup, a.rag_identical
-    ));
-    out.push_str("expected: strictly fewer launches and strictly lower makespan in both\n");
-    out.push_str("          domains with bit-identical outputs; fusion shrinks the launch-\n");
-    out.push_str("          overhead share and pipelining lifts overlap efficiency above 1\n");
-    out
-}
-
-/// A08 — comm-overlap worker-scaling ablation. Also refreshes the
-/// committed `BENCH_A08.json` artifact at the repository root.
-pub fn render_comm_scaling() -> String {
-    let a = comm_scaling_ablation();
-    let json = comm_scaling_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A08.json");
-    let mut out = header("Ablation — overlapped bucketed all-reduce worker scaling (A08)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A08.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A08.json: {e}\n")),
-    }
-    out.push_str("GCN: 25 epochs, hidden=128, 800-node SBM, METIS, resident+fused, Ethernet:\n");
-    out.push_str(&format!(
-        "{:>3} {:<11} {:>12} {:>8} {:>12} {:>12} {:>9} {:>8} {:>9} {:>7}\n",
-        "k",
-        "comm",
-        "sim-time(ms)",
-        "speedup",
-        "exposed(ms)",
-        "overlap(ms)",
-        "exp-frac",
-        "buckets",
-        "loss",
-        "acc"
-    ));
-    for r in &a.rows {
-        out.push_str(&format!(
-            "{:>3} {:<11} {:>12.2} {:>8.2} {:>12.3} {:>12.3} {:>9.3} {:>8} {:>9.4} {:>7.3}\n",
-            r.workers,
-            r.comm,
-            r.sim_time_ms,
-            r.speedup,
-            r.exposed_comm_ms,
-            r.overlapped_comm_ms,
-            r.comm_exposed_fraction,
-            r.buckets_per_epoch,
-            r.final_loss,
-            r.test_accuracy
-        ));
-    }
-    out.push_str(&format!(
-        "speedup at 4 workers: monolithic {:.2}x vs bucketed {:.2}x  (overlap win {:.2}x, bit-identical: {})\n",
-        a.monolithic_speedup_at_4, a.bucketed_speedup_at_4, a.overlap_win_at_4, a.identical_all_k
-    ));
-    out.push_str("expected: monolithic scaling stalls as the exposed Ethernet exchange grows\n");
-    out.push_str("          with k; bucketed overlap hides part of it inside backward,\n");
-    out.push_str("          strictly beating monolithic at every k >= 2 with identical outputs\n");
-    out
-}
-
-/// A09 — graph capture/replay ablation. Also refreshes the committed
-/// `BENCH_A09.json` artifact at the repository root.
-pub fn render_graph() -> String {
-    let a = graph_ablation();
-    let json = graph_ablation_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A09.json");
-    let mut out = header("Ablation — graph capture/replay vs eager submission (A09)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A09.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A09.json: {e}\n")),
-    }
-    out.push_str("GCN: 40 epochs, hidden=32, k=2 over NVLink, METIS, resident+fused:\n");
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>12} {:>14} {:>9} {:>8}\n",
-        "submit", "launches", "sim-time(ms)", "overhead-share", "loss", "acc"
-    ));
-    for r in &a.gcn {
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>12.2} {:>14.3} {:>9.4} {:>8.3}\n",
-            r.submit,
-            r.kernel_launches,
-            r.sim_time_ms,
-            r.launch_overhead_fraction,
-            r.final_loss,
-            r.test_accuracy
-        ));
-    }
-    out.push_str(&format!(
-        "GCN: {:.2}x fewer submissions  (bit-identical: {})\n\n",
-        a.gcn_launch_reduction, a.gcn_identical
-    ));
-    out.push_str("RAG: 6 rounds x 48 queries against a 60-doc x 96-dim resident index:\n");
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>12}\n",
-        "submit", "launches", "sim-time(us)"
-    ));
-    for r in &a.rag {
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>12.2}\n",
-            r.submit, r.kernel_launches, r.sim_time_us
-        ));
-    }
-    out.push_str(&format!(
-        "RAG: {:.2}x fewer submissions  (identical scores: {})\n",
-        a.rag_launch_reduction, a.rag_identical
-    ));
-    out.push_str("expected: one graph launch per replayed epoch/round amortizes per-kernel\n");
-    out.push_str("          launch overhead — the eager fused epoch burns >15% of kernel time\n");
-    out.push_str("          on submission; replay collapses that with bit-identical outputs\n");
-    out
-}
-
-/// A10 — two-tier topology x hierarchical collectives ablation. Also
-/// refreshes the committed `BENCH_A10.json` artifact at the repository
-/// root.
-pub fn render_topology() -> String {
-    let a = topology_scaling_ablation();
-    let json = topology_scaling_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A10.json");
-    let mut out = header("Ablation — two-tier topology x hierarchical collectives (A10)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A10.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A10.json: {e}\n")),
-    }
-    out.push_str(
-        "GCN: 25 epochs, hidden=128, 3200-node SBM, METIS, resident+fused;\n\
-         flat = VPC Ethernet everywhere, hier = NVLink islands of 4 bridged by Ethernet:\n",
-    );
-    out.push_str(&format!(
-        "{:>3} {:<13} {:<11} {:<5} {:>12} {:>8} {:>12} {:>12} {:>9} {:>9} {:>9} {:>8} {:>9} {:>7}\n",
-        "k",
-        "topology",
-        "comm",
-        "wire",
-        "sim-time(ms)",
-        "speedup",
-        "exposed(ms)",
-        "overlap(ms)",
-        "exp-frac",
-        "intra",
-        "inter",
-        "buckets",
-        "loss",
-        "acc"
-    ));
-    for r in &a.rows {
-        out.push_str(&format!(
-            "{:>3} {:<13} {:<11} {:<5} {:>12.2} {:>8.2} {:>12.3} {:>12.3} {:>9.3} {:>9.3} {:>9.3} {:>8} {:>9.4} {:>7.3}\n",
-            r.workers,
-            r.topology,
-            r.comm,
-            r.compression,
-            r.sim_time_ms,
-            r.speedup,
-            r.exposed_comm_ms,
-            r.overlapped_comm_ms,
-            r.comm_exposed_fraction,
-            r.comm_exposed_fraction_intra,
-            r.comm_exposed_fraction_inter,
-            r.buckets_per_epoch,
-            r.final_loss,
-            r.test_accuracy
-        ));
-    }
-    out.push_str(&format!(
-        "hier+bucketed exposed comm fraction at k=8: {:.3}  (bit-identical f32 arms: {})\n",
-        a.hier_bucketed_exposed_fraction_at_8, a.identical_all_k
-    ));
-    out.push_str(&format!(
-        "speedup vs flat-monolithic: {:.2}x at k=8 -> {:.2}x at k=16\n",
-        a.speedup_vs_mono_at_8, a.speedup_vs_mono_at_16
-    ));
-    out.push_str(&format!(
-        "fp16 wire: {:.2}x fewer peer-link bytes at k=8, max final-loss drift {:.2e}\n",
-        a.fp16_wire_reduction_at_8, a.fp16_max_final_loss_drift
-    ));
-    out.push_str("expected: the flat Ethernet exchange keeps collapsing past k=8 while the\n");
-    out.push_str("          hierarchy folds most ring steps onto NVLink and hides the rest,\n");
-    out.push_str("          keeping the exposed fraction under 0.25 at k=8 and widening its\n");
-    out.push_str("          lead through k=16 with bit-identical uncompressed training\n");
-    out
-}
-
-/// A11 — trace record + what-if replay. Also refreshes the committed
-/// `BENCH_A11.json` artifact at the repository root.
-pub fn render_whatif() -> String {
-    let a = whatif_ablation();
-    let json = whatif_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A11.json");
-    let mut out = header("Ablation — trace what-if replay (A11)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A11.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A11.json: {e}\n")),
-    }
-    out.push_str(&format!(
-        "recorded: k={} hierarchical+bucketed GCN epoch trace — {:.2} ms, {} submissions,\n\
-         {} kernel launches (identity replay exact: {})\n",
-        a.workers,
-        a.recorded_ms,
-        a.recorded_submissions,
-        a.recorded_kernel_launches,
-        a.identity_exact
-    ));
-    out.push_str(&format!(
-        "{:<18} {:>13} {:>11} {:>9} {:>11}\n",
-        "arm", "predicted(ms)", "fresh(ms)", "err", "vs-rec"
-    ));
-    for r in &a.arms {
-        let fresh = r.fresh_ms.map_or("-".to_owned(), |v| format!("{v:.2}"));
-        let err = r.err_pct.map_or("-".to_owned(), |v| format!("{v:.2}%"));
-        out.push_str(&format!(
-            "{:<18} {:>13.2} {:>11} {:>9} {:>10.1}%\n",
-            r.arm, r.predicted_ms, fresh, err, r.delta_vs_recorded_pct
-        ));
-    }
-    out.push_str(&format!(
-        "NVLink-everywhere prediction error vs fresh run: {:.2}%\n",
-        a.nvlink_err_pct
-    ));
-    out.push_str("expected: replay re-prices the recorded schedule without re-running the\n");
-    out.push_str("          workload — identity is exact, interconnect what-ifs land within\n");
-    out.push_str("          5% of fresh ground-truth runs, and halving the comm streams\n");
-    out.push_str("          serializes the bucketed exchange (predicted-only arm)\n");
-    out
-}
-
-/// A12 — sharded IVF-PQ retrieval at scale. Also refreshes the committed
-/// `BENCH_A12.json` artifact at the repository root.
-pub fn render_retrieval() -> String {
-    let a = retrieval_scale_ablation();
-    let json = retrieval_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A12.json");
-    let mut out = header("Ablation — retrieval at scale: sharded IVF-PQ (A12)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A12.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A12.json: {e}\n")),
-    }
-    out.push_str(&format!(
-        "corpus {} docs x dim {}, {} queries, nlist {}, PQ m={} nbits={}\n",
-        a.corpus, a.dim, a.queries, a.nlist, a.pq_m, a.pq_nbits
-    ));
-    out.push_str(&format!(
-        "{:<9} {:>7} {:>7} {:>10} {:>12} {:>10}\n",
-        "arm", "nprobe", "shards", "recall@10", "dev-bytes", "search(ms)"
-    ));
-    for r in &a.arms {
-        out.push_str(&format!(
-            "{:<9} {:>7} {:>7} {:>10.3} {:>12} {:>10.3}\n",
-            r.arm, r.nprobe, r.shards, r.recall_at_10, r.device_bytes, r.search_ms
-        ));
-    }
-    out.push_str(&format!(
-        "memory: flat {} B -> IVF-PQ {} B ({:.1}x smaller); best PQ recall@10 {:.3}\n",
-        a.flat_bytes, a.pq_bytes, a.memory_reduction, a.best_pq_recall
-    ));
-    out.push_str(&format!(
-        "sharded speedup 1->4 shards at nprobe 16: {:.2}x (hits bit-identical: {})\n",
-        a.sharded_speedup_4x, a.sharded_identical
-    ));
-    out.push_str("expected: PQ codes shrink the resident index ~10x while exact re-ranking\n");
-    out.push_str("          of the merged top candidates keeps recall@10 above 0.9 at some\n");
-    out.push_str("          swept nprobe; scattering the coded lists over 4 devices cuts\n");
-    out.push_str("          batch-search makespan at least 2x with exactly the same hits,\n");
-    out.push_str("          because refine runs after the total-order merge tree\n");
-    out
-}
-
-/// A13 — tiered-residency serving under device budgets. Also refreshes
-/// the committed `BENCH_A13.json` artifact at the repository root.
-pub fn render_residency_serving() -> String {
-    let a = residency_serving_ablation();
-    let json = residency_serving_json(&a);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A13.json");
-    let mut out = header("Ablation — tiered-residency serving under device budgets (A13)");
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str("wrote BENCH_A13.json\n"),
-        Err(e) => out.push_str(&format!("warning: could not write BENCH_A13.json: {e}\n")),
-    }
-    out.push_str(&format!(
-        "corpus {} docs x dim {}, {} shards, nlist {}, nprobe {}, {} requests over {} \
-         distinct queries, list codes {} B\n",
-        a.corpus, a.dim, a.shards, a.nlist, a.nprobe, a.requests, a.distinct_queries, a.code_bytes
-    ));
-    out.push_str(&format!(
-        "{:<8} {:>7} {:>10} {:>9} {:>9} {:>6} {:>10} {:>11} {:>7} {:>6}\n",
-        "skew",
-        "budget%",
-        "budget-B",
-        "sim-qps",
-        "p99(ms)",
-        "hit%",
-        "link-B",
-        "highwater-B",
-        "ok",
-        "ident"
-    ));
-    for r in &a.arms {
-        out.push_str(&format!(
-            "{:<8} {:>7} {:>10} {:>9.1} {:>9.3} {:>6.1} {:>10} {:>11} {:>7} {:>6}\n",
-            r.skew,
-            r.budget_pct,
-            r.budget_bytes,
-            r.sim_qps,
-            r.p99_retrieve_ms,
-            r.hit_ratio * 100.0,
-            r.host_link_bytes,
-            r.high_water_bytes,
-            r.budget_ok,
-            r.hits_identical
-        ));
-    }
-    out.push_str(&format!(
-        "QPS at 25% budget (zipf) vs fully resident: {:.2}x\n",
-        a.qps_ratio_25_zipf
-    ));
-    out.push_str(&format!(
-        "profiler attribution of the 25%-zipf arm: promotion H2D {} B, exposed fraction \
-         {:.2}, grow-budget/shrink-nprobe advice fired: {}\n",
-        a.promotion_h2d_bytes, a.promotion_exposed_fraction, a.advice_fired
-    ));
-    out.push_str("expected: hits stay bit-identical to the fully-resident index at every\n");
-    out.push_str("          budget (residency moves bytes, never values); the resident\n");
-    out.push_str("          high-water never exceeds the budget in force; Zipfian skew\n");
-    out.push_str("          concentrates probes on hot lists so its hit ratio beats the\n");
-    out.push_str("          uniform stream's at tight budgets; and at 25% budget serving\n");
-    out.push_str("          keeps at least half the unbudgeted throughput\n");
-    out
-}
-
 /// S01 — RL agents.
 pub fn render_rl() -> String {
     let mut out = header("Supplementary — Labs 8/10 + Assignment 3: RL agents");

@@ -1,5 +1,6 @@
-//! Argument handling of the `repro` binary.
+//! Argument handling of the `repro` binary, and its artifact list.
 
+use std::collections::BTreeSet;
 use std::process::Command;
 
 #[test]
@@ -26,4 +27,26 @@ fn unknown_experiment_is_rejected() {
         stderr.contains("unknown experiment 'nosuch'"),
         "stderr: {stderr}"
     );
+}
+
+#[test]
+fn every_committed_artifact_has_a_registry_row_and_back() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list")
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success());
+    let listed: BTreeSet<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|line| line.split_whitespace().nth(1))
+        .filter(|artifact| *artifact != "-")
+        .map(|artifact| format!("BENCH_{artifact}.json"))
+        .collect();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let committed: BTreeSet<String> = std::fs::read_dir(root)
+        .expect("repository root")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("BENCH_A") && name.ends_with(".json"))
+        .collect();
+    assert_eq!(listed, committed, "repro --list vs committed artifacts");
 }

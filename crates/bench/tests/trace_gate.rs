@@ -4,9 +4,9 @@
 //! fail `check_gate` under the pinned tolerances.
 
 use sagegpu_bench::gate::{
-    check_gate, golden_path, metrics_for, record_gcn_epoch_trace, record_rag_batch_trace,
-    record_rag_sharded_trace, record_rag_tiered_trace, GateMetrics, GateTolerances,
-    GATED_WORKLOADS,
+    check_gate, gate_config_path, golden_path, metrics_for, record_gcn_epoch_trace,
+    record_rag_batch_trace, record_rag_sharded_trace, record_rag_tiered_trace, GateMetrics,
+    GateTolerances, GATED_WORKLOADS,
 };
 use sagegpu_core::gpu::trace::{replay, TraceV1, WhatIf};
 
@@ -157,8 +157,14 @@ fn tolerance_parsing_handles_defaults_and_unknown_fields() {
     assert_eq!(t.exposed_comm_abs, d.exposed_comm_abs);
     let empty = GateTolerances::from_json("{}").expect("parses");
     assert_eq!(empty, d);
-    // The committed gate.json round-trips through the parser.
+    // The defaults round-trip through the parser, and written out they
+    // parse to exactly the committed gate.json.
     let committed = GateTolerances::from_json(&d.to_json()).expect("round-trips");
     assert_eq!(committed, d);
+    let golden = std::fs::read_to_string(gate_config_path()).expect("gate.json");
+    assert_eq!(
+        serde_json::from_str(&d.to_json()),
+        serde_json::from_str(&golden)
+    );
     assert!(GateTolerances::from_json("not json").is_err());
 }

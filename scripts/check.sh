@@ -11,41 +11,17 @@
 #                               links, private-item leaks, bad HTML)
 # 4. tier-1: release build (all targets: lib, bins, tests, benches) +
 #    full test suite
-# 5. BENCH_A07.json: regenerate via `repro --exp fusion`, then validate it
-#    parses and reports strict fusion wins (crates/bench/tests/bench_a07.rs)
-# 6. BENCH_A08.json: regenerate via `repro --exp scaling`, then validate the
-#    comm schedules agree bit-for-bit and the bucketed overlap strictly
-#    shrinks exposed communication (crates/bench/tests/bench_a08.rs)
-# 7. BENCH_A09.json: regenerate via `repro --exp graph`, then validate graph
-#    replay collapses submissions and amortizes launch overhead with
-#    bit-identical outputs (crates/bench/tests/bench_a09.rs)
-# 8. BENCH_A10.json: regenerate via `repro --exp topology`, then validate
-#    the hierarchical two-tier schedule keeps the exposed comm fraction
-#    under 0.25 at k=8, widens its lead over flat-monolithic through k=16,
-#    stays bit-identical uncompressed, and halves the wire under fp16
-#    (crates/bench/tests/bench_a10.rs). Steps 6-7 double as the A08/A09
-#    non-regression gate: their artifact tests re-assert the headline wins.
-# 9. BENCH_A11.json: regenerate via `repro --exp whatif`, then validate the
-#    identity replay is exact and the NVLink-everywhere what-if predicts
-#    the fresh ground-truth run within 5% (crates/bench/tests/bench_a11.rs)
-# 10. BENCH_A12.json: regenerate via `repro --exp retrieval`, then validate
-#    IVF-PQ shrinks device bytes >= 8x with recall@10 >= 0.9 at some swept
-#    nprobe (exact refine after the merge), and 4-shard scatter-gather is
-#    >= 2x faster than one shard with bit-identical hits
-#    (crates/bench/tests/bench_a12.rs)
-# 11. BENCH_A13.json: regenerate via `repro --exp residency_serving`, then
-#    validate tiered-residency serving — hits bit-identical to the
-#    fully-resident index at every budget, resident high-water <= budget,
-#    and >= 0.5x the unbudgeted QPS at 25% budget under Zipfian skew
-#    (crates/bench/tests/bench_a13.rs)
-# 12. trace-diff: record the gated fused-GCN, RAG batch-scoring, sharded
+# 5. BENCH_A*.json: for every artifact row of `repro --list`, regenerate
+#    it with `repro --exp <id>`, which exits nonzero on a failed write or a
+#    violated bound, and require repro_output.txt to mention it (catches the
+#    transcript drifting behind a newly shipped experiment). Then
+#    crates/bench/tests/artifacts.rs re-checks the files as written.
+# 6. trace-diff: record the gated fused-GCN, RAG batch-scoring, sharded
 #    IVF-PQ search, and tiered-residency serving workloads through the
 #    gpu_sim::trace interposer and diff sim-time (±1%), submission count
 #    (exact), and exposed-comm fraction (+0.02) against
 #    tests/golden/*.trace.json. `--bless` re-records the goldens.
-# 13. repro_output.txt mentions every committed BENCH_A*.json artifact —
-#    catches the transcript drifting behind newly shipped experiments.
-# 14. sagebench (a package of its own, outside the workspace): its unit
+# 7. sagebench (a package of its own, outside the workspace): its unit
 #    tests, then a short untraced run of every workload, each of which must
 #    end with `"correct": true` (served hits, training bits and replay all
 #    check out), then a short traced rag-cold run, whose layer pass calls
@@ -72,47 +48,24 @@ echo "==> tier-1: cargo build --release --all-targets && cargo test -q --workspa
 cargo build --release --all-targets
 cargo test -q --workspace
 
-echo "==> BENCH_A07.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp fusion > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a07
-
-echo "==> BENCH_A08.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp scaling > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a08
-
-echo "==> BENCH_A09.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp graph > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a09
-
-echo "==> BENCH_A10.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp topology > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a10
-
-echo "==> BENCH_A11.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp whatif > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a11
-
-echo "==> BENCH_A12.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp retrieval > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a12
-
-echo "==> BENCH_A13.json: regenerate + validate"
-cargo run --release -q -p sagegpu-bench --bin repro -- --exp residency_serving > /dev/null
-cargo test -q -p sagegpu-bench --test bench_a13
+echo "==> BENCH_A*.json: regenerate + check every artifact of \`repro --list\`"
+rows=$(cargo run --release -q -p sagegpu-bench --bin repro -- --list)
+while read -r id artifact _; do
+  [[ "$artifact" == "-" ]] && continue
+  echo "    $id -> BENCH_$artifact.json"
+  cargo run --release -q -p sagegpu-bench --bin repro -- --exp "$id" > /dev/null
+  if ! grep -q "BENCH_$artifact.json" repro_output.txt; then
+    echo "repro_output.txt is stale: no mention of BENCH_$artifact.json (re-run \`repro > repro_output.txt\`)" >&2
+    exit 1
+  fi
+done <<< "$rows"
+cargo test --release -q -p sagegpu-bench --test artifacts
 
 echo "==> trace-diff: golden trace regression gate${BLESS:+ (blessing)}"
 if [[ -n "$BLESS" ]]; then
   cargo run --release -q -p sagegpu-bench --bin trace_gate -- --bless
 fi
 cargo run --release -q -p sagegpu-bench --bin trace_gate
-
-echo "==> repro_output.txt mentions every shipped BENCH_A*.json"
-for artifact in BENCH_A*.json; do
-  if ! grep -q "$artifact" repro_output.txt; then
-    echo "repro_output.txt is stale: no mention of $artifact (re-run \`repro > repro_output.txt\`)" >&2
-    exit 1
-  fi
-done
 
 echo "==> sagebench: unit tests + short run of every workload"
 cargo test --offline --release -q --manifest-path sagebench/Cargo.toml
