@@ -1,6 +1,7 @@
 //! E18 — METIS-like multilevel partitioning vs. the random baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sagegpu_bench::experiments::topology_scaling_dataset;
 use sagegpu_core::graph::generators::{sbm, SbmParams};
 use sagegpu_core::graph::partition::{metis_partition, random_partition};
 
@@ -30,5 +31,16 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_partitioners);
+/// The partition every A10 and `gcn-train` job pays for before training:
+/// METIS on the 3 200-node SBM at k = 8.
+fn bench_a10_partition(c: &mut Criterion) {
+    let g = topology_scaling_dataset().graph;
+    let mut group = c.benchmark_group("partition_a10");
+    group.bench_with_input(BenchmarkId::new("metis", 8), &8usize, |b, &k| {
+        b.iter(|| metis_partition(&g, k).unwrap());
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_partitioners, bench_a10_partition);
 criterion_main!(benches);

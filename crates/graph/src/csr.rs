@@ -23,6 +23,7 @@ impl Graph {
     }
 
     /// Builds from weighted undirected edges with explicit node weights.
+    /// Edge weights must be finite and non-negative.
     pub fn from_weighted_edges(
         n: usize,
         edges: &[(usize, usize, f64)],
@@ -42,6 +43,11 @@ impl Graph {
             }
             if v >= n {
                 return Err(GraphError::NodeOutOfRange { node: v, n });
+            }
+            if !(w.is_finite() && w >= 0.0) {
+                return Err(GraphError::BadParameter(format!(
+                    "edge ({u}, {v}) has weight {w}; weights must be finite and non-negative"
+                )));
             }
             if u == v {
                 continue;
@@ -73,13 +79,28 @@ impl Graph {
             row += 1;
             indptr[row] = indices.len();
         }
-        Ok(Self {
+        Ok(Self::from_csr(indptr, indices, edge_weights, node_weights))
+    }
+
+    /// Wraps CSR arrays the caller has already made symmetric, with
+    /// ascending self-loop-free rows and no duplicate neighbours.
+    pub(crate) fn from_csr(
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        edge_weights: Vec<f64>,
+        node_weights: Vec<u64>,
+    ) -> Self {
+        let n = node_weights.len();
+        debug_assert_eq!(indptr.len(), n + 1);
+        debug_assert_eq!(indptr[n], indices.len());
+        debug_assert_eq!(indices.len(), edge_weights.len());
+        Self {
             n,
             indptr,
             indices,
             edge_weights,
             node_weights,
-        })
+        }
     }
 
     /// Node count.
@@ -210,6 +231,28 @@ mod tests {
             Graph::from_edges(2, &[(0, 5)]),
             Err(GraphError::NodeOutOfRange { node: 5, n: 2 })
         ));
+    }
+
+    #[test]
+    fn bad_edge_weights_rejected() {
+        // A 400-node ring with a bad weight on every 7th node's edges. NaN
+        // used to get through here and panic later, inside METIS matching.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let edges: Vec<_> = (0..400)
+                .map(|u| {
+                    let w = if u % 7 == 0 || (u + 1) % 7 == 0 {
+                        bad
+                    } else {
+                        1.0
+                    };
+                    (u, (u + 1) % 400, w)
+                })
+                .collect();
+            assert!(matches!(
+                Graph::from_weighted_edges(400, &edges, vec![1; 400]),
+                Err(GraphError::BadParameter(_))
+            ));
+        }
     }
 
     #[test]

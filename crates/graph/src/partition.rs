@@ -7,13 +7,17 @@
 //!
 //! 1. **Coarsening** — heavy-edge matching collapses matched pairs into
 //!    super-nodes (weights summed, parallel edges merged) until the graph
-//!    is small.
+//!    is small. Each coarse level's CSR is built straight from the fine
+//!    CSR, with no edge list and no global sort.
 //! 2. **Initial partitioning** — greedy region growing on the coarsest
-//!    graph: BFS floods carve off ~1/k of the node weight per part.
-//! 3. **Uncoarsening + refinement** — the partition is projected back level
-//!    by level; at each level boundary nodes greedily move to the
-//!    neighboring part with the highest edge-cut gain, subject to a balance
-//!    constraint (Kernighan–Lin/Fiduccia–Mattheyses style passes).
+//!    graph: BFS floods carve off ~1/k of the node weight per part, then
+//!    refinement passes (below) polish it there.
+//! 3. **Uncoarsening + refinement** — the partition is projected back
+//!    through every level to the original graph, which is refined once
+//!    more: boundary nodes greedily move to the neighboring part with the
+//!    highest edge-cut gain, subject to a balance constraint
+//!    (Kernighan–Lin/Fiduccia–Mattheyses style passes). Unlike METIS, the
+//!    intermediate levels are not refined.
 //!
 //! The contract matches what the paper's experiments need: far lower edge
 //! cut than random partitioning on community-structured graphs, with node
@@ -23,13 +27,14 @@ use crate::csr::Graph;
 use crate::GraphError;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
+use std::borrow::Cow;
 
 /// Total weight of edges whose endpoints lie in different parts.
 pub fn edge_cut(g: &Graph, parts: &[usize]) -> f64 {
-    g.edges()
-        .iter()
-        .filter(|&&(u, v, _)| parts[u] != parts[v])
-        .map(|&(_, _, w)| w)
+    (0..g.num_nodes())
+        .flat_map(|u| g.neighbors(u).map(move |(v, w)| (u, v, w)))
+        .filter(|&(u, v, _)| u < v && parts[u] != parts[v])
+        .map(|(_, _, w)| w)
         .sum()
 }
 
@@ -57,13 +62,6 @@ pub fn random_partition(n: usize, k: usize, seed: u64) -> Result<Vec<usize>, Gra
         parts[u] = i * k / n;
     }
     Ok(parts)
-}
-
-/// One level of coarsening state: the coarse graph plus the fine→coarse map.
-struct CoarseLevel {
-    graph: Graph,
-    /// `fine_to_coarse[u]` = coarse node containing fine node `u`.
-    fine_to_coarse: Vec<usize>,
 }
 
 /// Heavy-edge matching: each unmatched node grabs its heaviest unmatched
@@ -99,29 +97,101 @@ fn heavy_edge_matching(g: &Graph, visit_order: &[usize]) -> (Vec<usize>, usize) 
     (coarse_id, next)
 }
 
-fn coarsen(g: &Graph, rng: &mut SmallRng) -> CoarseLevel {
+/// The fine edges joining one coarse node to one coarse neighbour, as
+/// `((min, max) fine endpoints, weight)` in ascending endpoint order. A
+/// matching merges at most two nodes, so at most 2 × 2 fine edges join two
+/// coarse nodes.
+#[derive(Default)]
+struct FineEdges {
+    len: usize,
+    edges: [((usize, usize), f64); 4],
+}
+
+impl FineEdges {
+    fn insert(&mut self, key: (usize, usize), w: f64) {
+        let mut i = self.len;
+        while i > 0 && self.edges[i - 1].0 > key {
+            self.edges[i] = self.edges[i - 1];
+            i -= 1;
+        }
+        self.edges[i] = (key, w);
+        self.len += 1;
+    }
+
+    /// The coarse edge weight: the terms summed left to right from the
+    /// first, in fine-edge order. That is the order in which sorting and
+    /// merging the contracted edge list adds them, so the bits match it for
+    /// any weights, and w(a, b) and w(b, a) sum the same terms alike.
+    fn weight(&self) -> f64 {
+        let (first, rest) = self.edges[..self.len]
+            .split_first()
+            .expect("a coarse edge has a fine edge");
+        rest.iter().fold(first.1, |sum, &(_, w)| sum + w)
+    }
+}
+
+/// One coarsening level: a heavy-edge matching over a shuffled visit order,
+/// and the coarse graph it induces. Returns the coarse graph and the
+/// fine→coarse map.
+///
+/// The coarse CSR is built straight from the fine one in one pass, O(E + n)
+/// plus a sort of each coarse row: coarse nodes in id order, each row
+/// gathered from its one or two members' fine rows. A marker array collects
+/// every coarse neighbour once, and each row's ids are sorted, since
+/// neighbour order drives the next level's matching tie-breaks.
+fn coarsen(g: &Graph, rng: &mut SmallRng) -> (Graph, Vec<usize>) {
     let n = g.num_nodes();
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     let (fine_to_coarse, coarse_n) = heavy_edge_matching(g, &order);
 
+    let mut members = vec![[usize::MAX; 2]; coarse_n];
     let mut node_weights = vec![0u64; coarse_n];
-    for u in 0..n {
-        node_weights[fine_to_coarse[u]] += g.node_weight(u);
-    }
-    let mut edges = Vec::new();
-    for (u, v, w) in g.edges() {
-        let (cu, cv) = (fine_to_coarse[u], fine_to_coarse[v]);
-        if cu != cv {
-            edges.push((cu, cv, w));
+    for (u, &c) in fine_to_coarse.iter().enumerate() {
+        let m = &mut members[c];
+        if m[0] == usize::MAX {
+            m[0] = u;
+        } else {
+            m[1] = u;
         }
+        node_weights[c] += g.node_weight(u);
     }
-    let graph = Graph::from_weighted_edges(coarse_n, &edges, node_weights)
-        .expect("coarse construction is valid");
-    CoarseLevel {
-        graph,
-        fine_to_coarse,
+
+    // `slot[c]` = index of coarse neighbour `c` in the row being built.
+    let mut slot = vec![usize::MAX; coarse_n];
+    let mut row: Vec<usize> = Vec::new();
+    let mut joins: Vec<FineEdges> = Vec::new();
+    let mut indptr = Vec::with_capacity(coarse_n + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(2 * g.num_edges());
+    let mut edge_weights = Vec::with_capacity(2 * g.num_edges());
+    for (c, pair) in members.iter().enumerate() {
+        for &u in pair.iter().filter(|&&u| u != usize::MAX) {
+            for (v, w) in g.neighbors(u) {
+                let cv = fine_to_coarse[v];
+                if cv == c {
+                    continue;
+                }
+                if slot[cv] == usize::MAX {
+                    slot[cv] = row.len();
+                    row.push(cv);
+                    joins.push(FineEdges::default());
+                }
+                joins[slot[cv]].insert((u.min(v), u.max(v)), w);
+            }
+        }
+        row.sort_unstable();
+        for &cv in &row {
+            indices.push(cv);
+            edge_weights.push(joins[slot[cv]].weight());
+            slot[cv] = usize::MAX;
+        }
+        indptr.push(indices.len());
+        row.clear();
+        joins.clear();
     }
+    let graph = Graph::from_csr(indptr, indices, edge_weights, node_weights);
+    (graph, fine_to_coarse)
 }
 
 /// Greedy region growing on the (coarsest) graph.
@@ -234,36 +304,30 @@ pub fn metis_partition(g: &Graph, k: usize) -> Result<Vec<usize>, GraphError> {
     }
     let mut rng = SmallRng::seed_from_u64(0x006d_6574_6973);
 
-    // Phase 1: coarsen until small or stuck.
+    // Phase 1: coarsen until small or stuck. Only the fine→coarse maps are
+    // kept: phase 3 projects through them and never reads a coarse graph.
     let coarsen_stop = (30 * k).max(120);
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
+    let mut maps: Vec<Vec<usize>> = Vec::new();
+    let mut current = Cow::Borrowed(g);
     while current.num_nodes() > coarsen_stop {
-        let level = coarsen(&current, &mut rng);
+        let (coarse, fine_to_coarse) = coarsen(&current, &mut rng);
         // Matching can stall on star-like graphs; require 10% shrink.
-        if level.graph.num_nodes() as f64 > 0.9 * current.num_nodes() as f64 {
+        if coarse.num_nodes() as f64 > 0.9 * current.num_nodes() as f64 {
             break;
         }
-        current = level.graph.clone();
-        levels.push(level);
+        current = Cow::Owned(coarse);
+        maps.push(fine_to_coarse);
     }
 
-    // Phase 2: initial partition on the coarsest graph.
+    // Phase 2: initial partition on the coarsest graph, refined there.
     let mut parts = initial_partition(&current, k, &mut rng);
     refine(&current, &mut parts, k, 6, 0.05);
 
-    // Phase 3: project back and refine at each level.
-    for level in levels.iter().rev() {
-        let fine_n = level.fine_to_coarse.len();
-        let mut fine_parts = vec![0usize; fine_n];
-        for u in 0..fine_n {
-            fine_parts[u] = parts[level.fine_to_coarse[u]];
-        }
-        // The graph at this fine level is the one that was coarsened to
-        // produce `level.graph`; reconstruct by walking from the original.
-        parts = fine_parts;
+    // Phase 3: project back through every level without refining, then
+    // refine on the original graph.
+    for fine_to_coarse in maps.iter().rev() {
+        parts = fine_to_coarse.iter().map(|&c| parts[c]).collect();
     }
-    // Final refinement on the original graph.
     refine(g, &mut parts, k, 8, 0.05);
     Ok(parts)
 }
@@ -272,6 +336,7 @@ pub fn metis_partition(g: &Graph, k: usize) -> Result<Vec<usize>, GraphError> {
 mod tests {
     use super::*;
     use crate::generators::{grid, ring, sbm, SbmParams};
+    use proptest::prelude::*;
 
     fn two_cliques(size: usize) -> Graph {
         // Two dense cliques joined by a single bridge edge.
@@ -284,6 +349,161 @@ mod tests {
         }
         edges.push((0, size)); // bridge
         Graph::from_edges(2 * size, &edges).unwrap()
+    }
+
+    /// FNV-1a over the part ids: a fingerprint that pins a whole partition.
+    fn fingerprint(parts: &[usize]) -> u64 {
+        parts.iter().fold(0xcbf2_9ce4_8422_2325, |h, &p| {
+            (h ^ p as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The A10 training graph: 3 200 nodes in four blocks. SBM draws the
+    /// edges before the features, so the small `feature_dim` leaves the
+    /// graph unchanged.
+    fn a10_graph(seed: u64) -> Graph {
+        sbm(
+            &SbmParams {
+                block_sizes: vec![800; 4],
+                p_in: 0.10,
+                p_out: 0.02,
+                feature_dim: 1,
+                feature_separation: 0.5,
+                train_fraction: 0.3,
+            },
+            seed,
+        )
+        .unwrap()
+        .graph
+    }
+
+    /// The sort-based builder `coarsen` replaced: contract every fine edge
+    /// through the map, then let `from_weighted_edges` symmetrise, sort and
+    /// merge the list.
+    fn coarsen_by_sorting(g: &Graph, fine_to_coarse: &[usize], coarse_n: usize) -> Graph {
+        let mut node_weights = vec![0u64; coarse_n];
+        for u in 0..g.num_nodes() {
+            node_weights[fine_to_coarse[u]] += g.node_weight(u);
+        }
+        let mut edges = Vec::new();
+        for (u, v, w) in g.edges() {
+            let (cu, cv) = (fine_to_coarse[u], fine_to_coarse[v]);
+            if cu != cv {
+                edges.push((cu, cv, w));
+            }
+        }
+        Graph::from_weighted_edges(coarse_n, &edges, node_weights).unwrap()
+    }
+
+    /// Node weights and every CSR row, with edge weights as bits.
+    fn csr_bits(g: &Graph) -> (Vec<u64>, Vec<Vec<(usize, u64)>>) {
+        let rows = (0..g.num_nodes())
+            .map(|u| g.neighbors(u).map(|(v, w)| (v, w.to_bits())).collect())
+            .collect();
+        ((0..g.num_nodes()).map(|u| g.node_weight(u)).collect(), rows)
+    }
+
+    /// A random weighted graph: non-integer weights spanning many binades
+    /// (some zero), duplicate edges to merge, self-loops to drop, a hub
+    /// whose leaves mostly stay unmatched, and a tail of isolated nodes.
+    fn random_graph(n: usize, seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let active = n - n / 5;
+        let weight = |rng: &mut SmallRng| {
+            if rng.gen_range(0..20) == 0 {
+                0.0
+            } else {
+                rng.gen::<f64>() * 2f64.powi(rng.gen_range(-12..12))
+            }
+        };
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0..4 * active) {
+            let (u, v) = (rng.gen_range(0..active), rng.gen_range(0..active));
+            let w = weight(&mut rng);
+            edges.push((u, v, w));
+        }
+        for leaf in 1..active.min(12) {
+            let w = weight(&mut rng);
+            edges.push((0, leaf, w));
+        }
+        let node_weights = (0..n).map(|_| rng.gen_range(1..4)).collect();
+        Graph::from_weighted_edges(n, &edges, node_weights).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Three levels of the direct CSR build match the sort-based
+        /// builder bit for bit: row order, node weights and every edge
+        /// weight's bits.
+        #[test]
+        fn coarsen_matches_the_sort_based_builder(n in 1usize..120, seed in 0u64..u64::MAX) {
+            let mut g = random_graph(n, seed);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+            for _ in 0..3 {
+                let (coarse, fine_to_coarse) = coarsen(&g, &mut rng);
+                let reference = coarsen_by_sorting(&g, &fine_to_coarse, coarse.num_nodes());
+                prop_assert_eq!(csr_bits(&coarse), csr_bits(&reference));
+                g = coarse;
+            }
+        }
+    }
+
+    /// Partitions recorded before coarsening built each level's CSR
+    /// straight from the fine CSR; that rewrite must not move a single node.
+    #[test]
+    fn partitions_are_pinned() {
+        let cases: Vec<(&str, Graph, usize, u64, f64)> = vec![
+            (
+                "a10 seed 2025",
+                a10_graph(2025),
+                8,
+                0x0ba4_d23f_48d0_80b3,
+                172_101.0,
+            ),
+            (
+                "a10 seed 7",
+                a10_graph(7),
+                8,
+                0xdfdc_cfb9_8678_dfe9,
+                172_122.0,
+            ),
+            (
+                "grid 16x16",
+                grid(16, 16).unwrap(),
+                2,
+                0x8efe_459c_acda_a19c,
+                27.0,
+            ),
+            (
+                "grid 16x16",
+                grid(16, 16).unwrap(),
+                4,
+                0x8b4f_a239_408e_d024,
+                49.0,
+            ),
+            ("ring 64", ring(64).unwrap(), 2, 0xdccc_97ad_452b_43c5, 2.0),
+            ("ring 64", ring(64).unwrap(), 4, 0x43d9_bad9_c67c_dea5, 6.0),
+            (
+                "two cliques 20",
+                two_cliques(20),
+                2,
+                0x8dc4_d591_3824_6439,
+                1.0,
+            ),
+            (
+                "two cliques 20",
+                two_cliques(20),
+                4,
+                0x7e30_bbb1_65b4_f40d,
+                218.0,
+            ),
+        ];
+        for (name, g, k, hash, cut) in cases {
+            let parts = metis_partition(&g, k).unwrap();
+            assert_eq!(fingerprint(&parts), hash, "{name}, k = {k}");
+            assert_eq!(edge_cut(&g, &parts), cut, "{name}, k = {k}");
+        }
     }
 
     #[test]
