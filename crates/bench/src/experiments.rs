@@ -1221,14 +1221,17 @@ pub const COMM_SCALING_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Bucket size cap used by the bucketed arms of A08/A10. Sized to the
 /// model's layer boundary: the A08/A10 GCN carries W2+b2 (2 064 B, retired
-/// first by backward) and W1+b1 (131 584 B, retired last), so any cap in
-/// [2 064, 2 575] forms exactly two buckets — the small output-layer bucket
-/// launches mid-backward while the input-layer gradients are still being
-/// computed. The old 1 MiB cap exceeded the whole 133 648 B payload and
-/// silently degenerated the "bucketed" arm to one monolithic-shaped bucket
-/// at every k (`buckets_per_epoch: 1`); the per-bucket latency this cap
-/// adds is absorbed by the cluster's round-robin comm channels, which let
-/// the two buckets' collectives overlap each other as well as backward.
+/// first by backward) and W1+b1 (131 584 B, retired last). Any cap in
+/// [2 064, 2 575] closes `{b2,W2}` on its own and leaves b1 and W1 in two
+/// size-capped buckets that retire at the same launch, which
+/// `merge_simultaneous_buckets` sends as one: two buckets per epoch — the
+/// small output-layer bucket launches mid-backward while the input-layer
+/// gradients are still being computed. The old 1 MiB cap exceeded the
+/// whole 133 648 B payload and silently degenerated the "bucketed" arm to
+/// one monolithic-shaped bucket at every k (`buckets_per_epoch: 1`); the
+/// per-bucket latency this cap adds is absorbed by the cluster's
+/// round-robin comm channels, which let the two buckets' collectives
+/// overlap each other as well as backward.
 pub const COMM_SCALING_BUCKET_BYTES: u64 = 2560;
 
 /// The A08 workload: a four-community SBM large enough that the per-epoch

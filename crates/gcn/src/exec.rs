@@ -7,11 +7,22 @@
 //! sequence a real implementation would issue, in two flavors:
 //!
 //! * [`ExecMode::PerOpSerial`] — every logical op is its own launch
-//!   (sgemm, then bias add, then ReLU, …): 17 launches per epoch.
+//!   (sgemm, then bias add, then ReLU, …): 14 launches per epoch.
 //! * [`ExecMode::FusedOverlapped`] — the bias and ReLU epilogues ride the
-//!   sgemm launches ([`KernelProfile::fused_linear_relu`]) and the backward
-//!   dX/dW/db triple collapses into one [`KernelProfile::fused_linear_bwd`]
-//!   launch: 9 launches per epoch.
+//!   sgemm launches ([`KernelProfile::fused_linear_relu`]) and each
+//!   layer's backward collapses into one launch: dX/dW/db for layer 2
+//!   ([`KernelProfile::fused_linear_bwd`]), dW/db and the ReLU mask for
+//!   layer 1 ([`KernelProfile::fused_linear_relu_param_bwd`]): 7 launches
+//!   per epoch.
+//!
+//! Each plan prices exactly the kernels the tape performs. Layer 1 reads
+//! the aggregate `ÂX`, which is fixed for the whole run: the trainers
+//! compute it once per worker and charge it once with [`charge_aggregate`],
+//! so no epoch charges a layer-1 aggregation. `ÂX` is a tape constant, so
+//! no epoch charges its input gradient (layer 1's `dX` or a trailing
+//! `Âᵀ·∂` over the feature width) either. Backward ends with layer 1's
+//! parameter gradients; layer 1's backward is the window in which the
+//! layer-2 gradient bucket's all-reduce hides.
 //!
 //! Both plans charge the *same* sparse-aggregation and softmax/cross-entropy
 //! launches with the same access patterns, so the fused plan's advantage is
@@ -22,7 +33,7 @@
 
 use gpu_sim::{
     CmdEvent, Command, Gpu, GpuError, Graph, KernelCommand, KernelPricing, KernelProfile,
-    LaunchConfig, StreamId,
+    LaunchConfig, LaunchSpec, StreamId,
 };
 
 /// Number of trainable parameters of the two-layer GCN, in the order
@@ -111,8 +122,8 @@ impl EpochDims {
         );
         match mode {
             ExecMode::PerOpSerial => vec![
-                // Forward, layer 1: aggregate, sgemm, bias, ReLU.
-                ("spmm_agg", rows(n), KernelProfile::sparse_aggregate(nnz, d)),
+                // Forward, layer 1 over the precomputed ÂX: sgemm, bias,
+                // ReLU.
                 ("sgemm", tile(n, h), KernelProfile::matmul(n, d, h)),
                 (
                     "bias_add",
@@ -138,19 +149,17 @@ impl EpochDims {
                 ("sgemm_bwd", tile(n, h), KernelProfile::matmul(n, c, h)),
                 ("sgemm_bwd", tile(h, c), KernelProfile::matmul(h, n, c)),
                 ("spmm_bwd", rows(n), KernelProfile::sparse_aggregate(nnz, h)),
-                // Backward, layer 1: ReLU mask, db, dX, dW, back through Â.
+                // Backward, layer 1: ReLU mask, db, dW. ÂX is a constant,
+                // so no dX follows.
                 (
                     "relu_bwd",
                     elems(n * h),
                     KernelProfile::elementwise(n * h, 1, 12),
                 ),
                 ("bias_bwd", elems(n * h), KernelProfile::reduction(n * h)),
-                ("sgemm_bwd", tile(n, d), KernelProfile::matmul(n, h, d)),
                 ("sgemm_bwd", tile(d, h), KernelProfile::matmul(d, n, h)),
-                ("spmm_bwd", rows(n), KernelProfile::sparse_aggregate(nnz, d)),
             ],
             ExecMode::FusedOverlapped => vec![
-                ("spmm_agg", rows(n), KernelProfile::sparse_aggregate(nnz, d)),
                 (
                     "linear_relu",
                     tile(n, h),
@@ -168,9 +177,8 @@ impl EpochDims {
                 (
                     "linear_relu_bwd",
                     tile(n, h),
-                    KernelProfile::fused_linear_bwd(n, d, h, true),
+                    KernelProfile::fused_linear_relu_param_bwd(n, d, h),
                 ),
-                ("spmm_bwd", rows(n), KernelProfile::sparse_aggregate(nnz, d)),
             ],
         }
     }
@@ -181,6 +189,28 @@ impl EpochDims {
     }
 }
 
+/// Runs `body`, the host computation of layer 1's aggregate `ÂX`, and
+/// charges it as one `spmm_agg(nnz, d)` launch on `stream`. `ÂX` does not
+/// change from epoch to epoch, so a trainer calls this once per worker,
+/// after the feature upload on the same stream, and every epoch plan reads
+/// the result.
+pub fn charge_aggregate<T>(
+    gpu: &Gpu,
+    stream: StreamId,
+    dims: EpochDims,
+    body: impl FnOnce() -> T,
+) -> T {
+    let EpochDims { n, nnz, d, .. } = dims.sanitized();
+    LaunchSpec::new(
+        "spmm_agg",
+        LaunchConfig::for_elements(n, 128),
+        KernelProfile::sparse_aggregate(nnz, d),
+    )
+    .on(stream)
+    .run(gpu, body)
+    .expect("the aggregate launch is valid")
+}
+
 /// Which launch of the plan *retires* each parameter gradient: pairs of
 /// `(launch index, parameter indices)`. Parameter indices follow
 /// [`sagegpu_nn::layers::Gcn::get_parameters`] order (`[W1, b1, W2, b2]`); launch
@@ -189,13 +219,13 @@ impl EpochDims {
 /// exploits to overlap their all-reduce with the rest of backward.
 fn grad_ready_marks(mode: ExecMode) -> &'static [(usize, &'static [usize])] {
     match mode {
-        // Serial: db2 at `bias_bwd` (8), dW2 at the second `sgemm_bwd` (10),
-        // db1 at `bias_bwd` (13), dW1 at the fifth `sgemm_bwd` (15).
-        ExecMode::PerOpSerial => &[(8, &[3]), (10, &[2]), (13, &[1]), (15, &[0])],
-        // Fused: `linear_bwd` (5) emits {dW2, db2}; `linear_relu_bwd` (7)
-        // emits {dW1, db1}. The trailing `spmm_bwd` (8) only produces input
-        // gradients — the overlap window even a single bucket can use.
-        ExecMode::FusedOverlapped => &[(5, &[2, 3]), (7, &[0, 1])],
+        // Serial: db2 at `bias_bwd` (7), dW2 at the second `sgemm_bwd` (9),
+        // db1 at `bias_bwd` (12), dW1 at the last `sgemm_bwd` (13).
+        ExecMode::PerOpSerial => &[(7, &[3]), (9, &[2]), (12, &[1]), (13, &[0])],
+        // Fused: `linear_bwd` (4) emits {dW2, db2}; `linear_relu_bwd` (6),
+        // the last launch, emits {dW1, db1}. The layer-2 bucket's overlap
+        // window is layer 1's backward: `spmm_bwd` (5) and (6).
+        ExecMode::FusedOverlapped => &[(4, &[2, 3]), (6, &[0, 1])],
     }
 }
 
@@ -361,8 +391,8 @@ mod tests {
 
     #[test]
     fn fused_plan_launches_fewer_kernels() {
-        assert_eq!(dims().launch_count(ExecMode::PerOpSerial), 17);
-        assert_eq!(dims().launch_count(ExecMode::FusedOverlapped), 9);
+        assert_eq!(dims().launch_count(ExecMode::PerOpSerial), 14);
+        assert_eq!(dims().launch_count(ExecMode::FusedOverlapped), 7);
     }
 
     #[test]
@@ -375,7 +405,7 @@ mod tests {
         });
         assert_eq!(out, 42);
         assert_eq!(calls, 1);
-        assert_eq!(gpu.kernels_launched(), 9);
+        assert_eq!(gpu.kernels_launched(), 7);
     }
 
     #[test]
@@ -384,17 +414,17 @@ mod tests {
         let fused = Gpu::new(1, DeviceSpec::t4());
         charge_epoch(&serial, ExecMode::PerOpSerial, dims(), || ());
         charge_epoch(&fused, ExecMode::FusedOverlapped, dims(), || ());
-        assert_eq!(serial.kernels_launched(), 17);
-        assert_eq!(fused.kernels_launched(), 9);
+        assert_eq!(serial.kernels_launched(), 14);
+        assert_eq!(fused.kernels_launched(), 7);
         assert!(
             fused.now_ns() < serial.now_ns(),
             "fused {} ns must beat serial {} ns",
             fused.now_ns(),
             serial.now_ns()
         );
-        // The gap is at least the eight saved launch overheads.
+        // The gap is at least the seven saved launch overheads.
         let saved = serial.now_ns() - fused.now_ns();
-        assert!(saved as f64 >= 8.0 * DeviceSpec::t4().launch_overhead_ns);
+        assert!(saved as f64 >= 7.0 * DeviceSpec::t4().launch_overhead_ns);
     }
 
     #[test]
@@ -409,12 +439,14 @@ mod tests {
             assert!(ready[3] <= ready[2] || mode == ExecMode::FusedOverlapped);
             assert!(ready[2] < ready[0], "dW2 retires before dW1 ({mode:?})");
             assert!(ready[1] <= ready[0]);
-            // The last gradient retires strictly before the epoch ends: the
-            // trailing spmm_bwd (input gradients) is still in flight — the
-            // window bucketed comm overlaps.
+            // dW1 retires with the epoch's last launch: the input is the
+            // constant ÂX, so no input-gradient kernel follows it. Bucketed
+            // comm overlaps layer 1's backward instead.
             let last = ready.iter().copied().max().unwrap();
-            assert!(
-                last < gpu.now_ns(),
+            assert_eq!(last, ready[0], "dW1 retires last ({mode:?})");
+            assert_eq!(
+                last,
+                gpu.now_ns(),
                 "grads ready at {last}, epoch ends at {} ({mode:?})",
                 gpu.now_ns()
             );
@@ -495,6 +527,8 @@ mod tests {
         };
         let out = charge_epoch(&gpu, ExecMode::PerOpSerial, empty, || "ok");
         assert_eq!(out, "ok");
-        assert_eq!(gpu.kernels_launched(), 17);
+        assert_eq!(gpu.kernels_launched(), 14);
+        assert_eq!(charge_aggregate(&gpu, StreamId::DEFAULT, empty, || 1), 1);
+        assert_eq!(gpu.kernels_launched(), 15);
     }
 }

@@ -152,6 +152,19 @@ impl KernelProfile {
         }
     }
 
+    /// [`Self::fused_linear_bwd`] with the ReLU mask, for a layer whose
+    /// input needs no gradient: the same launch less the `dX = dY·Wᵀ`
+    /// product, its `X`-sized write and its `W` read. It reads `X` and `dY`
+    /// once and writes `dW` and `dB`.
+    pub fn fused_linear_relu_param_bwd(m: u64, k: u64, n: u64) -> Self {
+        let full = Self::fused_linear_bwd(m, k, n, true);
+        Self {
+            flops: full.flops - 2 * m * k * n,
+            bytes: full.bytes - 4 * (m * k + k * n),
+            ..full
+        }
+    }
+
     /// Sparse aggregation over `nnz` edges at width `d` with a ReLU
     /// epilogue over the `rows × d` output applied in registers: same
     /// traffic as [`Self::sparse_aggregate`], plus the epilogue FLOPs.
@@ -339,6 +352,15 @@ mod tests {
         // Three separate backward matmuls would read dY three times.
         let three_reads = 4 * 3 * (128 * 32);
         assert!(plain.bytes < KernelProfile::matmul(128, 32, 64).bytes * 3 + three_reads);
+    }
+
+    #[test]
+    fn param_only_linear_bwd_drops_the_input_gradient() {
+        let (m, k, n) = (128, 64, 32);
+        let params = KernelProfile::fused_linear_relu_param_bwd(m, k, n);
+        // dW, dB and the mask; reads X and dY, writes dW and dB.
+        assert_eq!(params.flops, 2 * m * k * n + 2 * m * n);
+        assert_eq!(params.bytes, 4 * (m * k + m * n + k * n + n));
     }
 
     #[test]

@@ -902,8 +902,9 @@ fn copy_cost_ns(spec: &DeviceSpec, kind: CopyKind, bytes: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// JSON writer (hand-rolled: the vendored serde stubs derive no-ops, and
-// the vendored serde_json is read-only)
+// JSON writer (hand-rolled: the vendored serde stubs derive no-ops. The
+// vendored serde_json also writes, via `to_string_pretty` on a `Value`,
+// but this writer still formats by hand)
 // ---------------------------------------------------------------------
 
 fn push_str_lit(out: &mut String, s: &str) {

@@ -77,13 +77,6 @@ impl GcnLayer {
         let agg = tape.spmm(adj, h);
         self.linear.forward(tape, agg)
     }
-
-    /// [`Self::forward`] with the inter-layer ReLU fused into the linear
-    /// transform's epilogue.
-    pub fn forward_relu(&self, tape: &Tape, adj: Arc<CsrMatrix>, h: Var) -> (Var, Var, Var) {
-        let agg = tape.spmm(adj, h);
-        self.linear.forward_relu(tape, agg)
-    }
 }
 
 /// The two-layer GCN of Kipf & Welling:
@@ -128,12 +121,20 @@ impl Gcn {
         }
     }
 
-    /// Records the forward pass over features `x` with adjacency `adj`.
-    /// The features enter as a [`Tape::constant`]: nothing reads their
-    /// gradient, so `backward` computes none.
-    pub fn forward(&self, tape: &Tape, adj: Arc<CsrMatrix>, x: &Tensor) -> GcnForward {
-        let vx = tape.constant(x.clone());
-        let (h1, w1, b1) = self.layer1.forward_relu(tape, Arc::clone(&adj), vx);
+    /// Layer 1's aggregate `ÂX`. Â and X are fixed for a whole training
+    /// run, so `ÂX` is too: compute it once and pass it to every
+    /// [`Self::forward`].
+    pub fn aggregate(adj: &CsrMatrix, x: &Tensor) -> Tensor {
+        adj.spmm(x).expect("adjacency columns match feature rows")
+    }
+
+    /// Records the forward pass over `ax` = [`Self::aggregate`]`(adj, x)`
+    /// with adjacency `adj` (layer 2 aggregates its hidden state per pass).
+    /// `ax` enters as a [`Tape::constant`]: nothing reads its gradient, so
+    /// `backward` computes none.
+    pub fn forward(&self, tape: &Tape, adj: Arc<CsrMatrix>, ax: &Tensor) -> GcnForward {
+        let vax = tape.constant(ax.clone());
+        let (h1, w1, b1) = self.layer1.linear.forward_relu(tape, vax);
         let (logits, w2, b2) = self.layer2.forward(tape, adj, h1);
         GcnForward {
             logits,
@@ -272,7 +273,8 @@ mod tests {
         );
         let x = Tensor::randn(5, 4, &mut rng);
         let tape = Tape::new();
-        let fwd = gcn.forward(&tape, adj, &x);
+        let ax = Gcn::aggregate(&adj, &x);
+        let fwd = gcn.forward(&tape, adj, &ax);
         assert_eq!(tape.shape(fwd.logits), (5, 3));
         assert_eq!(gcn.num_parameters(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(gcn.parameter_bytes(), 4 * (32 + 8 + 24 + 3) as u64);
@@ -297,20 +299,20 @@ mod tests {
             CsrMatrix::from_triplets(4, 4, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)])
                 .unwrap(),
         );
-        let x = Tensor::randn(4, 4, &mut rng);
+        let ax = Gcn::aggregate(&adj, &Tensor::randn(4, 4, &mut rng));
         let labels = vec![0, 0, 1, 1];
         let mask = vec![true; 4];
 
         let loss_of = |g: &Gcn| -> f32 {
             let tape = Tape::new();
-            let fwd = g.forward(&tape, Arc::clone(&adj), &x);
+            let fwd = g.forward(&tape, Arc::clone(&adj), &ax);
             let loss = tape.cross_entropy(fwd.logits, &labels, &mask);
             tape.value(loss).get(0, 0)
         };
 
         let before = loss_of(&gcn);
         let tape = Tape::new();
-        let fwd = gcn.forward(&tape, Arc::clone(&adj), &x);
+        let fwd = gcn.forward(&tape, Arc::clone(&adj), &ax);
         let loss = tape.cross_entropy(fwd.logits, &labels, &mask);
         let grads = tape.backward(loss);
         let lr = 0.5f32;
@@ -335,7 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn gcn_constant_features_match_leaf_features_bitwise() {
+    fn gcn_over_hoisted_aggregate_matches_spmm_in_tape_bitwise() {
+        // `forward` over a precomputed ÂX must equal the chain that
+        // aggregates inside the tape, `linear_relu(spmm(Â, X))`, with X
+        // as a constant or as a leaf: same logits, same parameter grads.
         let mut rng = SmallRng::seed_from_u64(6);
         let gcn = Gcn::new(5, 8, 3, &mut rng);
         let adj = Arc::new(
@@ -357,21 +362,34 @@ mod tests {
         let labels = [0, 2, 1, 1];
 
         let tape = Tape::new();
-        let fwd = gcn.forward(&tape, Arc::clone(&adj), &x);
-        let constant = param_grads(&tape, fwd.logits, fwd.params, &labels);
+        let fwd = gcn.forward(&tape, Arc::clone(&adj), &Gcn::aggregate(&adj, &x));
+        let hoisted_logits = tape.value(fwd.logits);
+        let hoisted = param_grads(&tape, fwd.logits, fwd.params, &labels);
 
-        let tape = Tape::new();
-        let vx = tape.leaf(x.clone());
-        let (h1, w1, b1) = gcn.layer1.forward_relu(&tape, Arc::clone(&adj), vx);
-        let (logits, w2, b2) = gcn.layer2.forward(&tape, adj, h1);
-        let loss = tape.cross_entropy(logits, &labels, &[true; 4]);
-        let grads = tape.backward(loss);
-        assert!(grads[vx.index()].is_some(), "a leaf input does get one");
-        let leaf: Vec<Tensor> = [w1, b1, w2, b2]
-            .iter()
-            .map(|v| grads[v.index()].clone().unwrap())
-            .collect();
-        assert_eq!(constant, leaf);
+        for leaf_input in [false, true] {
+            let tape = Tape::new();
+            let vx = if leaf_input {
+                tape.leaf(x.clone())
+            } else {
+                tape.constant(x.clone())
+            };
+            let agg = tape.spmm(Arc::clone(&adj), vx);
+            let (h1, w1, b1) = gcn.layer1.linear.forward_relu(&tape, agg);
+            let (logits, w2, b2) = gcn.layer2.forward(&tape, Arc::clone(&adj), h1);
+            assert_eq!(
+                tape.value(logits),
+                hoisted_logits,
+                "leaf input: {leaf_input}"
+            );
+            let loss = tape.cross_entropy(logits, &labels, &[true; 4]);
+            let grads = tape.backward(loss);
+            assert_eq!(grads[vx.index()].is_some(), leaf_input);
+            let in_tape: Vec<Tensor> = [w1, b1, w2, b2]
+                .iter()
+                .map(|v| grads[v.index()].clone().unwrap())
+                .collect();
+            assert_eq!(in_tape, hoisted, "leaf input: {leaf_input}");
+        }
     }
 
     #[test]

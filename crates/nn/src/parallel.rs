@@ -117,6 +117,34 @@ pub fn bucket_gradients(grads: &[Tensor], bucket_bytes: u64) -> Vec<GradBucket> 
     buckets
 }
 
+/// Merges each bucket into the one before it when, on every worker, both
+/// become ready at the same instant (`ready_ns[w][p]` as in
+/// [`charge_bucketed_all_reduce`]). Parameters one launch retires together
+/// then travel in one collective: a second collective could start no
+/// earlier and would only pay its own ring latency again.
+pub fn merge_simultaneous_buckets(
+    buckets: Vec<GradBucket>,
+    ready_ns: &[Vec<u64>],
+) -> Vec<GradBucket> {
+    let ready = |b: &GradBucket| -> Vec<u64> {
+        ready_ns
+            .iter()
+            .map(|w| b.params.iter().map(|&p| w[p]).max().unwrap_or(0))
+            .collect()
+    };
+    let mut merged: Vec<GradBucket> = Vec::with_capacity(buckets.len());
+    for b in buckets {
+        match merged.last_mut() {
+            Some(prev) if ready(prev) == ready(&b) => {
+                prev.params.extend(b.params);
+                prev.bytes += b.bytes;
+            }
+            _ => merged.push(b),
+        }
+    }
+    merged
+}
+
 /// Schedule statistics of one bucketed gradient exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BucketedReduceStats {
@@ -444,6 +472,28 @@ mod tests {
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].params, vec![3, 2, 1, 0]);
         assert_eq!(one[0].bytes, gradient_bytes(&grads));
+    }
+
+    #[test]
+    fn buckets_retiring_together_merge() {
+        // Same sizes as above: buckets [3, 2], [1], [0] under a 240 B cap.
+        let grads = vec![
+            Tensor::zeros(10, 10),
+            Tensor::zeros(1, 10),
+            Tensor::zeros(5, 10),
+            Tensor::zeros(1, 2),
+        ];
+        let buckets = bucket_gradients(&grads, 240);
+        // p0 and p1 retire at one launch on both workers: one collective.
+        let together = vec![vec![30, 30, 10, 10], vec![35, 35, 12, 11]];
+        let merged = merge_simultaneous_buckets(buckets.clone(), &together);
+        assert_eq!(merged.len(), 2);
+        assert_eq!(merged[0], buckets[0]);
+        assert_eq!(merged[1].params, vec![1, 0]);
+        assert_eq!(merged[1].bytes, 440);
+        // Worker 1 retires p1 earlier: both launch points stay.
+        let apart = vec![vec![30, 30, 10, 10], vec![35, 33, 12, 11]];
+        assert_eq!(merge_simultaneous_buckets(buckets.clone(), &apart), buckets);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! `requires_grad`): a [`Tape::leaf`] does, a [`Tape::constant`] does not,
 //! and an op does when any input does. `backward` computes no gradient for
 //! a node that does not need one, so feeding a data matrix in as a constant
-//! skips its input-gradient products (for a GCN: the `∂X` sgemm, the
-//! `Âᵀ·∂` spmm and the sparse transpose behind it).
+//! skips its input-gradient products (for a GCN, whose layer 1 reads the
+//! precomputed aggregate `ÂX`: the `∂(ÂX)` sgemm).
 
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::sparse::CsrMatrix;
@@ -65,6 +65,31 @@ struct Node {
     /// Whether a gradient flows to this node: false for constants and for
     /// ops whose inputs are all constant.
     needs_grad: bool,
+}
+
+/// The multiply-add shape of one recorded node, as [`Tape::node_work`]
+/// reports it: enough to count the arithmetic a forward and backward pass
+/// perform, and so to check a cost model against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeWork {
+    /// `S · X` over `nnz` non-zeros of `S` and `cols` columns of `X`.
+    /// `backward` runs `Sᵀ · ∂` of the same shape when `needs_grad`.
+    Spmm {
+        nnz: usize,
+        cols: usize,
+        needs_grad: bool,
+    },
+    /// `x·w + b` with `x` `m×k` and `w` `k×n`. `backward` computes `∂x`
+    /// only when `x_needs_grad` and `∂w` only when `w_needs_grad`.
+    Linear {
+        m: usize,
+        k: usize,
+        n: usize,
+        x_needs_grad: bool,
+        w_needs_grad: bool,
+    },
+    /// Any other node.
+    Other,
 }
 
 /// The autograd tape.
@@ -312,6 +337,32 @@ impl Tape {
             out
         };
         self.push(Op::MeanPoolRows { input, group }, value)
+    }
+
+    /// The multiply-add shape of every recorded node, in tape order.
+    pub fn node_work(&self) -> Vec<NodeWork> {
+        let nodes = self.nodes.borrow();
+        nodes
+            .iter()
+            .map(|node| match &node.op {
+                Op::Spmm(s, x) => NodeWork::Spmm {
+                    nnz: s.nnz(),
+                    cols: nodes[x.0].value.cols(),
+                    needs_grad: node.needs_grad,
+                },
+                Op::Linear { x, w, .. } => {
+                    let (m, k) = nodes[x.0].value.shape();
+                    NodeWork::Linear {
+                        m,
+                        k,
+                        n: nodes[w.0].value.cols(),
+                        x_needs_grad: nodes[x.0].needs_grad,
+                        w_needs_grad: nodes[w.0].needs_grad,
+                    }
+                }
+                _ => NodeWork::Other,
+            })
+            .collect()
     }
 
     /// Reverse pass from scalar `loss`; returns gradient tensors indexed by

@@ -24,9 +24,12 @@
 # 7. sagebench (a package of its own, outside the workspace): its unit
 #    tests, then a short untraced run of every workload, each of which must
 #    end with `"correct": true` (served hits, training bits and replay all
-#    check out), then a short traced rag-cold run, whose layer pass calls
-#    the sharded and per-shard searches directly and checks the sharded
-#    hits against a reference build.
+#    check out), then short traced rag-cold and gcn-train runs. The
+#    rag-cold layer pass calls the sharded and per-shard searches directly
+#    and checks the sharded hits against a reference build; the gcn-train
+#    layer pass replays the recorded trace and fails on any sim-time or
+#    submission mismatch, which covers the one-time ÂX aggregation each
+#    worker charges at scatter time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,11 +80,13 @@ for workload in rag-hot rag-cold gcn-train; do
     exit 1
   fi
 done
-result=$(cargo run --offline --release -q --manifest-path sagebench/Cargo.toml -- \
-  --workload rag-cold --seed 1 --seconds 3 --trace 1 | tail -n 1)
-if [[ "$result" != *'"correct": true'* ]]; then
-  echo "sagebench rag-cold (traced) is not correct: $result" >&2
-  exit 1
-fi
+for workload in rag-cold gcn-train; do
+  result=$(cargo run --offline --release -q --manifest-path sagebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -n 1)
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "sagebench $workload (traced) is not correct: $result" >&2
+    exit 1
+  fi
+done
 
 echo "OK: all checks passed"
