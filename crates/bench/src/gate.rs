@@ -1,9 +1,10 @@
 //! Deterministic perf-regression gate over recorded command traces.
 //!
-//! `scripts/check.sh` records four fixed workloads — a fused-GCN
-//! training run, a RAG batch-scoring pass, a sharded IVF-PQ
-//! scatter-gather search, and the same sharded search under a 25%
-//! tiered-residency budget — through the `gpu_sim::trace`
+//! `scripts/check.sh` records five fixed workloads — a fused-GCN
+//! training run on NVLink islands, the same run at k = 8 on flat
+//! Ethernet, a RAG batch-scoring pass, a sharded IVF-PQ scatter-gather
+//! search, and the same sharded search under a 25% tiered-residency
+//! budget — through the `gpu_sim::trace`
 //! interposer and diffs the scheduling metrics against golden trace
 //! artifacts committed under `tests/golden/`. Because the simulator is
 //! deterministic, any drift is a real behavior change: a slower schedule,
@@ -17,7 +18,7 @@ use sagegpu_core::gcn::distributed::{
 };
 use sagegpu_core::gcn::exec::ExecMode;
 use sagegpu_core::gcn::TrainConfig;
-use sagegpu_core::gpu::cluster::Topology;
+use sagegpu_core::gpu::cluster::{LinkKind, Topology};
 use sagegpu_core::gpu::trace::TraceV1;
 use sagegpu_core::gpu::{DeviceSpec, Gpu};
 use sagegpu_core::graph::generators::{sbm, SbmParams};
@@ -33,12 +34,16 @@ use std::sync::Arc;
 /// Directory holding the golden traces and the gate tolerances.
 pub const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
 
-/// The gated workloads: `(short name, golden file stem)`.
-pub const GATED_WORKLOADS: [(&str, &str); 4] = [
-    ("gcn-epoch", "gcn_epoch"),
-    ("rag-batch", "rag_batch"),
-    ("rag-sharded", "rag_sharded"),
-    ("rag-tiered", "rag_tiered"),
+/// A gated workload's recorder.
+pub type Recorder = fn() -> TraceV1;
+
+/// The gated workloads: `(short name, golden file stem, recorder)`.
+pub const GATED_WORKLOADS: [(&str, &str, Recorder); 5] = [
+    ("gcn-epoch", "gcn_epoch", record_gcn_epoch_trace),
+    ("gcn-flat8", "gcn_flat8", record_gcn_flat8_trace),
+    ("rag-batch", "rag_batch", record_rag_batch_trace),
+    ("rag-sharded", "rag_sharded", record_rag_sharded_trace),
+    ("rag-tiered", "rag_tiered", record_rag_tiered_trace),
 ];
 
 /// Path of a golden trace artifact by file stem.
@@ -183,6 +188,18 @@ pub fn check_gate(
 /// 4 epochs on a small seeded SBM. Everything is seeded, so re-recording
 /// yields a byte-identical schedule.
 pub fn record_gcn_epoch_trace() -> TraceV1 {
+    record_gcn_trace(4, Topology::nvlink_islands(2))
+}
+
+/// Records the same fused-GCN workload with 8 workers on flat Ethernet,
+/// one GPU per instance as in the course. Every collective there spans a
+/// power-of-two group larger than two, so this golden pins the recursive
+/// halving-doubling schedule that the islands-of-2 run never exercises.
+pub fn record_gcn_flat8_trace() -> TraceV1 {
+    record_gcn_trace(8, Topology::Flat(LinkKind::Ethernet))
+}
+
+fn record_gcn_trace(workers: usize, topology: Topology) -> TraceV1 {
     let ds = sbm(
         &SbmParams {
             block_sizes: vec![50, 50, 50, 50],
@@ -201,11 +218,11 @@ pub fn record_gcn_epoch_trace() -> TraceV1 {
     };
     train_distributed_with_opts(
         &ds,
-        4,
+        workers,
         &cfg,
         PartitionStrategy::Metis,
         DistOptions {
-            topology: Topology::nvlink_islands(2),
+            topology,
             residency: ResidencyMode::Resident,
             exec: ExecMode::FusedOverlapped,
             comm: CommMode::BucketedOverlap { bucket_bytes: 2560 },
@@ -345,13 +362,8 @@ pub struct GateOutcome {
 pub fn run_gate(bless: bool) -> Result<Vec<GateOutcome>, String> {
     let tol = GateTolerances::load();
     let mut outcomes = Vec::new();
-    for (name, stem) in GATED_WORKLOADS {
-        let current_trace = match name {
-            "gcn-epoch" => record_gcn_epoch_trace(),
-            "rag-sharded" => record_rag_sharded_trace(),
-            "rag-tiered" => record_rag_tiered_trace(),
-            _ => record_rag_batch_trace(),
-        };
+    for (name, stem, record) in GATED_WORKLOADS {
+        let current_trace = record();
         let path = golden_path(stem);
         if bless {
             std::fs::create_dir_all(GOLDEN_DIR).map_err(|e| format!("{GOLDEN_DIR}: {e}"))?;

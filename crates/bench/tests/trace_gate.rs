@@ -4,9 +4,8 @@
 //! fail `check_gate` under the pinned tolerances.
 
 use sagegpu_bench::gate::{
-    check_gate, gate_config_path, golden_path, metrics_for, record_gcn_epoch_trace,
-    record_rag_batch_trace, record_rag_sharded_trace, record_rag_tiered_trace, GateMetrics,
-    GateTolerances, GATED_WORKLOADS,
+    check_gate, gate_config_path, golden_path, metrics_for, GateMetrics, GateTolerances,
+    GATED_WORKLOADS,
 };
 use sagegpu_core::gpu::trace::{replay, TraceV1, WhatIf};
 
@@ -24,14 +23,9 @@ fn golden_metrics(stem: &str) -> GateMetrics {
 #[test]
 fn committed_goldens_pass_against_fresh_recordings() {
     let tol = GateTolerances::default();
-    for (name, stem) in GATED_WORKLOADS {
+    for (name, stem, record) in GATED_WORKLOADS {
         let golden = golden_metrics(stem);
-        let current = match name {
-            "gcn-epoch" => metrics_for(&record_gcn_epoch_trace()),
-            "rag-sharded" => metrics_for(&record_rag_sharded_trace()),
-            "rag-tiered" => metrics_for(&record_rag_tiered_trace()),
-            _ => metrics_for(&record_rag_batch_trace()),
-        };
+        let current = metrics_for(&record());
         let violations = check_gate(&golden, &current, &tol);
         assert!(
             violations.is_empty(),
@@ -45,7 +39,7 @@ fn committed_goldens_pass_against_fresh_recordings() {
 
 #[test]
 fn golden_traces_identity_replay_exactly() {
-    for (name, stem) in GATED_WORKLOADS {
+    for (name, stem, _) in GATED_WORKLOADS {
         let trace =
             TraceV1::read_file(golden_path(stem)).unwrap_or_else(|e| panic!("golden {stem}: {e}"));
         let rep = replay(&trace, &WhatIf::default()).expect("identity replay");

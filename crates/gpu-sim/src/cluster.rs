@@ -49,8 +49,8 @@ impl LinkKind {
         }
     }
 
-    /// One lockstep ring-step duration for a `chunk`-byte neighbour
-    /// exchange on this link.
+    /// One lockstep step duration for a `chunk`-byte exchange with a peer
+    /// on this link.
     pub fn step_ns(&self, chunk: u64) -> u64 {
         (self.latency_ns() + chunk as f64 / self.bandwidth_bytes_per_sec() * 1e9).ceil() as u64
     }
@@ -147,73 +147,72 @@ impl Topology {
         }
     }
 
-    /// The lockstep ring schedule reducing `bytes` over `n` devices, as a
-    /// sequence of uniform phases. Flat: one ring of `2 (n-1)` steps moving
-    /// `bytes / n` chunks. Two-tier (m-device islands, g islands):
-    /// intra-island reduce-scatter (`m-1` steps of `bytes / m`), one inter-
-    /// island ring exchange per shard over the bridge (`2 (g-1)` steps of
-    /// `bytes / (m g)`), intra-island all-gather (`m-1` steps of
-    /// `bytes / m`).
-    pub(crate) fn ring_phases(&self, n: usize, bytes: u64) -> Vec<RingPhase> {
+    /// The lockstep schedule all-reducing `bytes` over `n` devices, as a
+    /// sequence of uniform phases. Flat: one group of `n`. Two-tier
+    /// (m-device islands, g islands): an intra-island reduce-scatter over
+    /// `bytes`, an inter-island all-reduce of each device's `bytes / m`
+    /// shard over the bridge, then an intra-island all-gather. Each group
+    /// of `p` runs the schedule [`group_halves`] picks for it.
+    pub(crate) fn all_reduce_phases(&self, n: usize, bytes: u64) -> Vec<CommPhase> {
         if n <= 1 {
             return Vec::new();
         }
-        let flat = |link: LinkKind, n: u64, rs: PhaseTag, ag: PhaseTag| {
-            let chunk = bytes.div_ceil(n);
-            let step_dur = link.step_ns(chunk);
-            vec![
-                RingPhase {
-                    tag: rs,
-                    steps: n - 1,
-                    chunk,
-                    step_dur,
-                },
-                RingPhase {
-                    tag: ag,
-                    steps: n - 1,
-                    chunk,
-                    step_dur,
-                },
-            ]
-        };
         let (m, g) = self.shape(n);
-        match self {
-            Topology::Flat(link) => flat(*link, n as u64, PhaseTag::Rs, PhaseTag::Ag),
-            Topology::TwoTier { intra, inter, .. } => {
-                if g == 1 {
-                    // One island: the hierarchy degenerates to a flat ring
-                    // on the fast tier.
-                    return flat(*intra, n as u64, PhaseTag::Rs, PhaseTag::Ag);
-                }
-                if m == 1 {
-                    // Single-device islands: everything crosses the bridge.
-                    return flat(*inter, n as u64, PhaseTag::Inter, PhaseTag::Inter);
-                }
-                let (m, g) = (m as u64, g as u64);
-                let intra_chunk = bytes.div_ceil(m);
-                let inter_chunk = bytes.div_ceil(m * g);
-                vec![
-                    RingPhase {
-                        tag: PhaseTag::IntraRs,
-                        steps: m - 1,
-                        chunk: intra_chunk,
-                        step_dur: intra.step_ns(intra_chunk),
-                    },
-                    RingPhase {
-                        tag: PhaseTag::Inter,
-                        steps: 2 * (g - 1),
-                        chunk: inter_chunk,
-                        step_dur: inter.step_ns(inter_chunk),
-                    },
-                    RingPhase {
-                        tag: PhaseTag::IntraAg,
-                        steps: m - 1,
-                        chunk: intra_chunk,
-                        step_dur: intra.step_ns(intra_chunk),
-                    },
-                ]
+        match *self {
+            Topology::TwoTier { intra, inter, .. } if g > 1 => {
+                // Single-device islands (m = 1) leave the intra halves
+                // empty: everything crosses the bridge.
+                let [intra_rs, intra_ag] = group_halves(
+                    intra,
+                    m as u64,
+                    bytes,
+                    [PhaseTag::IntraRs, PhaseTag::IntraAg],
+                );
+                let shard = bytes.div_ceil(m as u64);
+                let [inter_rs, inter_ag] =
+                    group_halves(inter, g as u64, shard, [PhaseTag::Inter, PhaseTag::Inter]);
+                [intra_rs, inter_rs, inter_ag, intra_ag].concat()
+            }
+            // One island: the hierarchy degenerates to one flat group on
+            // the fast tier.
+            Topology::TwoTier { intra: link, .. } | Topology::Flat(link) => {
+                group_halves(link, n as u64, bytes, [PhaseTag::Rs, PhaseTag::Ag]).concat()
             }
         }
+    }
+}
+
+/// The reduce-scatter and all-gather halves of an all-reduce of `bytes`
+/// over a group of `p` devices on `link`.
+///
+/// When `p` is a power of two they run recursive halving and doubling
+/// (Rabenseifner): reduce-scatter step `i = 1..=log2 p` exchanges
+/// `bytes / 2^i` with the partner `2^(i-1)` ranks away, and the all-gather
+/// replays the steps in reverse. Each half moves the ring's
+/// `(p-1)/p · bytes` per device in `log2 p` steps instead of `p-1`, so only
+/// the per-step latency term shrinks. Any other `p` keeps the ring:
+/// `p-1` steps of `bytes / p` each way. At `p = 2` the two coincide.
+fn group_halves(
+    link: LinkKind,
+    p: u64,
+    bytes: u64,
+    [rs, ag]: [PhaseTag; 2],
+) -> [Vec<CommPhase>; 2] {
+    let phase = |tag, steps, chunk| CommPhase {
+        tag,
+        steps,
+        chunk,
+        step_dur: link.step_ns(chunk),
+    };
+    if p.is_power_of_two() {
+        let chunks = (1..=p.trailing_zeros()).map(|i| bytes.div_ceil(1 << i));
+        [
+            chunks.clone().map(|c| phase(rs, 1, c)).collect(),
+            chunks.rev().map(|c| phase(ag, 1, c)).collect(),
+        ]
+    } else {
+        let chunk = bytes.div_ceil(p);
+        [vec![phase(rs, p - 1, chunk)], vec![phase(ag, p - 1, chunk)]]
     }
 }
 
@@ -244,9 +243,9 @@ impl PhaseTag {
     }
 }
 
-/// One uniform run of lockstep ring steps (same chunk, same link).
+/// One uniform run of lockstep steps (same chunk, same link).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RingPhase {
+pub(crate) struct CommPhase {
     pub(crate) tag: PhaseTag,
     pub(crate) steps: u64,
     pub(crate) chunk: u64,
@@ -256,12 +255,12 @@ pub(crate) struct RingPhase {
 /// Number of dedicated communication streams ("channels") per device.
 ///
 /// Like NCCL channels: independent collectives round-robin across them, so
-/// a second gradient bucket's ring can be in flight while the first is
+/// a second gradient bucket's collective can be in flight while the first is
 /// still paying its per-step link latency. Collectives assigned to the
 /// *same* channel serialize (a channel models one set of link contexts).
 pub const COMM_CHANNELS: usize = 2;
 
-/// Timeline footprint of one chunked ring collective launched with
+/// Timeline footprint of one chunked collective launched with
 /// [`GpuCluster::all_reduce_chunked`]. The caller decides what to order
 /// after it — e.g. `advance_to(end_ns)` before the optimizer step — so
 /// independent compute can keep running while the collective is in flight.
@@ -270,15 +269,15 @@ pub struct ReduceHandle {
     /// When the collective started (every participant ready, its comm
     /// channel free).
     pub start_ns: u64,
-    /// When the last ring step completed on every device.
+    /// When the last step completed on every device.
     pub end_ns: u64,
-    /// Number of lockstep ring steps charged.
+    /// Number of lockstep steps charged.
     pub steps: u64,
-    /// Payload size reduced across the ring.
+    /// Payload size reduced across the group.
     pub bytes: u64,
     /// Bytes each device moved over its links (`Σ steps × chunk`).
     pub per_dev_bytes: u64,
-    /// Ring steps that crossed the inter-island bridge (zero on flat
+    /// Steps that crossed the inter-island bridge (zero on flat
     /// topologies, where there is no bridge tier).
     pub inter_steps: u64,
     /// Bytes each device moved over the bridge (zero on flat topologies).
@@ -484,7 +483,7 @@ impl GpuCluster {
     }
 
     /// Models a blocking all-reduce of `bytes` per device under the
-    /// cluster's topology (flat ring, or hierarchical on two tiers).
+    /// cluster's topology (flat, or hierarchical on two tiers).
     /// Advances all device clocks past the collective and records one event
     /// per device.
     ///
@@ -500,7 +499,7 @@ impl GpuCluster {
             s.record_global(crate::trace::RecordBody::BlockingAllReduce { bytes });
             s.push_suppress();
         }
-        let phases = self.topology.ring_phases(n, bytes);
+        let phases = self.topology.all_reduce_phases(n, bytes);
         let dur: u64 = phases.iter().map(|p| p.steps * p.step_dur).sum();
         let per_dev_bytes: u64 = phases.iter().map(|p| p.steps * p.chunk).sum();
         let start = self.barrier();
@@ -539,17 +538,21 @@ impl GpuCluster {
             .ok_or(GpuError::NoSuchDevice { device: i as u32 })
     }
 
-    /// Chunked ring all-reduce of `bytes`, charged as discrete lockstep
-    /// steps on one of each device's dedicated comm streams. On a flat
-    /// topology this is the NCCL schedule — `2 (n-1)` steps moving one
-    /// `bytes / n` chunk per device (reduce-scatter then all-gather). On a
+    /// Chunked all-reduce of `bytes`, charged as discrete lockstep steps on
+    /// one of each device's dedicated comm streams: a reduce-scatter then
+    /// an all-gather. On a flat topology a power-of-two `n` runs recursive
+    /// halving-doubling (`2 log2 n` steps moving `bytes / 2`, `bytes / 4`,
+    /// …); any other `n` runs the NCCL ring (`2 (n-1)` steps of
+    /// `bytes / n`). Both move `2 (n-1)/n · bytes` per device. On a
     /// two-tier topology the schedule is hierarchical: reduce-scatter
-    /// inside each island on the fast links (`m-1` steps of `bytes / m`),
-    /// one ring exchange per shard across the `g` islands over the bridge
-    /// (`2 (g-1)` steps of `bytes / (m g)` — the only steps that touch the
-    /// slow tier), then an intra-island all-gather. Step events are named
-    /// `{name}/intra-rs{s}`, `{name}/inter{s}`, `{name}/intra-ag{s}` so
-    /// profilers can attribute exposed time per tier.
+    /// inside each island on the fast links, an all-reduce of each
+    /// device's `bytes / m` shard across the `g` islands over the bridge
+    /// (the only steps that touch the slow tier), then an intra-island
+    /// all-gather; each tier picks halving-doubling or the ring by its own
+    /// group size. Step events are named `{name}/rs{s}`, `{name}/ag{s}`
+    /// (flat) or `{name}/intra-rs{s}`, `{name}/inter{s}`,
+    /// `{name}/intra-ag{s}` (two-tier) so profilers can attribute exposed
+    /// time per tier.
     ///
     /// `ready_ns[i]` is when device `i`'s payload becomes available (e.g.
     /// the event timestamp of the backward op producing the last gradient
@@ -590,9 +593,9 @@ impl GpuCluster {
         if let Some(s) = &sink {
             s.push_suppress();
         }
-        let phases = self.topology.ring_phases(n, bytes);
+        let phases = self.topology.all_reduce_phases(n, bytes);
         let ch = self.next_channel.fetch_add(1, Ordering::Relaxed) % COMM_CHANNELS;
-        // Lockstep rings: every step is a synchronous neighbour exchange,
+        // Lockstep schedule: every step is a synchronous peer exchange,
         // so the collective starts only when the *slowest* participant is
         // ready and its channel is free.
         let start = self
@@ -852,9 +855,11 @@ mod tests {
             let h = c.all_reduce_chunked(bytes, "grads", &vec![0; c.len()]);
             assert_eq!(h.dur_ns(), mono);
         }
+        // n = 4 is a power of two: recursive halving-doubling, 2 log2 4
+        // steps.
         let c = cluster(4, LinkKind::Pcie);
         let h = c.all_reduce_chunked(bytes, "grads", &[0, 0, 0, 0]);
-        assert_eq!(h.steps, 6);
+        assert_eq!(h.steps, 4);
         assert!(h.per_dev_bytes >= (2 * 3 * bytes) / 4);
         assert_eq!(h.inter_steps, 0, "flat ring has no bridge tier");
         assert_eq!(h.inter_bytes, 0);
@@ -902,10 +907,16 @@ mod tests {
         let intra: Vec<_> = evs.iter().filter(|e| e.name.contains("/intra-")).collect();
         let inter: Vec<_> = evs.iter().filter(|e| e.name.contains("/inter")).collect();
         assert!(!intra.is_empty() && !inter.is_empty());
-        let intra_chunk = bytes.div_ceil(4);
+        // m = 4 halves inside each island (B/2 then B/4); g = 2 exchanges
+        // the B/4 shard's halves over the bridge.
+        let intra_steps = [bytes / 2, bytes / 4].map(|c| LinkKind::NvLink.step_ns(c));
         let inter_chunk = bytes.div_ceil(8);
         for e in &intra {
-            assert_eq!(e.dur_ns, LinkKind::NvLink.step_ns(intra_chunk));
+            assert!(
+                intra_steps.contains(&e.dur_ns),
+                "{} is no halving step",
+                e.name
+            );
             assert!(
                 (e.dur_ns as f64) < LinkKind::Ethernet.latency_ns(),
                 "intra step {} charged bridge-scale time",
@@ -916,10 +927,10 @@ mod tests {
             assert_eq!(e.dur_ns, LinkKind::Ethernet.step_ns(inter_chunk));
             assert!(e.dur_ns as f64 >= LinkKind::Ethernet.latency_ns());
         }
-        // Per device: m-1 = 3 intra-rs, 2 (g-1) = 2 inter, 3 intra-ag.
-        assert_eq!(intra.len(), 8 * 6);
+        // Per device: log2 m = 2 intra-rs, 2 log2 g = 2 inter, 2 intra-ag.
+        assert_eq!(intra.len(), 8 * 4);
         assert_eq!(inter.len(), 8 * 2);
-        assert_eq!(h.steps, 8);
+        assert_eq!(h.steps, 6);
         assert_eq!(h.inter_steps, 2);
         assert_eq!(h.inter_bytes, 2 * inter_chunk);
     }

@@ -269,7 +269,7 @@ impl Gpu {
     /// start: the op begins at `max(stream free, device floor,
     /// not_before_ns)` and the stream's next-free slot moves past it.
     /// Returns the start. Used by cluster collectives to place lockstep
-    /// ring steps on per-device comm streams without touching the floor.
+    /// collective steps on per-device comm streams without touching the floor.
     pub(crate) fn reserve_on(&self, stream: StreamId, not_before_ns: u64, dur_ns: u64) -> u64 {
         let floor = self.clock_ns.load(Ordering::SeqCst);
         let mut streams = self.streams.lock();

@@ -747,7 +747,7 @@ pub fn replay(trace: &TraceV1, whatif: &WhatIf) -> Result<ReplayReport, TraceErr
                 let topo = topo.ok_or_else(|| {
                     replay_err(format!("collective '{name}' but the trace has no topology"))
                 })?;
-                let phases = topo.ring_phases(n, *bytes);
+                let phases = topo.all_reduce_phases(n, *bytes);
                 let ch = match whatif.streams {
                     Some(s) => (collective_idx % u64::from(s.max(1))) as u32,
                     None => *channel,
@@ -813,7 +813,7 @@ pub fn replay(trace: &TraceV1, whatif: &WhatIf) -> Result<ReplayReport, TraceErr
                 let topo = topo.ok_or_else(|| {
                     replay_err("blocking all-reduce but the trace has no topology")
                 })?;
-                let phases = topo.ring_phases(n, *bytes);
+                let phases = topo.all_reduce_phases(n, *bytes);
                 let dur: u64 = phases.iter().map(|p| p.steps * p.step_dur).sum();
                 let per_dev_bytes: u64 = phases.iter().map(|p| p.steps * p.chunk).sum();
                 let start = gpus.iter().map(|g| g.now_ns()).max().unwrap_or(0);

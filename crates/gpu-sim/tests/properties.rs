@@ -282,6 +282,45 @@ proptest! {
         }
     }
 
+    /// A flat all-reduce over a power-of-two group runs recursive
+    /// halving-doubling: the ring's wire bytes up to per-step rounding, in
+    /// `2 log2 n` steps instead of `2 (n-1)`, so it is never slower and
+    /// strictly faster from `n = 4`. Any other group size keeps the ring to
+    /// the nanosecond. The chunked and blocking paths always agree.
+    #[test]
+    fn power_of_two_groups_halve_and_double_others_keep_the_ring(
+        n in 2usize..=64,
+        b_idx in 0usize..5,
+        l_idx in 0usize..3,
+    ) {
+        let bytes = [1u64, 17, 2_064, 131_584, 1 << 20][b_idx];
+        let link = [LinkKind::Ethernet, LinkKind::Pcie, LinkKind::NvLink][l_idx];
+        let c = GpuCluster::homogeneous(n, DeviceSpec::t4(), link);
+        let h = c.all_reduce_chunked(bytes, "g", &vec![0; n]);
+        let mono = GpuCluster::homogeneous(n, DeviceSpec::t4(), link).all_reduce_cost(bytes);
+        prop_assert_eq!(h.dur_ns(), mono, "chunked and blocking schedules agree");
+        let (k, ring_chunk) = (n as u64 - 1, bytes.div_ceil(n as u64));
+        let ring_bytes = 2 * k * ring_chunk;
+        let ring_ns = 2 * k * link.step_ns(ring_chunk);
+        if n.is_power_of_two() {
+            let half: u64 = (1..=n.trailing_zeros()).map(|i| bytes.div_ceil(1 << i)).sum();
+            prop_assert_eq!(h.steps, 2 * u64::from(n.trailing_zeros()));
+            prop_assert_eq!(h.per_dev_bytes, 2 * half);
+            prop_assert!(h.per_dev_bytes.abs_diff(ring_bytes) <= 2 * k, "same wire bytes");
+            prop_assert!(h.dur_ns() <= ring_ns);
+            if n >= 4 {
+                prop_assert!(h.dur_ns() < ring_ns, "fewer latency terms at n = {}", n);
+            }
+        } else {
+            prop_assert_eq!(h.steps, 2 * k);
+            prop_assert_eq!(h.per_dev_bytes, ring_bytes);
+            prop_assert_eq!(h.dur_ns(), ring_ns);
+            for e in c.recorder().snapshot() {
+                prop_assert_eq!((e.bytes, e.dur_ns), (ring_chunk, link.step_ns(ring_chunk)));
+            }
+        }
+    }
+
     /// The roofline duration equals max(compute, memory) + overhead.
     #[test]
     fn roofline_is_max_of_roofs(flops in 1u64..1_000_000_000_000, bytes in 1u64..1_000_000_000) {

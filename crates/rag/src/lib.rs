@@ -34,8 +34,6 @@
 //!   under a device byte budget — hot lists hold pooled leases, cold
 //!   lists spill to host and promote charge-on-miss, with clock/LRU
 //!   victim selection; results stay bit-identical at every budget.
-//! - [`bm25`] — Okapi BM25 lexical retrieval and reciprocal-rank fusion,
-//!   the hybrid-retrieval extension the optimization assignment invites.
 //! - [`pipeline`] — the end-to-end RAG service: retrieve → assemble
 //!   context → generate, single-query and batched, with per-stage
 //!   simulated-latency breakdowns and a workload harness reporting
@@ -45,7 +43,6 @@
 //!   retrieval cache, fault-tolerant cluster dispatch with retries, and
 //!   per-stage histograms + chrome-trace request spans (experiment A05).
 
-pub mod bm25;
 pub mod corpus;
 pub mod embed;
 pub mod error;
@@ -60,7 +57,6 @@ pub mod tokenize;
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
-    pub use crate::bm25::{reciprocal_rank_fusion, Bm25Index};
     pub use crate::corpus::{Corpus, Document};
     pub use crate::embed::Embedder;
     pub use crate::error::IndexError;

@@ -16,11 +16,12 @@
 #    violated bound, and require repro_output.txt to mention it (catches the
 #    transcript drifting behind a newly shipped experiment). Then
 #    crates/bench/tests/artifacts.rs re-checks the files as written.
-# 6. trace-diff: record the gated fused-GCN, RAG batch-scoring, sharded
-#    IVF-PQ search, and tiered-residency serving workloads through the
-#    gpu_sim::trace interposer and diff sim-time (±1%), submission count
-#    (exact), and exposed-comm fraction (+0.02) against
-#    tests/golden/*.trace.json. `--bless` re-records the goldens.
+# 6. trace-diff: record the gated fused-GCN (k = 4 on NVLink islands of 2,
+#    and k = 8 on flat Ethernet, which exercises recursive halving-doubling),
+#    RAG batch-scoring, sharded IVF-PQ search, and tiered-residency serving
+#    workloads through the gpu_sim::trace interposer and diff sim-time
+#    (±1%), submission count (exact), and exposed-comm fraction (+0.02)
+#    against tests/golden/*.trace.json. `--bless` re-records the goldens.
 # 7. sagebench (a package of its own, outside the workspace): its unit
 #    tests, then a short untraced run of every workload, each of which must
 #    end with `"correct": true` (served hits, training bits and replay all
