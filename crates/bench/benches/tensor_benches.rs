@@ -36,5 +36,33 @@ fn bench_elementwise(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_elementwise);
+/// The four host products of one GCN worker-epoch on a 420-node
+/// partition (256 features, 128 hidden, 4 classes): layer 1's forward
+/// (ÂX)·W and weight gradient (ÂX)ᵀ·g, and layer 2's forward H·W and weight
+/// gradient Hᵀ·g, with H a ReLU output (about half zeros).
+fn bench_gcn_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gcn_shapes");
+    let mut rng = SmallRng::seed_from_u64(3);
+    let ax = Tensor::randn(420, 256, &mut rng);
+    let w1 = Tensor::randn(256, 128, &mut rng);
+    let g1 = Tensor::randn(420, 128, &mut rng).relu();
+    let h = Tensor::randn(420, 128, &mut rng).relu();
+    let w2 = Tensor::randn(128, 4, &mut rng);
+    let g2 = Tensor::randn(420, 4, &mut rng);
+    group.bench_function("matmul_420x256x128", |bench| {
+        bench.iter(|| ax.matmul(&w1).unwrap())
+    });
+    group.bench_function("t_matmul_420x256T_420x128", |bench| {
+        bench.iter(|| ax.t_matmul(&g1).unwrap())
+    });
+    group.bench_function("matmul_420x128x4_relu", |bench| {
+        bench.iter(|| h.matmul(&w2).unwrap())
+    });
+    group.bench_function("t_matmul_420x128T_420x4_relu", |bench| {
+        bench.iter(|| h.t_matmul(&g2).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_matmul, bench_elementwise, bench_gcn_shapes);
 criterion_main!(benches);

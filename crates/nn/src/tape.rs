@@ -400,7 +400,7 @@ impl Tape {
                     }
                     if needs(b) {
                         let a_val = &nodes[a.0].value;
-                        let db = a_val.transpose().matmul(&grad).expect("dB");
+                        let db = a_val.t_matmul(&grad).expect("dB");
                         accumulate(&mut grads[b.0], db);
                     }
                 }
@@ -457,7 +457,7 @@ impl Tape {
                     }
                     if needs(w) {
                         let x_val = &nodes[x.0].value;
-                        let dw = x_val.transpose().matmul(&g).expect("dW");
+                        let dw = x_val.t_matmul(&g).expect("dW");
                         accumulate(&mut grads[w.0], dw);
                     }
                     if needs(b) {

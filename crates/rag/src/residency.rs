@@ -21,9 +21,8 @@
 //! front of the scan kernel on the command stream, which is exactly the
 //! time the A13 serving ablation measures.
 //!
-//! Victim selection is pluggable via [`EvictionPolicy`]: exact LRU
-//! (last-touch timestamps) or the clock / second-chance approximation
-//! real allocators prefer. Evictions drop the lease (slab returns to the
+//! Victim selection follows [`EvictionPolicy`]: exact LRU (last-touch
+//! timestamps). Evictions drop the lease (slab returns to the
 //! pool cache) and then [`gpu_sim::MemoryPool::trim`] hands the cached
 //! reservations back to the device ledger — the spill path is the one
 //! place the simulator is genuinely under memory pressure.
@@ -43,10 +42,6 @@ pub enum EvictionPolicy {
     /// touch stamp.
     #[default]
     Lru,
-    /// Clock (second chance): a hand sweeps resident lists, clearing
-    /// reference bits, and evicts the first unreferenced list it finds —
-    /// the constant-time LRU approximation real caching allocators use.
-    Clock,
 }
 
 /// Per-list residency bookkeeping.
@@ -58,8 +53,6 @@ struct Slot {
     lease: Option<PoolLease>,
     /// Monotonic touch stamp (LRU ordering).
     last_touch: u64,
-    /// Reference bit (clock policy).
-    referenced: bool,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -152,8 +145,6 @@ pub struct ListResidency {
     slots: Vec<Slot>,
     /// Monotonic clock for LRU stamps.
     tick: u64,
-    /// Sweep position for the clock policy.
-    hand: usize,
     resident_bytes: u64,
     high_water: u64,
     hits: u64,
@@ -179,7 +170,6 @@ impl ListResidency {
             budget,
             slots,
             tick: 0,
-            hand: 0,
             resident_bytes: 0,
             high_water: 0,
             hits: 0,
@@ -225,7 +215,6 @@ impl ListResidency {
         }
         if slot.lease.is_some() {
             slot.last_touch = tick;
-            slot.referenced = true;
             slot.hits += 1;
             self.hits += 1;
             self.exec.residency().record_hit();
@@ -265,7 +254,6 @@ impl ListResidency {
         let slot = &mut self.slots[list];
         slot.lease = Some(lease);
         slot.last_touch = tick;
-        slot.referenced = true;
         Ok(bytes)
     }
 
@@ -289,7 +277,7 @@ impl ListResidency {
 
     /// Picks the next victim among resident lists, or `None` when nothing
     /// is resident.
-    fn pick_victim(&mut self) -> Option<usize> {
+    fn pick_victim(&self) -> Option<usize> {
         match self.policy {
             EvictionPolicy::Lru => self
                 .slots
@@ -298,27 +286,6 @@ impl ListResidency {
                 .filter(|(_, s)| s.lease.is_some())
                 .min_by_key(|(i, s)| (s.last_touch, *i))
                 .map(|(i, _)| i),
-            EvictionPolicy::Clock => {
-                if !self.slots.iter().any(|s| s.lease.is_some()) {
-                    return None;
-                }
-                // Two full sweeps suffice: the first clears every
-                // reference bit, the second must find a victim.
-                for _ in 0..2 * self.slots.len() {
-                    let i = self.hand;
-                    self.hand = (self.hand + 1) % self.slots.len();
-                    let slot = &mut self.slots[i];
-                    if slot.lease.is_none() {
-                        continue;
-                    }
-                    if slot.referenced {
-                        slot.referenced = false;
-                    } else {
-                        return Some(i);
-                    }
-                }
-                None
-            }
         }
     }
 
@@ -397,22 +364,6 @@ mod tests {
         let s = res.stats();
         assert!(s.high_water_bytes <= s.budget_bytes);
         assert_eq!(s.evictions, 2);
-    }
-
-    #[test]
-    fn clock_gives_referenced_lists_a_second_chance() {
-        let e = exec();
-        let sizes = [1000u64, 1000, 1000];
-        let mut res = ListResidency::new(e.clone(), &sizes, 2500, EvictionPolicy::Clock);
-        res.touch(0).unwrap();
-        res.touch(1).unwrap();
-        // Both referenced; the sweep clears 0's bit then 1's, wraps, and
-        // evicts 0 — FIFO order on a fully referenced set.
-        res.touch(2).unwrap();
-        let counters = res.list_counters();
-        assert!(!counters[0].resident);
-        assert!(counters[1].resident && counters[2].resident);
-        assert!(res.stats().high_water_bytes <= 2500);
     }
 
     #[test]

@@ -134,14 +134,13 @@ proptest! {
     }
 
     /// Tiered residency moves bytes, never values: for random corpora,
-    /// budgets, eviction policies, and query streams, a budgeted index
-    /// returns hits bit-identical to the fully-resident one — and the
-    /// tier's resident-byte high-water never exceeds the budget.
+    /// budgets and query streams, a budgeted index returns hits
+    /// bit-identical to the fully-resident one — and the tier's
+    /// resident-byte high-water never exceeds the budget.
     #[test]
     fn tiered_search_is_bit_identical_and_respects_budget(
         n in 40usize..120,
         budget_pct in 2u64..120,
-        clock in 0u8..2,
         stream in prop::collection::vec(0usize..6, 1..10),
         seed in 0u64..10,
     ) {
@@ -155,8 +154,9 @@ proptest! {
         };
         let full = train().with_gpu(exec()).expect("attaches");
         let budget = full.list_code_bytes() * budget_pct / 100;
-        let policy = if clock == 1 { EvictionPolicy::Clock } else { EvictionPolicy::Lru };
-        let tiered = train().with_gpu_tiered(exec(), budget, policy).expect("attaches");
+        let tiered = train()
+            .with_gpu_tiered(exec(), budget, EvictionPolicy::Lru)
+            .expect("attaches");
         for &t in &stream {
             let q = e.embed(&format!("topic {t} document"));
             prop_assert_eq!(full.search(&q, 5), tiered.search(&q, 5));

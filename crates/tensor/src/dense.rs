@@ -291,10 +291,16 @@ impl Tensor {
         out
     }
 
-    /// Dense matmul `self (m×k) · other (k×n)`, parallelized over rows.
-    /// Each output element sums `a[i,kk] · b[kk,j]` in `kk` order, skipping
-    /// zero `a[i,kk]` (the bit-identity contract of the
-    /// private `kernels` module).
+    /// Dense matmul `self (m×k) · other (k×n)`, parallelized over tiles of
+    /// four output rows.
+    ///
+    /// Each output element starts at `+0.0` and adds `a[i,kk] · b[kk,j]` in
+    /// `kk` order, skipping zero `a[i,kk]`; the product and the sum round
+    /// separately (no FMA) and a NaN result is stored as [`f32::NAN`]. The
+    /// result is therefore the same bits as that plain scalar loop on every
+    /// CPU, whichever compilation of the private `kernels` module runs: on
+    /// AVX-512 hosts a 4-row × 64-column register tile, elsewhere one row
+    /// at a time. An `m × 0` result is empty.
     pub fn matmul(&self, other: &Self) -> Result<Self, TensorError> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
@@ -306,22 +312,56 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        let isa = Isa::detect();
-        out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            kernels::matmul_row(isa, a_row, &other.data, n, out_row);
-        });
-        Ok(Self {
-            rows: m,
-            cols: n,
-            data: out,
-        })
+        Ok(Self::from_row_tiles(m, n, |isa, i0, out_tile| {
+            let a = &self.data[i0 * k..(i0 + out_tile.len() / n) * k];
+            kernels::matmul_rows(isa, a, k, &other.data, n, out_tile);
+        }))
     }
 
-    /// Row-wise softmax.
+    /// `selfᵀ · other` for `self` `k × m` and `other` `k × n`, without
+    /// building the transpose. The result is bit for bit
+    /// `self.transpose().matmul(other)`: output row `i` takes its weights
+    /// from column `i` of `self`, in `kk` order, skipping zeros.
+    pub fn t_matmul(&self, other: &Self) -> Result<Self, TensorError> {
+        if self.rows != other.rows {
+            return Err(TensorError::ShapeMismatch {
+                expected: format!(
+                    "row counts to agree ({}x{}ᵀ · {}x{})",
+                    self.rows, self.cols, other.rows, other.cols
+                ),
+                got: format!("{} vs {}", self.rows, other.rows),
+            });
+        }
+        let (m, n) = (self.cols, other.cols);
+        Ok(Self::from_row_tiles(m, n, |isa, i0, out_tile| {
+            kernels::t_matmul_rows(isa, &self.data, m, i0, &other.data, n, out_tile);
+        }))
+    }
+
+    /// An `m × n` product computed in parallel over tiles of
+    /// `kernels::TILE_ROWS` output rows: `tile(isa, i0, out_tile)` fills the
+    /// whole rows `i0..` that `out_tile` holds. An `m × 0` result is empty.
+    fn from_row_tiles(m: usize, n: usize, tile: impl Fn(Isa, usize, &mut [f32]) + Sync) -> Self {
+        let mut data = vec![0.0f32; m * n];
+        if n > 0 {
+            let isa = Isa::detect();
+            data.par_chunks_mut(kernels::TILE_ROWS * n)
+                .enumerate()
+                .for_each(|(t, out_tile)| tile(isa, t * kernels::TILE_ROWS, out_tile));
+        }
+        Self {
+            rows: m,
+            cols: n,
+            data,
+        }
+    }
+
+    /// Row-wise softmax (an `m × 0` tensor is returned as is).
     pub fn softmax_rows(&self) -> Self {
         let mut out = self.clone();
+        if self.cols == 0 {
+            return out;
+        }
         out.data.par_chunks_mut(self.cols).for_each(|row| {
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
@@ -336,9 +376,13 @@ impl Tensor {
         out
     }
 
-    /// Row-wise log-softmax (numerically stable).
+    /// Row-wise log-softmax, numerically stable (an `m × 0` tensor is
+    /// returned as is).
     pub fn log_softmax_rows(&self) -> Self {
         let mut out = self.clone();
+        if self.cols == 0 {
+            return out;
+        }
         out.data.par_chunks_mut(self.cols).for_each(|row| {
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let log_sum = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
@@ -450,7 +494,15 @@ mod tests {
         // A (skipped) and non-finite entries in B; NaN results are stored as
         // the canonical `f32::NAN`.
         let mut rng = SmallRng::seed_from_u64(11);
-        for &(m, k, n) in &[(3, 0, 5), (4, 7, 1), (5, 9, 64), (3, 13, 131), (6, 5, 200)] {
+        for &(m, k, n) in &[
+            (3, 0, 5),
+            (4, 7, 1),
+            (5, 9, 64),
+            (3, 13, 131),
+            (6, 5, 200),
+            (9, 130, 4),
+            (10, 37, 128),
+        ] {
             let mut a = Tensor::randn(m, k, &mut rng);
             let mut b = Tensor::randn(k, n, &mut rng);
             for (i, v) in a.data_mut().iter_mut().enumerate() {
@@ -485,6 +537,67 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got.data()), bits(&want), "{m}x{k}·{k}x{n}");
         }
+    }
+
+    #[test]
+    fn t_matmul_is_bitwise_transpose_then_matmul() {
+        // Zeros in the left operand (skipped, some tile rows only) and
+        // non-finite entries on the right, on and off the tile and lane grid.
+        let mut rng = SmallRng::seed_from_u64(12);
+        for &(k, m, n) in &[
+            (0, 3, 5),
+            (7, 1, 4),
+            (130, 9, 4),
+            (37, 10, 128),
+            (20, 6, 70),
+        ] {
+            let mut a = Tensor::randn(k, m, &mut rng);
+            let mut b = Tensor::randn(k, n, &mut rng);
+            for (i, v) in a.data_mut().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            for (i, v) in b.data_mut().iter_mut().enumerate() {
+                match i % 13 {
+                    0 => *v = f32::NEG_INFINITY,
+                    4 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+            let want = a.transpose().matmul(&b).unwrap();
+            let got = a.t_matmul(&b).unwrap();
+            assert_eq!(got.shape(), (m, n));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.data()), bits(want.data()), "{k}x{m}ᵀ·{k}x{n}");
+        }
+        assert!(Tensor::ones(3, 2).t_matmul(&Tensor::ones(2, 3)).is_err());
+    }
+
+    /// Regression: a right-hand operand with no columns made `matmul` and
+    /// `t_matmul` panic ("chunk size must be positive").
+    #[test]
+    fn zero_width_products_are_empty() {
+        let c = Tensor::ones(3, 4).matmul(&Tensor::zeros(4, 0)).unwrap();
+        assert_eq!(c.shape(), (3, 0));
+        assert!(c.is_empty());
+        let c = Tensor::ones(4, 3).t_matmul(&Tensor::zeros(4, 0)).unwrap();
+        assert_eq!(c.shape(), (3, 0));
+        assert!(c.is_empty());
+    }
+
+    /// Regression: softmax over rows of width 0 panicked like `matmul`.
+    #[test]
+    fn softmax_rows_of_zero_width_is_empty() {
+        let s = Tensor::zeros(3, 0).softmax_rows();
+        assert_eq!(s.shape(), (3, 0));
+    }
+
+    /// Regression: log-softmax over rows of width 0 panicked like `matmul`.
+    #[test]
+    fn log_softmax_rows_of_zero_width_is_empty() {
+        let s = Tensor::zeros(3, 0).log_softmax_rows();
+        assert_eq!(s.shape(), (3, 0));
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl CsrMatrix {
 
     /// Sparse-dense product `self (m×k) · dense (k×n)`, rayon over rows.
     /// Each output element sums `v · dense[c, j]` in stored-entry order
-    /// (explicit zeros included).
+    /// (explicit zeros included). An `m × 0` result is empty.
     pub fn spmm(&self, dense: &Tensor) -> Result<Tensor, TensorError> {
         if self.cols != dense.rows() {
             return Err(TensorError::ShapeMismatch {
@@ -144,18 +144,20 @@ impl CsrMatrix {
         }
         let n = dense.cols();
         let mut out = vec![0.0f32; self.rows * n];
-        let isa = Isa::detect();
-        out.par_chunks_mut(n).enumerate().for_each(|(r, out_row)| {
-            let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
-            kernels::spmm_row(
-                isa,
-                &self.indices[lo..hi],
-                &self.values[lo..hi],
-                dense.data(),
-                n,
-                out_row,
-            );
-        });
+        if n > 0 {
+            let isa = Isa::detect();
+            out.par_chunks_mut(n).enumerate().for_each(|(r, out_row)| {
+                let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
+                kernels::spmm_row(
+                    isa,
+                    &self.indices[lo..hi],
+                    &self.values[lo..hi],
+                    dense.data(),
+                    n,
+                    out_row,
+                );
+            });
+        }
         Tensor::from_vec(self.rows, n, out)
     }
 
@@ -273,6 +275,16 @@ mod tests {
         let got = m.spmm(&x).unwrap();
         let want = m.to_dense().matmul(&x).unwrap();
         assert_eq!(got, want);
+    }
+
+    /// Regression: a dense operand with no columns made `spmm` panic
+    /// ("chunk size must be positive").
+    #[test]
+    fn spmm_with_zero_width_operand_is_empty() {
+        let m = CsrMatrix::from_triplets(3, 4, &[(0, 1, 2.0), (2, 3, -1.0)]).unwrap();
+        let got = m.spmm(&Tensor::zeros(4, 0)).unwrap();
+        assert_eq!(got.shape(), (3, 0));
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 # 3. cargo doc -D warnings    — rustdoc builds clean (broken intra-doc
 #                               links, private-item leaks, bad HTML)
 # 4. tier-1: release build (all targets: lib, bins, tests, benches) +
-#    full test suite
+#    full test suite, then the tensor crate's tests again in release mode:
+#    its host kernels hold the workspace's SIMD intrinsics (`unsafe`), and
+#    release codegen is what every benchmark and experiment runs
 # 5. BENCH_A*.json: for every artifact row of `repro --list`, regenerate
 #    it with `repro --exp <id>`, which exits nonzero on a failed write or a
 #    violated bound, and require repro_output.txt to mention it (catches the
@@ -51,6 +53,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> tier-1: cargo build --release --all-targets && cargo test -q --workspace"
 cargo build --release --all-targets
 cargo test -q --workspace
+cargo test --release -q -p sagegpu-tensor
 
 echo "==> BENCH_A*.json: regenerate + check every artifact of \`repro --list\`"
 rows=$(cargo run --release -q -p sagegpu-bench --bin repro -- --list)
