@@ -445,12 +445,13 @@ pub fn train_distributed_with_opts(
         } else {
             theta_hits += k as u64;
         }
-        // Line 8 (per epoch): broadcast current θ.
-        let params = model.get_parameters();
+        // Line 8 (per epoch): broadcast current θ, one copy shared by
+        // every worker's task.
+        let params = Arc::new(model.get_parameters());
         let exec_mode = opts.exec;
         let mut futures = Vec::with_capacity(k);
         for (worker, &key) in partition_keys.iter().enumerate() {
-            let params = params.clone();
+            let params = Arc::clone(&params);
             let graph_key = graph_keys[worker];
             let submit = opts.submit;
             // Epoch 0 must not start its first kernel until the copy
@@ -566,13 +567,17 @@ pub fn train_distributed_with_opts(
             }
         }
         let weights: Vec<f64> = results.iter().map(|(_, _, c, _)| *c as f64).collect();
-        let per_worker: Vec<Vec<Tensor>> = match opts.compression {
-            Compression::None => results.iter().map(|(g, _, _, _)| g.clone()).collect(),
-            Compression::Fp16ErrorFeedback => results
-                .iter()
-                .zip(compressors.iter_mut())
-                .map(|((g, _, _, _), c)| c.compress(g))
-                .collect(),
+        let compressed: Vec<Vec<Tensor>>;
+        let per_worker: Vec<&[Tensor]> = match opts.compression {
+            Compression::None => results.iter().map(|(g, _, _, _)| g.as_slice()).collect(),
+            Compression::Fp16ErrorFeedback => {
+                compressed = results
+                    .iter()
+                    .zip(compressors.iter_mut())
+                    .map(|((g, _, _, _), c)| c.compress(g))
+                    .collect();
+                compressed.iter().map(Vec::as_slice).collect()
+            }
         };
         let total_train: f64 = weights.iter().sum();
         if total_train > 0.0 {

@@ -19,6 +19,36 @@ pub trait Optimizer {
     }
 }
 
+/// One SGD step's scalars. [`Sgd`] and
+/// [`ResidentSgd`](crate::resident::ResidentSgd) both update through it, so
+/// host and resident trajectories are bit-identical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SgdStep {
+    pub lr: f32,
+    pub momentum: f32,
+}
+
+impl SgdStep {
+    /// `p ← p − d·lr` in place: the plain SGD step (`d` = the gradient), and
+    /// the first momentum step, whose velocity is the gradient itself.
+    pub fn descend(&self, p: &mut Tensor, d: &Tensor) {
+        assert_eq!(p.shape(), d.shape(), "param/grad shapes");
+        for (p, &d) in p.data_mut().iter_mut().zip(d.data()) {
+            *p -= d * self.lr;
+        }
+    }
+
+    /// A later momentum step in one pass: `v ← v·β + g; p ← p − v·lr`.
+    pub fn momentum(&self, p: &mut Tensor, v: &mut Tensor, g: &Tensor) {
+        assert_eq!(p.shape(), g.shape(), "param/grad shapes");
+        assert_eq!(v.shape(), g.shape(), "velocity/grad shapes");
+        for ((p, v), &g) in p.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
+            *v = *v * self.momentum + g;
+            *p -= *v * self.lr;
+        }
+    }
+}
+
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
 pub struct Sgd {
@@ -41,30 +71,78 @@ impl Sgd {
             velocity: Vec::new(),
         }
     }
-
-    fn slot(&mut self, i: usize) -> &mut Option<Tensor> {
-        if self.velocity.len() <= i {
-            self.velocity.resize(i + 1, None);
-        }
-        &mut self.velocity[i]
-    }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, i: usize, param: &mut Tensor, grad: &Tensor) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        if momentum == 0.0 {
-            *param = param.sub(&grad.scale(lr)).expect("shapes");
+        let step = SgdStep {
+            lr: self.lr,
+            momentum: self.momentum,
+        };
+        if step.momentum == 0.0 {
+            step.descend(param, grad);
             return;
         }
-        let slot = self.slot(i);
-        let v = match slot.take() {
-            Some(prev) => prev.scale(momentum).add(grad).expect("shapes"),
-            None => grad.clone(),
-        };
-        *param = param.sub(&v.scale(lr)).expect("shapes");
-        *slot = Some(v);
+        if self.velocity.len() <= i {
+            self.velocity.resize(i + 1, None);
+        }
+        match &mut self.velocity[i] {
+            Some(v) => step.momentum(param, v, grad),
+            slot @ None => {
+                step.descend(param, grad);
+                *slot = Some(grad.clone());
+            }
+        }
+    }
+}
+
+/// One Adam step's scalars: the hyper-parameters plus the bias-correction
+/// reciprocals `k₁ = 1/(1 − β₁ᵗ)`, `k₂ = 1/(1 − β₂ᵗ)` of step `t`. [`Adam`]
+/// and [`ResidentAdam`](crate::resident::ResidentAdam) both update through
+/// [`AdamStep::apply`], so host and resident trajectories are bit-identical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    k1: f32,
+    k2: f32,
+}
+
+impl AdamStep {
+    /// The scalars of step `t` (steps before the first count as the first).
+    pub fn new(lr: f32, beta1: f32, beta2: f32, eps: f32, t: i32) -> Self {
+        let t = t.max(1) as f32;
+        Self {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            k1: 1.0 / (1.0 - beta1.powf(t)),
+            k2: 1.0 / (1.0 - beta2.powf(t)),
+        }
+    }
+
+    /// Updates parameter `p` and moments `m`, `v` (zeros before the first
+    /// step) in place from gradient `g`, one pass per element:
+    ///
+    /// - `m ← m·β₁ + g·(1 − β₁)`
+    /// - `v ← v·β₂ + (g·g)·(1 − β₂)`
+    /// - `p ← p − lr·(m·k₁) / (√(v·k₂) + ε)`
+    ///
+    /// Every product and sum rounds on its own (no FMA), in the order given.
+    pub fn apply(&self, p: &mut Tensor, m: &mut Tensor, v: &mut Tensor, g: &Tensor) {
+        assert_eq!(p.shape(), g.shape(), "param/grad shapes");
+        assert_eq!(m.shape(), g.shape(), "moment/grad shapes");
+        assert_eq!(v.shape(), g.shape(), "moment/grad shapes");
+        let (c1, c2) = (1.0 - self.beta1, 1.0 - self.beta2);
+        let moments = m.data_mut().iter_mut().zip(v.data_mut());
+        for ((p, (m, v)), &g) in p.data_mut().iter_mut().zip(moments).zip(g.data()) {
+            *m = *m * self.beta1 + g * c1;
+            *v = *v * self.beta2 + g * g * c2;
+            *p -= self.lr * (*m * self.k1) / ((*v * self.k2).sqrt() + self.eps);
+        }
     }
 }
 
@@ -76,8 +154,8 @@ pub struct Adam {
     pub beta2: f32,
     pub eps: f32,
     t: i32,
-    m: Vec<Option<Tensor>>,
-    v: Vec<Option<Tensor>>,
+    /// First and second moments per parameter slot.
+    moments: Vec<Option<(Tensor, Tensor)>>,
 }
 
 impl Adam {
@@ -89,8 +167,7 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
+            moments: Vec::new(),
         }
     }
 
@@ -103,34 +180,15 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, i: usize, param: &mut Tensor, grad: &Tensor) {
-        if self.m.len() <= i {
-            self.m.resize(i + 1, None);
-            self.v.resize(i + 1, None);
+        if self.moments.len() <= i {
+            self.moments.resize(i + 1, None);
         }
-        let t = self.t.max(1) as f32;
-        let m_prev = self.m[i]
-            .take()
-            .unwrap_or_else(|| Tensor::zeros(grad.rows(), grad.cols()));
-        let v_prev = self.v[i]
-            .take()
-            .unwrap_or_else(|| Tensor::zeros(grad.rows(), grad.cols()));
-        let m = m_prev
-            .scale(self.beta1)
-            .add(&grad.scale(1.0 - self.beta1))
-            .expect("shapes");
-        let v = v_prev
-            .scale(self.beta2)
-            .add(&grad.hadamard(grad).expect("shapes").scale(1.0 - self.beta2))
-            .expect("shapes");
-        let m_hat = m.scale(1.0 / (1.0 - self.beta1.powf(t)));
-        let v_hat = v.scale(1.0 / (1.0 - self.beta2.powf(t)));
-        let mut update = m_hat;
-        for (u, vh) in update.data_mut().iter_mut().zip(v_hat.data()) {
-            *u = self.lr * *u / (vh.sqrt() + self.eps);
-        }
-        *param = param.sub(&update).expect("shapes");
-        self.m[i] = Some(m);
-        self.v[i] = Some(v);
+        let step = AdamStep::new(self.lr, self.beta1, self.beta2, self.eps, self.t);
+        let (m, v) = self.moments[i].get_or_insert_with(|| {
+            let zeros = Tensor::zeros(grad.rows(), grad.cols());
+            (zeros.clone(), zeros)
+        });
+        step.apply(param, m, v, grad);
     }
 
     fn step_all(&mut self, params: Vec<&mut Tensor>, grads: &[Tensor]) {
@@ -230,6 +288,132 @@ mod tests {
         }
         // Symmetric gradients must yield symmetric trajectories.
         assert!((a.get(0, 0) + b.get(0, 0)).abs() < 1e-6);
+    }
+
+    /// The multi-pass Adam chain [`AdamStep::apply`] replaced: one
+    /// allocating tensor op per term. Returns the new `(p, m, v)`.
+    fn adam_reference(
+        opt: &Adam,
+        t: i32,
+        p: &Tensor,
+        m_prev: &Tensor,
+        v_prev: &Tensor,
+        g: &Tensor,
+    ) -> (Tensor, Tensor, Tensor) {
+        let t = t.max(1) as f32;
+        let m = m_prev
+            .scale(opt.beta1)
+            .add(&g.scale(1.0 - opt.beta1))
+            .unwrap();
+        let v = v_prev
+            .scale(opt.beta2)
+            .add(&g.hadamard(g).unwrap().scale(1.0 - opt.beta2))
+            .unwrap();
+        let m_hat = m.scale(1.0 / (1.0 - opt.beta1.powf(t)));
+        let v_hat = v.scale(1.0 / (1.0 - opt.beta2.powf(t)));
+        let mut update = m_hat;
+        for (u, vh) in update.data_mut().iter_mut().zip(v_hat.data()) {
+            *u = opt.lr * *u / (vh.sqrt() + opt.eps);
+        }
+        (p.sub(&update).unwrap(), m, v)
+    }
+
+    /// The multi-pass SGD chain [`SgdStep`] replaced. Returns the new
+    /// parameter and velocity (`None` for plain SGD).
+    fn sgd_reference(
+        lr: f32,
+        momentum: f32,
+        p: &Tensor,
+        velocity: Option<Tensor>,
+        g: &Tensor,
+    ) -> (Tensor, Option<Tensor>) {
+        if momentum == 0.0 {
+            return (p.sub(&g.scale(lr)).unwrap(), None);
+        }
+        let v = match velocity {
+            Some(prev) => prev.scale(momentum).add(g).unwrap(),
+            None => g.clone(),
+        };
+        (p.sub(&v.scale(lr)).unwrap(), Some(v))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Signed zeros, subnormals and magnitudes whose square overflows.
+    const SPECIAL: [f32; 7] = [0.0, -0.0, 1e-40, -1e-40, 1e-45, 1e30, -1e30];
+
+    /// Step `step`'s gradient: entries cycle through `pool` so shapes of
+    /// any size draw on every special value the pool holds.
+    fn gradient(rows: usize, cols: usize, step: usize, pool: &[f32]) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|j| pool[(j * 7 + step * 13) % pool.len()])
+            .collect();
+        Tensor::from_vec(rows, cols, data).unwrap()
+    }
+
+    fn pool(picks: &[usize], vals: &[f32]) -> Vec<f32> {
+        picks
+            .iter()
+            .zip(vals)
+            .map(|(&k, &v)| SPECIAL.get(k).copied().unwrap_or(v))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The one-pass Adam kernel reproduces the multi-pass chain bit for
+        /// bit: parameter after every step, and both moments at the end.
+        #[test]
+        fn adam_kernel_matches_multi_pass_chain_bitwise(
+            rows in 1usize..34,
+            cols in 1usize..18,
+            steps in 1usize..31,
+            lr in 1e-4f32..0.5,
+            picks in proptest::collection::vec(0usize..21, 64..65),
+            vals in proptest::collection::vec(-4.0f32..4.0, 64..65),
+        ) {
+            let pool = pool(&picks, &vals);
+            let mut opt = Adam::new(lr);
+            let mut p = gradient(rows, cols, 99, &pool);
+            let mut want = (p.clone(), Tensor::zeros(rows, cols), Tensor::zeros(rows, cols));
+            for step in 0..steps {
+                let g = gradient(rows, cols, step, &pool);
+                opt.step_all(vec![&mut p], std::slice::from_ref(&g));
+                want = adam_reference(&opt, step as i32 + 1, &want.0, &want.1, &want.2, &g);
+                proptest::prop_assert_eq!(bits(&p), bits(&want.0));
+            }
+            let (m, v) = opt.moments[0].as_ref().unwrap();
+            proptest::prop_assert_eq!(bits(m), bits(&want.1));
+            proptest::prop_assert_eq!(bits(v), bits(&want.2));
+        }
+
+        /// The one-pass SGD steps reproduce the multi-pass chain bit for
+        /// bit, with and without momentum.
+        #[test]
+        fn sgd_kernel_matches_multi_pass_chain_bitwise(
+            rows in 1usize..34,
+            cols in 1usize..18,
+            steps in 1usize..31,
+            lr in 1e-4f32..0.5,
+            with_momentum in 0usize..2,
+            picks in proptest::collection::vec(0usize..21, 64..65),
+            vals in proptest::collection::vec(-4.0f32..4.0, 64..65),
+        ) {
+            let pool = pool(&picks, &vals);
+            let momentum = if with_momentum == 1 { 0.9 } else { 0.0 };
+            let mut opt = Sgd::with_momentum(lr, momentum);
+            let mut p = gradient(rows, cols, 99, &pool);
+            let mut want = (p.clone(), None);
+            for step in 0..steps {
+                let g = gradient(rows, cols, step, &pool);
+                opt.step(0, &mut p, &g);
+                want = sgd_reference(lr, momentum, &want.0, want.1, &g);
+                proptest::prop_assert_eq!(bits(&p), bits(&want.0));
+            }
+        }
     }
 
     #[test]

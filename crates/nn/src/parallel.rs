@@ -19,25 +19,36 @@ pub fn average_gradients(per_worker: &[Vec<Tensor>]) -> Vec<Tensor> {
 
 /// Averages per-worker gradients with the given non-negative weights
 /// (normalized internally). Panics on empty input or mismatched layouts.
-pub fn weighted_average_gradients(per_worker: &[Vec<Tensor>], weights: &[f64]) -> Vec<Tensor> {
+///
+/// Worker lists are borrowed (`Vec<Tensor>`, `&[Tensor]`, …). Worker 0's
+/// scaled gradients seed the result; every later worker adds `g·k` into it
+/// in place, one pass per tensor.
+pub fn weighted_average_gradients<G: AsRef<[Tensor]>>(
+    per_worker: &[G],
+    weights: &[f64],
+) -> Vec<Tensor> {
     assert!(!per_worker.is_empty(), "no worker gradients");
     assert_eq!(per_worker.len(), weights.len(), "one weight per worker");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must not all be zero");
-    let n_params = per_worker[0].len();
-    let mut out: Vec<Tensor> = per_worker[0]
+    let first = per_worker[0].as_ref();
+    let mut out: Vec<Tensor> = first
         .iter()
         .map(|g| g.scale((weights[0] / total) as f32))
         .collect();
     for (worker, w) in per_worker.iter().zip(weights).skip(1) {
+        let worker = worker.as_ref();
         assert_eq!(
             worker.len(),
-            n_params,
+            first.len(),
             "parameter count mismatch across workers"
         );
         let k = (*w / total) as f32;
         for (acc, g) in out.iter_mut().zip(worker) {
-            *acc = acc.add(&g.scale(k)).expect("gradient shapes match");
+            assert_eq!(acc.shape(), g.shape(), "gradient shapes match");
+            for (a, &g) in acc.data_mut().iter_mut().zip(g.data()) {
+                *a += g * k;
+            }
         }
     }
     out

@@ -11,15 +11,16 @@
 //!   [`ResidentParams::to_host`] sync point, which charges the D2H.
 //! - [`ResidentSgd`] / [`ResidentAdam`] — optimizers whose velocity/moment
 //!   state is allocated from the device pool on first use and never leaves.
-//!   Their update arithmetic is copied expression-for-expression from
-//!   [`crate::optim::Sgd`] / [`crate::optim::Adam`], so resident training
-//!   is **bit-identical** to the host path.
+//!   Each shares the kernel of [`crate::optim::Sgd`] /
+//!   [`crate::optim::Adam`] (one in-place pass per element), so resident
+//!   training is **bit-identical** to the host path.
 //!
 //! Forward/backward activations are the third leg: they are born resident
 //! because every `GpuExecutor` op output already is (see
 //! `sagegpu_tensor::residency`); inside a fused training-step kernel they
 //! never exist on the host at all.
 
+use crate::optim::{AdamStep, SgdStep};
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::residency::DeviceTensor;
@@ -119,26 +120,21 @@ impl ResidentSgd {
         if self.velocity.len() < params.len() {
             self.velocity.resize_with(params.len(), || None);
         }
+        let step = SgdStep {
+            lr: self.lr,
+            momentum: self.momentum,
+        };
         for (i, (p, grad)) in params.tensors_mut().iter_mut().zip(grads).enumerate() {
-            if self.momentum == 0.0 {
-                let updated = p.tensor().sub(&grad.scale(self.lr)).expect("shapes");
-                *p.tensor_mut() = updated;
+            if step.momentum == 0.0 {
+                step.descend(p.tensor_mut(), grad);
                 continue;
             }
-            let v = match &self.velocity[i] {
-                Some(prev) => prev
-                    .tensor()
-                    .scale(self.momentum)
-                    .add(grad)
-                    .expect("shapes"),
-                None => grad.clone(),
-            };
-            let updated = p.tensor().sub(&v.scale(self.lr)).expect("shapes");
-            *p.tensor_mut() = updated;
-            if let Some(dt) = &mut self.velocity[i] {
-                *dt.tensor_mut() = v;
-            } else {
-                self.velocity[i] = Some(exec.alloc_on_device(v)?);
+            match &mut self.velocity[i] {
+                Some(v) => step.momentum(p.tensor_mut(), v.tensor_mut(), grad),
+                slot @ None => {
+                    step.descend(p.tensor_mut(), grad);
+                    *slot = Some(exec.alloc_on_device(grad.clone())?);
+                }
             }
         }
         Ok(())
@@ -155,8 +151,8 @@ pub struct ResidentAdam {
     pub beta2: f32,
     pub eps: f32,
     t: i32,
-    m: Vec<Option<DeviceTensor>>,
-    v: Vec<Option<DeviceTensor>>,
+    /// First and second moments per parameter, in the device pool.
+    moments: Vec<Option<(DeviceTensor, DeviceTensor)>>,
 }
 
 impl ResidentAdam {
@@ -168,8 +164,7 @@ impl ResidentAdam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
+            moments: Vec::new(),
         }
     }
 
@@ -188,48 +183,18 @@ impl ResidentAdam {
     ) -> Result<(), TensorError> {
         assert_eq!(params.len(), grads.len(), "param/grad count mismatch");
         self.t += 1;
-        if self.m.len() < params.len() {
-            self.m.resize_with(params.len(), || None);
-            self.v.resize_with(params.len(), || None);
+        if self.moments.len() < params.len() {
+            self.moments.resize_with(params.len(), || None);
         }
-        let t = self.t.max(1) as f32;
+        let step = AdamStep::new(self.lr, self.beta1, self.beta2, self.eps, self.t);
         for (i, (p, grad)) in params.tensors_mut().iter_mut().zip(grads).enumerate() {
-            // Expression-for-expression copy of `Adam::step` so the
-            // trajectories are bit-identical to host training.
-            let m_prev = match &self.m[i] {
-                Some(dt) => dt.tensor().clone(),
-                None => Tensor::zeros(grad.rows(), grad.cols()),
-            };
-            let v_prev = match &self.v[i] {
-                Some(dt) => dt.tensor().clone(),
-                None => Tensor::zeros(grad.rows(), grad.cols()),
-            };
-            let m = m_prev
-                .scale(self.beta1)
-                .add(&grad.scale(1.0 - self.beta1))
-                .expect("shapes");
-            let v = v_prev
-                .scale(self.beta2)
-                .add(&grad.hadamard(grad).expect("shapes").scale(1.0 - self.beta2))
-                .expect("shapes");
-            let m_hat = m.scale(1.0 / (1.0 - self.beta1.powf(t)));
-            let v_hat = v.scale(1.0 / (1.0 - self.beta2.powf(t)));
-            let mut update = m_hat;
-            for (u, vh) in update.data_mut().iter_mut().zip(v_hat.data()) {
-                *u = self.lr * *u / (vh.sqrt() + self.eps);
+            let slot = &mut self.moments[i];
+            if slot.is_none() {
+                let zeros = || exec.alloc_on_device(Tensor::zeros(grad.rows(), grad.cols()));
+                *slot = Some((zeros()?, zeros()?));
             }
-            let updated = p.tensor().sub(&update).expect("shapes");
-            *p.tensor_mut() = updated;
-            if let Some(dt) = &mut self.m[i] {
-                *dt.tensor_mut() = m;
-            } else {
-                self.m[i] = Some(exec.alloc_on_device(m)?);
-            }
-            if let Some(dt) = &mut self.v[i] {
-                *dt.tensor_mut() = v;
-            } else {
-                self.v[i] = Some(exec.alloc_on_device(v)?);
-            }
+            let (m, v) = slot.as_mut().expect("moments allocated");
+            step.apply(p.tensor_mut(), m.tensor_mut(), v.tensor_mut(), grad);
         }
         Ok(())
     }

@@ -229,17 +229,23 @@ impl Tape {
     fn linear_impl(&self, x: Var, w: Var, b: Var, relu: bool) -> Var {
         let value = {
             let nodes = self.nodes.borrow();
-            let h = nodes[x.0]
+            let mut h = nodes[x.0]
                 .value
                 .matmul(&nodes[w.0].value)
-                .expect("matmul shapes")
-                .add_row_broadcast(&nodes[b.0].value)
-                .expect("bias shape");
-            if relu {
-                h.relu()
-            } else {
-                h
+                .expect("matmul shapes");
+            let bias = &nodes[b.0].value;
+            assert_eq!(bias.shape(), (1, h.cols()), "bias shape");
+            // The epilogue in one pass over the product, bit for bit
+            // `add_row_broadcast` followed by `Tensor::relu`.
+            if h.cols() > 0 {
+                for row in h.data_mut().chunks_exact_mut(bias.cols()) {
+                    for (o, &bc) in row.iter_mut().zip(bias.data()) {
+                        let pre = *o + bc;
+                        *o = if relu && pre <= 0.0 { 0.0 } else { pre };
+                    }
+                }
             }
+            h
         };
         self.push(Op::Linear { x, w, b, relu }, value)
     }
@@ -387,11 +393,15 @@ impl Tape {
         };
 
         for i in (0..n).rev() {
+            // A leaf passes nothing on; its gradient is only returned.
+            if matches!(nodes[i].op, Op::Leaf) {
+                continue;
+            }
             let Some(grad) = grads[i].clone() else {
                 continue;
             };
             match &nodes[i].op {
-                Op::Leaf => {}
+                Op::Leaf => unreachable!("leaves are skipped above"),
                 Op::MatMul(a, b) => {
                     if needs(a) {
                         let b_val = &nodes[b.0].value;
@@ -405,8 +415,9 @@ impl Tape {
                     }
                 }
                 Op::Spmm(s, x) => {
-                    // The op needs a gradient only if `x` does.
-                    let dx = s.transpose().spmm(&grad).expect("dX");
+                    // The op needs a gradient only if `x` does. `Sᵀ` is
+                    // built once per matrix and reused across tapes.
+                    let dx = s.transposed().spmm(&grad).expect("dX");
                     accumulate(&mut grads[x.0], dx);
                 }
                 Op::Add(a, b) => {
@@ -427,28 +438,18 @@ impl Tape {
                     }
                 }
                 Op::Relu(a) => {
-                    let a_val = &nodes[a.0].value;
-                    let mut da = grad.clone();
-                    for (g, &x) in da.data_mut().iter_mut().zip(a_val.data()) {
-                        if x <= 0.0 {
-                            *g = 0.0;
-                        }
-                    }
+                    let mut da = grad;
+                    mask_non_positive(&mut da, &nodes[a.0].value);
                     accumulate(&mut grads[a.0], da);
                 }
                 Op::Linear { x, w, b, relu } => {
                     let mut g = grad;
                     if *relu {
-                        // `out = relu(pre)` is zero exactly where `pre ≤ 0`
-                        // (max(-0.0, 0.0) = 0.0), so masking by the fused
-                        // output reproduces the unfused Relu rule without
-                        // storing the pre-activation.
-                        let out = &nodes[i].value;
-                        for (gv, &o) in g.data_mut().iter_mut().zip(out.data()) {
-                            if o <= 0.0 {
-                                *gv = 0.0;
-                            }
-                        }
+                        // `out = relu(pre)` is `≤ 0` exactly where `pre`
+                        // is (`-0.0` maps to `+0.0`, NaN stays NaN), so
+                        // masking by the fused output reproduces the
+                        // unfused Relu rule without storing `pre`.
+                        mask_non_positive(&mut g, &nodes[i].value);
                     }
                     if needs(x) {
                         let w_val = &nodes[w.0].value;
@@ -517,6 +518,15 @@ impl Tape {
             }
         }
         grads
+    }
+}
+
+/// The ReLU backward rule: zeroes `grad` wherever `x ≤ 0` (NaN keeps its
+/// gradient). A select rather than a branch, so the mask costs the same
+/// whatever the share of zeros.
+fn mask_non_positive(grad: &mut Tensor, x: &Tensor) {
+    for (g, &x) in grad.data_mut().iter_mut().zip(x.data()) {
+        *g = if x <= 0.0 { 0.0 } else { *g };
     }
 }
 
@@ -674,6 +684,43 @@ mod tests {
             &numerical_grad(&x0, &run),
             2e-3,
         );
+    }
+
+    /// `Op::Spmm`'s backward reads the matrix's memoized `Sᵀ`; on every
+    /// tape that shares the matrix it equals a freshly built
+    /// `s.transpose().spmm(..)` bit for bit.
+    #[test]
+    fn spmm_backward_through_memoized_transpose_is_bitwise_fresh() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        // Unsorted and repeated columns (the transpose merges them), an
+        // empty row and a -0.0 entry.
+        let s = Arc::new(
+            CsrMatrix::new(
+                5,
+                4,
+                vec![0, 3, 3, 5, 8, 9],
+                vec![2, 0, 2, 3, 1, 0, 0, 2, 3],
+                vec![0.1, 1.0, 0.2, -0.0, 5.0, 0.3, -0.7, 7.0, 0.25],
+            )
+            .unwrap(),
+        );
+        let fresh = CsrMatrix::clone(&s);
+        for tape_no in 0..3 {
+            let tape = Tape::new();
+            let vx = tape.leaf(Tensor::randn(4, 3, &mut rng));
+            let agg = tape.spmm(Arc::clone(&s), vx);
+            let u = tape.constant(Tensor::randn(1, 5, &mut rng));
+            let r = tape.constant(Tensor::randn(3, 1, &mut rng));
+            let loss = tape.matmul(tape.matmul(u, agg), r);
+            let grads = tape.backward(loss);
+            let upstream = grads[agg.index()].as_ref().unwrap();
+            let want = s.transpose().spmm(upstream).unwrap();
+            let got = grads[vx.index()].as_ref().unwrap();
+            assert_eq!(bits(got), bits(&want), "tape {tape_no}");
+        }
+        // The filled memo takes no part in equality.
+        assert_eq!(*s, fresh);
+        assert_eq!(fresh, *s);
     }
 
     #[test]
@@ -851,6 +898,66 @@ mod tests {
         let plain = tape.linear(vx, vw, vb);
         let chain = tape.add_bias(tape.matmul(vx, vw), vb);
         assert_eq!(tape.value(plain), tape.value(chain));
+
+        // Pre-activations of ±0, NaN, ±inf and subnormals, compared bit
+        // for bit. The loss `1ᵀ·h·1` hands `h` an all-ones gradient
+        // whatever `h` holds, so the mask alone decides what reaches `x`,
+        // `w` and `b`.
+        let mut x0 = Tensor::randn(7, 3, &mut rng);
+        let w0 = Tensor::randn(3, 5, &mut rng);
+        // Row 1 is zero, so its pre-activations are the bias itself; rows
+        // 2–4 carry ±inf and NaN through the product; row 5 is subnormal.
+        for c in 0..3 {
+            x0.set(1, c, 0.0);
+            for r in 2..5 {
+                x0.set(r, c, 0.0);
+            }
+            x0.set(5, c, 1e-40);
+        }
+        x0.set(2, 0, f32::INFINITY);
+        x0.set(3, 1, f32::NEG_INFINITY);
+        x0.set(4, 2, f32::NAN);
+        let b0 = Tensor::from_rows(&[&[0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]]);
+
+        let run = |fused: bool| {
+            let tape = Tape::new();
+            let (vx, vw, vb) = (
+                tape.leaf(x0.clone()),
+                tape.leaf(w0.clone()),
+                tape.leaf(b0.clone()),
+            );
+            let h = if fused {
+                tape.linear_relu(vx, vw, vb)
+            } else {
+                tape.relu(tape.add_bias(tape.matmul(vx, vw), vb))
+            };
+            let ones_l = tape.constant(Tensor::ones(1, 7));
+            let ones_r = tape.constant(Tensor::ones(5, 1));
+            let loss = tape.matmul(tape.matmul(ones_l, h), ones_r);
+            let grads = tape.backward(loss);
+            [
+                tape.value(h),
+                grads[vx.index()].clone().unwrap(),
+                grads[vw.index()].clone().unwrap(),
+                grads[vb.index()].clone().unwrap(),
+            ]
+        };
+        let (unfused, fused) = (run(false), run(true));
+        let pre = x0.matmul(&w0).unwrap().add_row_broadcast(&b0).unwrap();
+        assert!(pre.data().iter().any(|v| v.is_nan()));
+        assert!(pre.data().contains(&f32::INFINITY));
+        assert!(pre.data().contains(&f32::NEG_INFINITY));
+        assert!(pre.data().contains(&0.0));
+        for (name, (u, f)) in ["h", "dx", "dw", "db"]
+            .iter()
+            .zip(unfused.iter().zip(&fused))
+        {
+            assert_eq!(bits(u), bits(f), "{name}");
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use crate::pipeline::{LatencyReport, RagPipeline, RagResponse};
     pub use crate::pq::{IvfPqIndex, PqCodebook, PqConfig};
-    pub use crate::residency::{EvictionPolicy, ListResidency, TierStats};
+    pub use crate::residency::{ListResidency, TierStats};
     pub use crate::serve::{
         CacheStats, RagServer, ResponseHandle, RetrievalCache, ServeError, ServedResponse,
         ServerConfig, ServerReport,

@@ -27,8 +27,8 @@
 
 use crate::error::IndexError;
 use crate::index::{top_k, RetrievalIndex, SearchHit, TopK};
-use crate::residency::{EvictionPolicy, ListResidency, TierStats};
-use gpu_sim::pool::PoolStats;
+use crate::residency::{ListResidency, TierStats};
+use gpu_sim::pool::{PoolLease, PoolStats};
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -602,7 +602,7 @@ impl IvfPqIndex {
     /// scans never miss (the PR-9 fully-pinned behavior).
     pub fn with_gpu(self, exec: GpuExecutor) -> Result<Self, IndexError> {
         let budget = self.list_code_bytes();
-        let mut this = self.attach_gpu(exec, budget, EvictionPolicy::Lru)?;
+        let mut this = self.attach_gpu(exec, budget)?;
         // Prewarm: every list pays its one H2D now, list-id order, so the
         // upload cost lands at attach time exactly as pinning did.
         if let Some(state) = &mut this.gpu {
@@ -616,24 +616,14 @@ impl IvfPqIndex {
 
     /// Moves the index device-resident under a **byte budget** for the
     /// list codes: hot lists hold pooled leases, cold lists stay on host
-    /// and promote charge-on-miss with `policy` victim selection. Search
-    /// results are bit-identical to [`Self::with_gpu`] at every budget —
-    /// residency moves bytes, never values.
-    pub fn with_gpu_tiered(
-        self,
-        exec: GpuExecutor,
-        budget_bytes: u64,
-        policy: EvictionPolicy,
-    ) -> Result<Self, IndexError> {
-        self.attach_gpu(exec, budget_bytes, policy)
+    /// and promote charge-on-miss, evicting least-recently-used lists.
+    /// Search results are bit-identical to [`Self::with_gpu`] at every
+    /// budget — residency moves bytes, never values.
+    pub fn with_gpu_tiered(self, exec: GpuExecutor, budget_bytes: u64) -> Result<Self, IndexError> {
+        self.attach_gpu(exec, budget_bytes)
     }
 
-    fn attach_gpu(
-        mut self,
-        exec: GpuExecutor,
-        budget_bytes: u64,
-        policy: EvictionPolicy,
-    ) -> Result<Self, IndexError> {
+    fn attach_gpu(mut self, exec: GpuExecutor, budget_bytes: u64) -> Result<Self, IndexError> {
         let nlist = self.lists.len();
         let centroid_host = Tensor::from_vec(nlist, self.dim, self.centroids.clone())?;
         let centroid_mat = Arc::new(exec.upload(&centroid_host)?);
@@ -646,12 +636,7 @@ impl IvfPqIndex {
             .iter()
             .map(|list| (list.len() * cb.m()) as u64)
             .collect();
-        let residency = Mutex::new(ListResidency::new(
-            exec.clone(),
-            &list_bytes,
-            budget_bytes,
-            policy,
-        ));
+        let residency = Mutex::new(ListResidency::new(exec.clone(), &list_bytes, budget_bytes));
         self.gpu = Some(GpuState {
             exec,
             centroid_mat,
@@ -843,8 +828,9 @@ impl IvfPqIndex {
     }
 
     /// Prices the ADC tables of a whole batch as one `pq_adc_table`
-    /// launch; the tables then stay device-resident for the scan.
-    fn price_tables(&self, plan: &BatchPlan) -> Option<DeviceTensor> {
+    /// launch and leases their device buffer for the scan. The scan reads
+    /// the host-side `plan.tables`, so only the bytes are leased.
+    fn price_tables(&self, plan: &BatchPlan) -> Option<PoolLease> {
         let state = self.gpu.as_ref()?;
         let cb = &self.codebook;
         let b = plan.tables.len() as u64;
@@ -861,19 +847,11 @@ impl IvfPqIndex {
         LaunchSpec::new("pq_adc_table", cfg, profile)
             .run(state.exec.gpu(), || ())
             .expect("adc table kernel");
-        let flat: Vec<f32> = plan
-            .tables
-            .iter()
-            .flatten()
-            .flat_map(|row| &row[..cb.ksub()])
-            .copied()
-            .collect();
-        let host_mat =
-            Tensor::from_vec(plan.tables.len(), table_elems as usize, flat).expect("table shape");
         Some(
             state
                 .exec
-                .alloc_on_device(host_mat)
+                .pool()
+                .lease(4 * b * table_elems)
                 .expect("adc tables fit on device"),
         )
     }

@@ -21,11 +21,11 @@
 //! front of the scan kernel on the command stream, which is exactly the
 //! time the A13 serving ablation measures.
 //!
-//! Victim selection follows [`EvictionPolicy`]: exact LRU (last-touch
-//! timestamps). Evictions drop the lease (slab returns to the
-//! pool cache) and then [`gpu_sim::MemoryPool::trim`] hands the cached
-//! reservations back to the device ledger — the spill path is the one
-//! place the simulator is genuinely under memory pressure.
+//! Victims are picked by exact LRU (oldest last-touch stamp). Evictions
+//! drop the lease (slab returns to the pool cache) and then
+//! [`gpu_sim::MemoryPool::trim`] hands the cached reservations back to the
+//! device ledger — the spill path is the one place the simulator is
+//! genuinely under memory pressure.
 
 use gpu_sim::pool::PoolLease;
 use gpu_sim::GpuError;
@@ -34,15 +34,6 @@ use sagegpu_tensor::gpu_exec::GpuExecutor;
 /// Event name promotion copies are charged under, so traces and the
 /// profiler can tell cold-miss traffic from first-time `"htod"` uploads.
 pub const PROMOTE_COPY_NAME: &str = "promote-list";
-
-/// Victim-selection policy for evicting cold lists under budget pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Exact least-recently-used: evict the resident list with the oldest
-    /// touch stamp.
-    #[default]
-    Lru,
-}
 
 /// Per-list residency bookkeeping.
 #[derive(Debug, Default)]
@@ -140,7 +131,6 @@ impl TierStats {
 /// and it returns the H2D bytes the call charged (0 on a hit).
 pub struct ListResidency {
     exec: GpuExecutor,
-    policy: EvictionPolicy,
     budget: u64,
     slots: Vec<Slot>,
     /// Monotonic clock for LRU stamps.
@@ -156,7 +146,7 @@ pub struct ListResidency {
 impl ListResidency {
     /// Creates a cold manager for lists of the given byte sizes. Nothing
     /// is promoted up front: the first probe of each list pays its H2D.
-    pub fn new(exec: GpuExecutor, list_bytes: &[u64], budget: u64, policy: EvictionPolicy) -> Self {
+    pub fn new(exec: GpuExecutor, list_bytes: &[u64], budget: u64) -> Self {
         let slots = list_bytes
             .iter()
             .map(|&bytes| Slot {
@@ -166,7 +156,6 @@ impl ListResidency {
             .collect();
         Self {
             exec,
-            policy,
             budget,
             slots,
             tick: 0,
@@ -275,18 +264,15 @@ impl ListResidency {
         any
     }
 
-    /// Picks the next victim among resident lists, or `None` when nothing
+    /// Picks the least recently used resident list, or `None` when nothing
     /// is resident.
     fn pick_victim(&self) -> Option<usize> {
-        match self.policy {
-            EvictionPolicy::Lru => self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.lease.is_some())
-                .min_by_key(|(i, s)| (s.last_touch, *i))
-                .map(|(i, _)| i),
-        }
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.lease.is_some())
+            .min_by_key(|(i, s)| (s.last_touch, *i))
+            .map(|(i, _)| i)
     }
 
     /// Aggregate snapshot of the tier.
@@ -333,7 +319,7 @@ mod tests {
     #[test]
     fn cold_touch_promotes_and_charges_h2d() {
         let e = exec();
-        let mut res = ListResidency::new(e.clone(), &[1000, 2000, 0], 4096, EvictionPolicy::Lru);
+        let mut res = ListResidency::new(e.clone(), &[1000, 2000, 0], 4096);
         assert_eq!(res.touch(0).unwrap(), 1000);
         assert_eq!(res.touch(0).unwrap(), 0, "second touch is a hit");
         assert_eq!(res.touch(2).unwrap(), 0, "empty lists cost nothing");
@@ -349,7 +335,7 @@ mod tests {
     fn lru_evicts_coldest_and_never_exceeds_budget() {
         let e = exec();
         let sizes = [1000u64, 1000, 1000, 1000];
-        let mut res = ListResidency::new(e.clone(), &sizes, 2500, EvictionPolicy::Lru);
+        let mut res = ListResidency::new(e.clone(), &sizes, 2500);
         res.touch(0).unwrap();
         res.touch(1).unwrap();
         res.touch(2).unwrap(); // must evict list 0 (coldest)
@@ -369,7 +355,7 @@ mod tests {
     #[test]
     fn oversized_list_streams_without_residing() {
         let e = exec();
-        let mut res = ListResidency::new(e.clone(), &[10_000], 1024, EvictionPolicy::Lru);
+        let mut res = ListResidency::new(e.clone(), &[10_000], 1024);
         assert_eq!(res.touch(0).unwrap(), 10_000);
         let s = res.stats();
         assert_eq!(s.resident_bytes, 0, "streamed list must not reside");
@@ -382,7 +368,7 @@ mod tests {
     fn spill_path_trims_pool_reservations() {
         let e = exec();
         let sizes = [1 << 20, 1 << 20];
-        let mut res = ListResidency::new(e.clone(), &sizes, 1 << 20, EvictionPolicy::Lru);
+        let mut res = ListResidency::new(e.clone(), &sizes, 1 << 20);
         res.touch(0).unwrap();
         let before = e.pool().stats().trims;
         res.touch(1).unwrap(); // evicts 0 → spill path must trim
@@ -393,7 +379,7 @@ mod tests {
     #[test]
     fn shrinking_budget_evicts_down() {
         let e = exec();
-        let mut res = ListResidency::new(e.clone(), &[1000, 1000, 1000], 4096, EvictionPolicy::Lru);
+        let mut res = ListResidency::new(e.clone(), &[1000, 1000, 1000], 4096);
         res.touch(0).unwrap();
         res.touch(1).unwrap();
         res.touch(2).unwrap();

@@ -36,7 +36,7 @@
 use crate::error::IndexError;
 use crate::index::{merge_top_k, nearest_centroid, train_coarse, RetrievalIndex, SearchHit};
 use crate::pq::{IvfPqIndex, PqCodebook, PqConfig};
-use crate::residency::{EvictionPolicy, TierStats};
+use crate::residency::TierStats;
 use gpu_sim::pool::PoolStats;
 use gpu_sim::GpuCluster;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
@@ -254,7 +254,7 @@ impl ShardedIndex {
                 );
                 let exec = GpuExecutor::new(ctx.gpu().clone());
                 match budget {
-                    Some(b) => idx.with_gpu_tiered(exec, b, EvictionPolicy::Lru),
+                    Some(b) => idx.with_gpu_tiered(exec, b),
                     None => idx.with_gpu(exec),
                 }
             })?;

@@ -145,7 +145,6 @@ proptest! {
         seed in 0u64..10,
     ) {
         use gpu_sim::{DeviceSpec, Gpu};
-        use sagegpu_rag::residency::EvictionPolicy;
         use sagegpu_tensor::gpu_exec::GpuExecutor;
         let (e, data) = embedded_docs(n, 48, seed);
         let exec = || GpuExecutor::new(Arc::new(Gpu::new(0, DeviceSpec::t4())));
@@ -155,7 +154,7 @@ proptest! {
         let full = train().with_gpu(exec()).expect("attaches");
         let budget = full.list_code_bytes() * budget_pct / 100;
         let tiered = train()
-            .with_gpu_tiered(exec(), budget, EvictionPolicy::Lru)
+            .with_gpu_tiered(exec(), budget)
             .expect("attaches");
         for &t in &stream {
             let q = e.embed(&format!("topic {t} document"));

@@ -265,9 +265,11 @@ impl Tensor {
         }
     }
 
-    /// ReLU.
+    /// ReLU: `+0.0` where `x ≤ 0` (so `-0.0` too), `x` elsewhere. A NaN
+    /// passes through, as in PyTorch, so an output is `≤ 0` exactly where
+    /// its input is — the rule a ReLU's backward mask needs.
     pub fn relu(&self) -> Self {
-        self.map(|x| x.max(0.0))
+        self.map(|x| if x <= 0.0 { 0.0 } else { x })
     }
 
     /// Transpose, processed in `32 × 32` blocks so both the source reads
@@ -611,6 +613,16 @@ mod tests {
         assert_eq!(a.relu().get(0, 1), 0.0);
         assert_eq!(a.relu().get(1, 0), 3.0);
         assert!(a.add(&Tensor::ones(1, 2)).is_err());
+    }
+
+    #[test]
+    fn relu_zeroes_non_positive_and_passes_nan() {
+        let a = Tensor::from_rows(&[&[-0.0, 0.0, -1e-40, f32::NEG_INFINITY, 2.5, f32::NAN]]);
+        let r = a.relu();
+        let bits: Vec<u32> = r.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(&bits[..4], &[0; 4], "non-positive inputs give +0.0");
+        assert_eq!(r.get(0, 4), 2.5);
+        assert!(r.get(0, 5).is_nan());
     }
 
     #[test]

@@ -9,6 +9,8 @@ use crate::dense::Tensor;
 use crate::kernels::{self, Isa};
 use crate::TensorError;
 use rayon::prelude::*;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A CSR (compressed sparse row) f32 matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,6 +23,31 @@ pub struct CsrMatrix {
     indices: Vec<usize>,
     /// Values, length `nnz`.
     values: Vec<f32>,
+    /// [`Self::transposed`], built on first use. A matrix is immutable
+    /// once built, so the memo never goes stale.
+    transposed: TransposeMemo,
+}
+
+/// The memoized transpose of a [`CsrMatrix`]. It is derived from the
+/// matrix, so it takes no part in equality and prints as filled or empty.
+#[derive(Clone, Default)]
+struct TransposeMemo(OnceLock<Box<CsrMatrix>>);
+
+impl PartialEq for TransposeMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for TransposeMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.0.get().is_some() {
+            "filled"
+        } else {
+            "empty"
+        };
+        write!(f, "TransposeMemo({state})")
+    }
 }
 
 impl CsrMatrix {
@@ -60,6 +87,7 @@ impl CsrMatrix {
             indptr,
             indices,
             values,
+            transposed: TransposeMemo::default(),
         })
     }
 
@@ -233,7 +261,15 @@ impl CsrMatrix {
             indptr,
             indices,
             values,
+            transposed: TransposeMemo::default(),
         }
+    }
+
+    /// [`Self::transpose`], built on the first call and returned by every
+    /// later one (a clone made after it copies the memo) — for operands
+    /// such as a GCN's `Â`, whose `Âᵀ` every backward pass reads.
+    pub fn transposed(&self) -> &CsrMatrix {
+        self.transposed.0.get_or_init(|| Box::new(self.transpose()))
     }
 }
 
@@ -351,6 +387,26 @@ mod tests {
         let merged: Vec<u32> = t.row_entries(0).map(|(_, v)| v.to_bits()).collect();
         // The merge starts from the first value, so -0.0 + -0.0 stays -0.0.
         assert_eq!(merged[2], (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn transposed_is_memoized_and_ignored_by_equality() {
+        let m =
+            CsrMatrix::new(3, 2, vec![0, 2, 2, 3], vec![1, 1, 0], vec![0.5, -0.0, 2.0]).unwrap();
+        let fresh = m.clone();
+        let t = m.transposed();
+        assert_eq!(t, &m.transpose());
+        assert_eq!(value_bits(t), value_bits(&m.transpose()));
+        assert!(std::ptr::eq(t, m.transposed()), "built once");
+        assert_eq!(m, fresh);
+        assert_eq!(
+            format!("{fresh:?}"),
+            format!("{m:?}").replace("filled", "empty")
+        );
+        // A clone taken after the fill carries the memo along.
+        let copy = m.clone();
+        assert!(format!("{copy:?}").contains("TransposeMemo(filled)"));
+        assert_eq!(copy.transposed(), t);
     }
 
     proptest! {
