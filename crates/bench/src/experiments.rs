@@ -2800,9 +2800,16 @@ mod tests {
         let ws = &rows[1];
         assert_eq!(rr.dispatch, "round-robin");
         assert_eq!(rr.steals, 0, "round-robin must never steal");
+        // Stealing needs a second thread to run an idle worker while
+        // worker 0 sleeps; on one core the cluster has one thread.
+        if std::thread::available_parallelism().map_or(1, |p| p.get()) == 1 {
+            assert_eq!(ws.steals, 0, "one thread never steals");
+            return;
+        }
         assert!(ws.steals > 0, "stealing must actually occur");
         // 12 one-millisecond tasks all land on worker 0 under round-robin
-        // (>= 12 ms serialized); four stealing workers split them.
+        // (>= 12 ms serialized); stealing workers split them over the
+        // cluster's threads.
         assert!(
             ws.wall_ms < rr.wall_ms,
             "work stealing ({:.2} ms) should beat round-robin ({:.2} ms)",

@@ -460,7 +460,8 @@ pub fn render_dispatch() -> String {
         ));
     }
     out.push_str("expected: round-robin piles the long tasks on worker 0; stealing drains them\n");
-    out.push_str("          (lower wall time, steals > 0, busy imbalance near 1.0)\n");
+    out.push_str("          (lower wall time, steals > 0, lower busy imbalance; with one thread\n");
+    out.push_str("          per core, 4 workers on 2 cores sit near imbalance 2.0)\n");
     out
 }
 

@@ -12,6 +12,7 @@ use gpu_sim::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sagegpu_graph::csr::{Graph, WeightedEdge};
 use sagegpu_graph::generators::GraphDataset;
 use sagegpu_graph::normalize::normalized_adjacency;
 use sagegpu_graph::partition::{edge_cut, metis_partition, partition_balance, random_partition};
@@ -242,41 +243,64 @@ impl Default for DistOptions {
     }
 }
 
-/// Builds the partition of `nodes` (Algorithm 1 lines 5–6: Gᵢ as a
-/// normalized adjacency, Yᵢ) and returns it with its features Xᵢ.
-fn build_partition(
-    ds: &GraphDataset,
+/// One worker's share of the dataset, gathered on the driver because a
+/// task cannot borrow the dataset: the partition's induced edges (local
+/// ids) and its rows of X, Y and the train mask.
+struct PartitionInput {
+    /// Original node ids, local index order.
     nodes: Vec<usize>,
-    hidden: usize,
-) -> Result<(PartitionData, Tensor), GraphError> {
-    let (subgraph, mapping) = ds.graph.subgraph(&nodes)?;
-    let (indptr, indices, values) = normalized_adjacency(&subgraph);
-    let adj = Arc::new(
-        CsrMatrix::new(nodes.len(), nodes.len(), indptr, indices, values)
-            .expect("normalized subgraph CSR is valid"),
-    );
-    let mut feats = Vec::with_capacity(nodes.len() * ds.feature_dim);
-    for &u in &mapping {
-        feats.extend_from_slice(ds.feature_row(u));
+    edges: Vec<WeightedEdge>,
+    node_weights: Vec<u64>,
+    x: Tensor,
+    labels: Vec<usize>,
+    train_mask: Vec<bool>,
+    num_classes: usize,
+}
+
+impl PartitionInput {
+    fn gather(ds: &GraphDataset, nodes: Vec<usize>) -> Result<Self, GraphError> {
+        let (edges, node_weights) = ds.graph.induced_edges(&nodes)?;
+        let mut feats = Vec::with_capacity(nodes.len() * ds.feature_dim);
+        for &u in &nodes {
+            feats.extend_from_slice(ds.feature_row(u));
+        }
+        let x = Tensor::from_vec(nodes.len(), ds.feature_dim, feats).expect("feature dims");
+        Ok(PartitionInput {
+            labels: nodes.iter().map(|&u| ds.labels[u]).collect(),
+            train_mask: nodes.iter().map(|&u| ds.train_mask[u]).collect(),
+            nodes,
+            edges,
+            node_weights,
+            x,
+            num_classes: ds.num_classes,
+        })
     }
-    let x = Tensor::from_vec(nodes.len(), ds.feature_dim, feats).expect("feature dims");
-    let labels = mapping.iter().map(|&u| ds.labels[u]).collect();
-    let train_mask = mapping.iter().map(|&u| ds.train_mask[u]).collect();
-    let dims = EpochDims {
-        n: nodes.len() as u64,
-        nnz: (2 * subgraph.num_edges() + subgraph.num_nodes()) as u64,
-        d: ds.feature_dim as u64,
-        h: hidden as u64,
-        c: ds.num_classes as u64,
-    };
-    let data = PartitionData {
-        nodes: mapping,
-        adj,
-        labels,
-        train_mask,
-        dims,
-    };
-    Ok((data, x))
+
+    /// Builds the partition on its worker (Algorithm 1 lines 5–6: Gᵢ as a
+    /// normalized adjacency, Yᵢ).
+    fn build(&self, hidden: usize) -> Result<PartitionData, GraphError> {
+        let n = self.nodes.len();
+        let subgraph = Graph::from_weighted_edges(n, &self.edges, self.node_weights.clone())?;
+        let (indptr, indices, values) = normalized_adjacency(&subgraph);
+        let adj = Arc::new(
+            CsrMatrix::new(n, n, indptr, indices, values)
+                .expect("normalized subgraph CSR is valid"),
+        );
+        let dims = EpochDims {
+            n: n as u64,
+            nnz: (2 * subgraph.num_edges() + n) as u64,
+            d: self.x.cols() as u64,
+            h: hidden as u64,
+            c: self.num_classes as u64,
+        };
+        Ok(PartitionData {
+            nodes: self.nodes.clone(),
+            adj,
+            labels: self.labels.clone(),
+            train_mask: self.train_mask.clone(),
+            dims,
+        })
+    }
 }
 
 /// Trains a GCN distributed over `k` simulated GPUs per Algorithm 1,
@@ -354,24 +378,27 @@ pub fn train_distributed_with_opts(
         .retry_policy(opts.retry)
         .build();
 
-    // Lines 5–6: distribute the partitions. Each worker uploads its
-    // features X (charged as H2D) and computes layer 1's aggregate ÂX once,
-    // on the same stream: Â and X are fixed, so no epoch repeats it. In
+    // Lines 5–6: distribute the partitions. Each worker builds its
+    // partition, uploads its features X (charged as H2D) and computes
+    // layer 1's aggregate ÂX once, on the same stream: Â and X are fixed,
+    // so no epoch repeats it. The k scatter tasks run in parallel. In
     // fused+resident mode that stream is a dedicated copy stream, so the θ
     // staging (and anything else the default stream does before epoch 0)
     // overlaps the copy and the aggregation; epoch 0 waits on the stream's
     // event before its first kernel, like a `cudaStreamWaitEvent`.
     let overlap_upload =
         opts.exec == ExecMode::FusedOverlapped && opts.residency == ResidencyMode::Resident;
+    let hidden = cfg.hidden;
     let mut partition_keys = Vec::with_capacity(k);
-    let mut aggregate_ready: Vec<Option<GpuEvent>> = Vec::with_capacity(k);
+    let mut scatter = Vec::with_capacity(k);
     for part in 0..k {
         let nodes: Vec<usize> = (0..ds.num_nodes()).filter(|&u| parts[u] == part).collect();
-        let (data, x) = build_partition(ds, nodes, cfg.hidden)?;
-        let data = Arc::new(data);
+        let input = PartitionInput::gather(ds, nodes)?;
         let key = taskflow::store::DataKey::fresh();
-        let event = cluster
+        let fut = cluster
             .submit_to(part, move |ctx| {
+                let data = Arc::new(input.build(hidden)?);
+                let x = &input.x;
                 let gpu = ctx.gpu();
                 let stream = if overlap_upload {
                     gpu.create_stream()
@@ -379,16 +406,19 @@ pub fn train_distributed_with_opts(
                     StreamId::DEFAULT
                 };
                 let _ = gpu.htod_on(stream, x.data()).expect("features fit");
-                let ax = charge_aggregate(gpu, stream, data.dims, || Gcn::aggregate(&data.adj, &x));
-                ctx.store.put(key, (Arc::clone(&data), ax));
-                overlap_upload.then(|| gpu.record_event(stream))
+                let ax = charge_aggregate(gpu, stream, data.dims, || Gcn::aggregate(&data.adj, x));
+                ctx.store.put(key, (data, ax));
+                Ok(overlap_upload.then(|| gpu.record_event(stream)))
             })
-            .expect("worker exists")
-            .wait()
-            .expect("scatter succeeds");
+            .expect("worker exists");
         partition_keys.push(key);
-        aggregate_ready.push(event);
+        scatter.push(fut);
     }
+    let aggregate_ready = cluster
+        .gather(scatter)
+        .expect("scatter succeeds")
+        .into_iter()
+        .collect::<Result<Vec<Option<GpuEvent>>, GraphError>>()?;
 
     // Line 7: global model.
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -492,11 +522,11 @@ pub fn train_distributed_with_opts(
                         let fwd = local.forward(&tape, Arc::clone(&data.adj), ax);
                         let loss = tape.cross_entropy(fwd.logits, &data.labels, &data.train_mask);
                         let loss_val = tape.value(loss).get(0, 0);
-                        let grads = tape.backward(loss);
+                        let mut grads = tape.backward(loss);
                         let grad_tensors: Vec<Tensor> = fwd
                             .params
                             .iter()
-                            .map(|v| grads[v.index()].clone().expect("param grad"))
+                            .map(|v| grads[v.index()].take().expect("param grad"))
                             .collect();
                         let train_count = data.train_mask.iter().filter(|&&m| m).count();
                         (grad_tensors, loss_val, train_count)
@@ -1382,7 +1412,9 @@ mod tests {
             let trace = r.trace.expect("record_trace captures a trace");
             for worker in 0..2 {
                 let nodes = (0..d.num_nodes()).filter(|&u| parts[u] == worker).collect();
-                let (part, x) = build_partition(&d, nodes, cfg.hidden).unwrap();
+                let input = PartitionInput::gather(&d, nodes).unwrap();
+                let part = input.build(cfg.hidden).unwrap();
+                let x = &input.x;
                 let tally = |tape: &Tape| {
                     let mut macs = [0u64; 4];
                     for work in tape.node_work() {
@@ -1415,7 +1447,7 @@ mod tests {
                 // The one aggregation, recorded as the spmm it is.
                 let agg_tape = Tape::new();
                 let agg = agg_tape.spmm(Arc::clone(&part.adj), agg_tape.constant(x.clone()));
-                let ax = Gcn::aggregate(&part.adj, &x);
+                let ax = Gcn::aggregate(&part.adj, x);
                 assert_eq!(agg_tape.value(agg), ax);
                 let aggregate = tally(&agg_tape);
                 // One epoch's tape (shapes do not change between epochs).

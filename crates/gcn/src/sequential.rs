@@ -58,11 +58,11 @@ pub fn train_step(
     let fwd = model.forward(&tape, Arc::clone(adj), ax);
     let loss = tape.cross_entropy(fwd.logits, labels, mask);
     let loss_val = tape.value(loss).get(0, 0);
-    let grads = tape.backward(loss);
+    let mut grads = tape.backward(loss);
     let grad_tensors: Vec<Tensor> = fwd
         .params
         .iter()
-        .map(|v| grads[v.index()].clone().expect("param gradient"))
+        .map(|v| grads[v.index()].take().expect("param gradient"))
         .collect();
     opt.step_all(model.parameters_mut(), &grad_tensors);
     loss_val

@@ -3,6 +3,9 @@
 use crate::GraphError;
 use serde::{Deserialize, Serialize};
 
+/// An undirected edge `(u, v, weight)`.
+pub type WeightedEdge = (usize, usize, f64);
+
 /// An undirected graph stored as symmetric CSR with integer node weights
 /// and f64 edge weights (weights matter during multilevel coarsening).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,6 +162,19 @@ impl Graph {
     /// Extracts the induced subgraph on `nodes`, returning it plus the
     /// mapping from new local ids to the original ids.
     pub fn subgraph(&self, nodes: &[usize]) -> Result<(Graph, Vec<usize>), GraphError> {
+        let (edges, weights) = self.induced_edges(nodes)?;
+        let g = Graph::from_weighted_edges(nodes.len(), &edges, weights)?;
+        Ok((g, nodes.to_vec()))
+    }
+
+    /// The raw parts of [`subgraph`](Self::subgraph): the induced edges on
+    /// `nodes` in local ids (each once, `i < j`) and the node weights.
+    /// `Graph::from_weighted_edges(nodes.len(), &edges, weights)` builds
+    /// the subgraph from them, so the sort-and-merge can run elsewhere.
+    pub fn induced_edges(
+        &self,
+        nodes: &[usize],
+    ) -> Result<(Vec<WeightedEdge>, Vec<u64>), GraphError> {
         let mut local = vec![usize::MAX; self.n];
         for (i, &u) in nodes.iter().enumerate() {
             if u >= self.n {
@@ -176,8 +192,7 @@ impl Graph {
             }
         }
         let weights = nodes.iter().map(|&u| self.node_weights[u]).collect();
-        let g = Graph::from_weighted_edges(nodes.len(), &edges, weights)?;
-        Ok((g, nodes.to_vec()))
+        Ok((edges, weights))
     }
 }
 

@@ -44,7 +44,6 @@ pub mod prelude {
     pub use crate::layers::{Gcn, GcnLayer, Linear, Mlp};
     pub use crate::metrics::accuracy;
     pub use crate::optim::{Adam, Optimizer, Sgd};
-    pub use crate::parallel::{all_reduce_gradients, average_gradients};
     pub use crate::resident::{ResidentAdam, ResidentParams, ResidentSgd};
     pub use crate::tape::{Tape, Var};
 }

@@ -9,14 +9,6 @@
 use gpu_sim::{GpuCluster, ReduceHandle};
 use sagegpu_tensor::dense::Tensor;
 
-/// Averages per-worker gradient lists uniformly.
-///
-/// `per_worker[w]` is worker w's gradient for each parameter, all workers
-/// listing parameters in the same order.
-pub fn average_gradients(per_worker: &[Vec<Tensor>]) -> Vec<Tensor> {
-    weighted_average_gradients(per_worker, &vec![1.0; per_worker.len()])
-}
-
 /// Averages per-worker gradients with the given non-negative weights
 /// (normalized internally). Panics on empty input or mismatched layouts.
 ///
@@ -58,24 +50,6 @@ pub fn weighted_average_gradients<G: AsRef<[Tensor]>>(
 /// by the communication-cost model.
 pub fn gradient_bytes(grads: &[Tensor]) -> u64 {
     grads.iter().map(|g| g.size_bytes()).sum()
-}
-
-/// Device-side gradient all-reduce: averages per-worker gradients like
-/// [`weighted_average_gradients`], but charges the movement to the
-/// cluster's *peer links* (ring all-reduce, `MemcpyP2P` events) instead of
-/// round-tripping every gradient through host RAM. The returned values are
-/// identical to the host-path average — only where the bytes flow differs.
-///
-/// Returns the averaged gradients and the modeled collective duration.
-pub fn all_reduce_gradients(
-    cluster: &GpuCluster,
-    per_worker: &[Vec<Tensor>],
-    weights: &[f64],
-) -> (Vec<Tensor>, u64) {
-    assert!(!per_worker.is_empty(), "no worker gradients");
-    let bytes = gradient_bytes(&per_worker[0]);
-    let dur = cluster.all_reduce_cost(bytes);
-    (weighted_average_gradients(per_worker, weights), dur)
 }
 
 /// A group of parameters whose gradients are reduced in one collective —
@@ -374,30 +348,6 @@ pub fn hierarchical_weighted_average_gradients(
     weighted_average_gradients(&island_means, &island_weights)
 }
 
-/// Bucketed, overlap-capable gradient all-reduce: groups gradients with
-/// [`bucket_gradients`], launches each bucket's chunked ring collective as
-/// soon as its last gradient retires on every worker, and returns the
-/// weighted average. The averaged values are **bit-identical** to
-/// [`all_reduce_gradients`] — bucketing only reschedules when the bytes
-/// move, never how they are combined.
-pub fn all_reduce_gradients_bucketed(
-    cluster: &GpuCluster,
-    per_worker: &[Vec<Tensor>],
-    weights: &[f64],
-    ready_ns: &[Vec<u64>],
-    bucket_bytes: u64,
-) -> (Vec<Tensor>, Vec<ReduceHandle>, BucketedReduceStats) {
-    assert!(!per_worker.is_empty(), "no worker gradients");
-    let buckets = bucket_gradients(&per_worker[0], bucket_bytes);
-    let (handles, stats) =
-        charge_bucketed_all_reduce(cluster, &buckets, ready_ns, Compression::None);
-    (
-        weighted_average_gradients(per_worker, weights),
-        handles,
-        stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,7 +356,7 @@ mod tests {
     fn uniform_average_of_two_workers() {
         let w0 = vec![Tensor::full(2, 2, 1.0), Tensor::full(1, 2, 4.0)];
         let w1 = vec![Tensor::full(2, 2, 3.0), Tensor::full(1, 2, 0.0)];
-        let avg = average_gradients(&[w0, w1]);
+        let avg = weighted_average_gradients(&[w0, w1], &[1.0, 1.0]);
         assert_eq!(avg[0], Tensor::full(2, 2, 2.0));
         assert_eq!(avg[1], Tensor::full(1, 2, 2.0));
     }
@@ -423,7 +373,7 @@ mod tests {
     #[test]
     fn single_worker_is_identity() {
         let w0 = vec![Tensor::full(2, 3, 7.0)];
-        let avg = average_gradients(std::slice::from_ref(&w0));
+        let avg = weighted_average_gradients(std::slice::from_ref(&w0), &[1.0]);
         assert_eq!(avg, w0);
     }
 
@@ -431,33 +381,13 @@ mod tests {
     fn average_of_k_equal_gradients_is_unchanged() {
         let g = vec![Tensor::full(4, 4, 1.5)];
         let workers: Vec<Vec<Tensor>> = (0..5).map(|_| g.clone()).collect();
-        assert_eq!(average_gradients(&workers), g);
+        assert_eq!(weighted_average_gradients(&workers, &[1.0; 5]), g);
     }
 
     #[test]
     fn gradient_bytes_sums_parameter_sizes() {
         let grads = vec![Tensor::zeros(10, 10), Tensor::zeros(1, 10)];
         assert_eq!(gradient_bytes(&grads), 4 * 110);
-    }
-
-    #[test]
-    fn device_all_reduce_matches_host_average_and_charges_links() {
-        use gpu_sim::{DeviceSpec, EventKind, GpuCluster, LinkKind};
-        let cluster = GpuCluster::homogeneous(4, DeviceSpec::t4(), LinkKind::NvLink);
-        let per_worker: Vec<Vec<Tensor>> =
-            (0..4).map(|w| vec![Tensor::full(8, 8, w as f32)]).collect();
-        let weights = vec![1.0; 4];
-        let host = weighted_average_gradients(&per_worker, &weights);
-        let (dev, dur) = all_reduce_gradients(&cluster, &per_worker, &weights);
-        assert_eq!(dev, host, "device all-reduce must be value-identical");
-        assert!(dur > 0, "collective must take simulated time");
-        let p2p = cluster
-            .recorder()
-            .snapshot()
-            .iter()
-            .filter(|e| e.kind == EventKind::MemcpyP2P)
-            .count();
-        assert_eq!(p2p, 4, "one peer-link event per device");
     }
 
     #[test]
@@ -508,24 +438,18 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_all_reduce_is_value_identical_to_monolithic() {
+    fn small_bucket_cap_splits_the_collective() {
         use gpu_sim::{DeviceSpec, GpuCluster, LinkKind};
         let cluster = GpuCluster::homogeneous(3, DeviceSpec::t4(), LinkKind::Pcie);
-        let per_worker: Vec<Vec<Tensor>> = (0..3)
-            .map(|w| {
-                vec![
-                    Tensor::full(4, 4, 0.3 + w as f32),
-                    Tensor::full(1, 4, 1.7 * w as f32),
-                    Tensor::full(4, 2, 0.9 - w as f32),
-                ]
-            })
-            .collect();
-        let weights = vec![2.0, 1.0, 3.0];
-        let host = weighted_average_gradients(&per_worker, &weights);
+        let grads = vec![
+            Tensor::full(4, 4, 0.3),
+            Tensor::full(1, 4, 1.7),
+            Tensor::full(4, 2, 0.9),
+        ];
+        let buckets = bucket_gradients(&grads, 32);
         let ready = vec![vec![0u64; 3]; 3];
-        let (avg, handles, stats) =
-            all_reduce_gradients_bucketed(&cluster, &per_worker, &weights, &ready, 32);
-        assert_eq!(avg, host, "bucketing must not change gradient values");
+        let (handles, stats) =
+            charge_bucketed_all_reduce(&cluster, &buckets, &ready, Compression::None);
         assert!(handles.len() > 1, "cap of 32 B must split the parameters");
         assert_eq!(stats.buckets, handles.len() as u64);
         assert!(stats.total_comm_ns > 0);
@@ -560,13 +484,13 @@ mod tests {
     fn mismatched_layouts_panic() {
         let w0 = vec![Tensor::zeros(1, 1)];
         let w1 = vec![Tensor::zeros(1, 1), Tensor::zeros(1, 1)];
-        average_gradients(&[w0, w1]);
+        weighted_average_gradients(&[w0, w1], &[1.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "no worker gradients")]
     fn empty_input_panics() {
-        average_gradients(&[]);
+        weighted_average_gradients::<Vec<Tensor>>(&[], &[]);
     }
 
     #[test]

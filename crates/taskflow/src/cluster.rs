@@ -62,6 +62,12 @@ impl ClusterBuilder {
 
     /// Pool size. Ignored when [`gpus`](Self::gpus) is set (one worker per
     /// device).
+    ///
+    /// A worker is a queue pair, an object store and an optional GPU, not
+    /// a thread: the cluster runs its `n` workers on
+    /// `min(n, rayon::available_cores())` threads, each taking whole tasks
+    /// back to back. A worker still runs one task at a time, its pinned
+    /// tasks in submission order.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -128,10 +134,18 @@ impl ClusterBuilder {
     }
 }
 
-/// A pool of worker threads with Dask-like submission semantics.
+/// A pool of workers with Dask-like submission semantics, run on one
+/// thread per core (at most one per worker).
 ///
 /// Built via [`ClusterBuilder`]. Dropping the cluster signals shutdown;
-/// workers drain their queues and are joined.
+/// the threads drain every queue and are joined.
+///
+/// As in Dask, tasks do not block on sibling tasks: with fewer threads
+/// than workers, a task waiting on a future of its own cluster could hold
+/// the thread the sibling needs. [`TaskFuture::wait`] called from inside a
+/// task of the same cluster therefore returns [`TaskError::SiblingWait`]
+/// at once; submit follow-up work from the client, or wait on a future of
+/// another cluster.
 ///
 /// Task bodies are `Fn` rather than `FnOnce` because a retried attempt
 /// re-invokes the same closure; plain tasks that never retry pay nothing
@@ -235,7 +249,7 @@ impl LocalCluster {
         let fault_plan = self.fault_plan.clone();
         let queued_ns = self.sched.now_ns();
         let deadline_ns = timeout.map(|t| queued_ns.saturating_add(t.as_nanos() as u64));
-        let (fut, promise) = oneshot::<T>();
+        let (fut, promise) = oneshot::<T>(self.sched.id());
 
         let job: Job = Box::new(move |env: ExecEnv<'_>| {
             let worker = env.ctx.worker_id;
@@ -320,6 +334,11 @@ impl LocalCluster {
                     }
                 }
             };
+            // Release what the body captured before the waiter sees the
+            // result: a waiter that then drops its handle to this cluster
+            // must not leave the last one to be dropped on the cluster's
+            // own thread.
+            drop(f);
             promise.fulfill(final_result);
         });
         (fut, job)
@@ -481,7 +500,8 @@ mod tests {
 
     #[test]
     fn tasks_on_one_worker_run_sequentially() {
-        // A worker is a single thread: tasks submitted to it cannot overlap.
+        // A worker runs one task at a time: tasks submitted to it cannot
+        // overlap.
         let c = ClusterBuilder::new().workers(1).build();
         let counter = Arc::new(AtomicUsize::new(0));
         let futs: Vec<_> = (0..100)
@@ -655,8 +675,40 @@ mod tests {
             assert_eq!(got, (0..12).collect::<Vec<_>>());
             c.metrics().total_steals()
         };
-        assert!(run(Dispatch::WorkStealing) > 0, "idle worker must steal");
+        // Stealing needs a second thread to run an idle worker while worker
+        // 0 sleeps; on one core the cluster has one thread, so every task
+        // runs on the worker it was placed on.
+        if rayon::available_cores() > 1 {
+            assert!(run(Dispatch::WorkStealing) > 0, "idle worker must steal");
+        } else {
+            assert_eq!(run(Dispatch::WorkStealing), 0, "one thread never steals");
+        }
         assert_eq!(run(Dispatch::RoundRobin), 0, "baseline never steals");
+    }
+
+    #[test]
+    fn waiting_on_a_sibling_task_is_an_error() {
+        let c = Arc::new(ClusterBuilder::new().workers(2).build());
+        let client = Arc::clone(&c);
+        let outer = c.submit_to(0, move |_| {
+            let sibling = client.submit_to(1, |_| 5u32).expect("worker exists");
+            sibling.wait()
+        });
+        assert_eq!(outer.unwrap().wait().unwrap(), Err(TaskError::SiblingWait));
+        // The client thread is not a task: it still waits as usual.
+        assert_eq!(c.submit(|_| 6u32).wait(), Ok(6));
+    }
+
+    #[test]
+    fn waiting_on_another_clusters_task_blocks_until_done() {
+        let other = Arc::new(ClusterBuilder::new().workers(1).build());
+        let c = ClusterBuilder::new().workers(1).build();
+        let remote = Arc::clone(&other);
+        let got = c
+            .submit(move |_| remote.submit(|_| 7u32).wait())
+            .wait()
+            .unwrap();
+        assert_eq!(got, Ok(7));
     }
 
     #[test]

@@ -23,6 +23,8 @@ struct Inner<T> {
 #[derive(Debug)]
 pub struct TaskFuture<T> {
     inner: Arc<Inner<T>>,
+    /// Id of the cluster whose task fulfills this future.
+    cluster: u64,
 }
 
 /// Producer side handed to the executing worker. Dropping it without
@@ -32,8 +34,9 @@ pub(crate) struct TaskPromise<T> {
     inner: Option<Arc<Inner<T>>>,
 }
 
-/// Creates a linked (future, promise) pair.
-pub(crate) fn oneshot<T>() -> (TaskFuture<T>, TaskPromise<T>) {
+/// Creates a linked (future, promise) pair for a task of cluster
+/// `cluster`.
+pub(crate) fn oneshot<T>(cluster: u64) -> (TaskFuture<T>, TaskPromise<T>) {
     let inner = Arc::new(Inner {
         slot: Mutex::new(Slot::Pending),
         cv: Condvar::new(),
@@ -41,6 +44,7 @@ pub(crate) fn oneshot<T>() -> (TaskFuture<T>, TaskPromise<T>) {
     (
         TaskFuture {
             inner: Arc::clone(&inner),
+            cluster,
         },
         TaskPromise { inner: Some(inner) },
     )
@@ -74,7 +78,16 @@ impl<T> Drop for TaskPromise<T> {
 
 impl<T> TaskFuture<T> {
     /// Blocks until the task completes.
+    ///
+    /// Called from inside a task of the same cluster, it returns
+    /// [`TaskError::SiblingWait`] at once instead: the cluster may run its
+    /// workers on fewer threads than it has workers, so a task that blocks
+    /// on a sibling can hold the only thread the sibling could run on.
+    /// Futures of another cluster wait as usual.
     pub fn wait(self) -> Result<T, TaskError> {
+        if crate::sched::on_cluster_thread(self.cluster) {
+            return Err(TaskError::SiblingWait);
+        }
         let mut slot = self.inner.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             match std::mem::replace(&mut *slot, Slot::Consumed) {
@@ -108,21 +121,21 @@ mod tests {
 
     #[test]
     fn fulfilled_future_returns_value() {
-        let (fut, prom) = oneshot::<u32>();
+        let (fut, prom) = oneshot::<u32>(0);
         prom.fulfill(Ok(42));
         assert_eq!(fut.wait(), Ok(42));
     }
 
     #[test]
     fn dropped_promise_signals_shutdown() {
-        let (fut, prom) = oneshot::<u32>();
+        let (fut, prom) = oneshot::<u32>(0);
         drop(prom);
         assert_eq!(fut.wait(), Err(TaskError::ClusterShutDown));
     }
 
     #[test]
     fn try_wait_polls() {
-        let (fut, prom) = oneshot::<&str>();
+        let (fut, prom) = oneshot::<&str>(0);
         assert!(fut.try_wait().is_none());
         prom.fulfill(Ok("done"));
         assert_eq!(fut.try_wait(), Some(Ok("done")));
@@ -130,14 +143,14 @@ mod tests {
 
     #[test]
     fn error_propagates() {
-        let (fut, prom) = oneshot::<u32>();
+        let (fut, prom) = oneshot::<u32>(0);
         prom.fulfill(Err(TaskError::Panicked("boom".into())));
         assert!(matches!(fut.wait(), Err(TaskError::Panicked(_))));
     }
 
     #[test]
     fn works_across_threads() {
-        let (fut, prom) = oneshot::<u64>();
+        let (fut, prom) = oneshot::<u64>(0);
         let h = std::thread::spawn(move || prom.fulfill(Ok(7)));
         assert_eq!(fut.wait(), Ok(7));
         h.join().unwrap();
@@ -145,7 +158,7 @@ mod tests {
 
     #[test]
     fn second_try_wait_reports_consumed() {
-        let (fut, prom) = oneshot::<u8>();
+        let (fut, prom) = oneshot::<u8>(0);
         prom.fulfill(Ok(1));
         assert_eq!(fut.try_wait(), Some(Ok(1)));
         assert_eq!(fut.try_wait(), Some(Err(TaskError::ClusterShutDown)));

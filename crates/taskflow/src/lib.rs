@@ -8,8 +8,9 @@
 //! the algorithm (and the course's week-6 RAPIDS/Dask labs) relies on:
 //!
 //! - [`cluster::ClusterBuilder`] / [`cluster::LocalCluster`] — a pool of
-//!   worker threads over a shared work-stealing deque scheduler, each
-//!   worker optionally pinned to a simulated GPU ([`gpu_sim::Gpu`]), with
+//!   workers over a shared work-stealing deque scheduler that runs them on
+//!   one thread per core, each worker optionally pinned to a simulated GPU
+//!   ([`gpu_sim::Gpu`]), with
 //!   Dask's client verbs: `submit`, `submit_to`, `scatter`, `broadcast`,
 //!   `gather`.
 //! - [`policy`] — per-task retry/backoff policies, deadline timeouts, and
@@ -82,6 +83,10 @@ pub enum TaskError {
     UnknownDependency { task: String, dep: String },
     /// A duplicate task name was added to a graph.
     DuplicateTask(String),
+    /// A task waited on a future of its own cluster. Tasks must not block
+    /// on sibling tasks: the sibling may need the very thread the waiter
+    /// holds.
+    SiblingWait,
 }
 
 impl std::fmt::Display for TaskError {
@@ -110,6 +115,10 @@ impl std::fmt::Display for TaskError {
                 write!(f, "task '{task}' depends on unknown task '{dep}'")
             }
             TaskError::DuplicateTask(name) => write!(f, "duplicate task name '{name}'"),
+            TaskError::SiblingWait => write!(
+                f,
+                "a task waited on a future of its own cluster; tasks must not block on sibling tasks"
+            ),
         }
     }
 }

@@ -12,7 +12,10 @@
 # 4. tier-1: release build (all targets: lib, bins, tests, benches) +
 #    full test suite, then the tensor crate's tests again in release mode:
 #    its host kernels hold the workspace's SIMD intrinsics (`unsafe`), and
-#    release codegen is what every benchmark and experiment runs
+#    release codegen is what every benchmark and experiment runs. Then the
+#    taskflow tests in release mode pinned to one core (`taskset -c 0`):
+#    a cluster runs its workers on min(workers, cores) threads, so this is
+#    the path where one thread serves every worker
 # 5. BENCH_A*.json: for every artifact row of `repro --list`, regenerate
 #    it with `repro --exp <id>`, which exits nonzero on a failed write or a
 #    violated bound, and require repro_output.txt to mention it (catches the
@@ -54,6 +57,7 @@ echo "==> tier-1: cargo build --release --all-targets && cargo test -q --workspa
 cargo build --release --all-targets
 cargo test -q --workspace
 cargo test --release -q -p sagegpu-tensor
+taskset -c 0 cargo test --release -q -p taskflow
 
 echo "==> BENCH_A*.json: regenerate + check every artifact of \`repro --list\`"
 rows=$(cargo run --release -q -p sagegpu-bench --bin repro -- --list)
