@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sagegpu_core::gpu::{DeviceSpec, Gpu};
 use sagegpu_core::rag::corpus::Corpus;
 use sagegpu_core::rag::embed::Embedder;
-use sagegpu_core::rag::index::{FlatIndex, IvfIndex, RetrievalIndex, VectorIndex};
+use sagegpu_core::rag::index::{Codec, FlatIndex, IvfIndex, RetrievalIndex};
 use sagegpu_core::rag::pipeline::build_flat_pipeline;
 use sagegpu_core::rag::serve::{RagServer, ServerConfig};
 use sagegpu_core::taskflow::cluster::ClusterBuilder;
@@ -25,7 +25,7 @@ fn bench_retrieval(c: &mut Criterion) {
     for (id, v) in &data {
         flat.add(*id, v.clone());
     }
-    let mut ivf = IvfIndex::train(96, 25, 25, &data, 3).expect("ivf trains");
+    let mut ivf = IvfIndex::train(96, 25, 25, Codec::Full, &data, 3).expect("ivf trains");
     ivf.set_nprobe(3);
     let q = embedder.embed(&Corpus::topic_query(0, 6, 9));
 

@@ -17,7 +17,7 @@ use sagegpu_core::graph::partition::{
 };
 use sagegpu_core::rag::corpus::Corpus;
 use sagegpu_core::rag::embed::Embedder;
-use sagegpu_core::rag::index::{recall_at_k, FlatIndex, IvfIndex, RetrievalIndex, VectorIndex};
+use sagegpu_core::rag::index::{recall_at_k, Codec, FlatIndex, IvfIndex, RetrievalIndex};
 use sagegpu_core::rag::pipeline::build_flat_pipeline;
 use sagegpu_core::stats::boxplot::{boxplot, BoxplotData};
 use sagegpu_core::stats::describe::{describe, DescriptiveStats};
@@ -391,7 +391,8 @@ pub fn rag_retrieval_sweep(corpus_size: usize, nprobes: &[usize]) -> Vec<Retriev
     }];
     let nlist = (corpus_size / 20).max(4);
     for &nprobe in nprobes {
-        let mut ivf = IvfIndex::train(96, nlist, nlist, &data, SEED).expect("ivf trains");
+        let mut ivf =
+            IvfIndex::train(96, nlist, nlist, Codec::Full, &data, SEED).expect("ivf trains");
         ivf.set_nprobe(nprobe);
         let mut recall = 0.0;
         for q in &queries {
@@ -2166,7 +2167,7 @@ fn timed_search<I: RetrievalIndex>(
 /// A12 — the retrieval-at-scale ablation behind `BENCH_A12.json`.
 pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
     use sagegpu_core::gpu::cluster::{GpuCluster, LinkKind};
-    use sagegpu_core::rag::pq::{IvfPqIndex, PqConfig};
+    use sagegpu_core::rag::pq::PqConfig;
     use sagegpu_core::rag::shard::{Placement, ShardPlan, ShardedIndex};
 
     const CORPUS: usize = 20_000;
@@ -2222,9 +2223,10 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
 
     // IVF: same coarse quantizer, full-precision lists.
     let gpu = device();
-    let mut ivf = IvfIndex::train(DIM, NLIST, 1, &data, SEED)
+    let mut ivf = IvfIndex::train(DIM, NLIST, 1, Codec::Full, &data, SEED)
         .expect("ivf trains")
-        .with_gpu(GpuExecutor::new(gpu.clone()));
+        .with_gpu(GpuExecutor::new(gpu.clone()), None)
+        .expect("uploads");
     for &nprobe in &NPROBES {
         ivf.set_nprobe(nprobe);
         let (hits, ms) = timed_search(&ivf, &gpu, &queries, K);
@@ -2240,11 +2242,11 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
 
     // IVF-PQ: coded lists, ADC scans.
     let gpu = device();
-    let mut ivfpq = IvfPqIndex::train(DIM, NLIST, 1, PQ, &data, SEED)
+    let mut ivfpq = IvfIndex::train(DIM, NLIST, 1, Codec::Pq(PQ), &data, SEED)
         .expect("ivfpq trains")
-        .with_gpu(GpuExecutor::new(gpu.clone()))
+        .with_gpu(GpuExecutor::new(gpu.clone()), None)
         .expect("uploads")
-        .with_refine(REFINE);
+        .with_refine(REFINE, &data);
     let pq_bytes = ivfpq.device_bytes();
     let mut best_pq_recall = 0.0f64;
     for &nprobe in &NPROBES {
@@ -2280,9 +2282,9 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
         let gpus = cluster(shards);
         let idx = ShardedIndex::build(DIM, plan(shards), &data, gpus.clone(), SEED)
             .expect("sharded index builds");
-        let t0 = idx.makespan_ns();
+        let t0 = gpus.makespan_ns();
         let hits = idx.search_batch(&queries, K);
-        let ms = (idx.makespan_ns() - t0) as f64 / 1e6;
+        let ms = (gpus.makespan_ns() - t0) as f64 / 1e6;
         sharded_ms.push(ms);
         arms.push(RetrievalArm {
             arm: "sharded",

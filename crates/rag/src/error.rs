@@ -8,7 +8,6 @@
 //! lifts it across layer boundaries like every other layer error.
 
 use sagegpu_tensor::TensorError;
-use taskflow::TaskError;
 
 /// Any failure building or training a retrieval index.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,8 +41,6 @@ pub enum IndexError {
     DimMismatch { expected: usize, got: usize },
     /// Device residency failed while pinning codes or tables.
     Tensor(TensorError),
-    /// A parallel shard-build task failed.
-    Task(TaskError),
 }
 
 impl std::fmt::Display for IndexError {
@@ -78,7 +75,6 @@ impl std::fmt::Display for IndexError {
                 write!(f, "query dim {got} does not match index dim {expected}")
             }
             IndexError::Tensor(e) => write!(f, "device residency: {e}"),
-            IndexError::Task(e) => write!(f, "parallel build: {e}"),
         }
     }
 }
@@ -87,7 +83,6 @@ impl std::error::Error for IndexError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IndexError::Tensor(e) => Some(e),
-            IndexError::Task(e) => Some(e),
             _ => None,
         }
     }
@@ -96,12 +91,6 @@ impl std::error::Error for IndexError {
 impl From<TensorError> for IndexError {
     fn from(e: TensorError) -> Self {
         IndexError::Tensor(e)
-    }
-}
-
-impl From<TaskError> for IndexError {
-    fn from(e: TaskError) -> Self {
-        IndexError::Task(e)
     }
 }
 
@@ -124,7 +113,10 @@ mod tests {
     #[test]
     fn source_chains_to_wrapped_layers() {
         use std::error::Error;
-        let e = IndexError::from(TaskError::Panicked("boom".into()));
+        let e = IndexError::from(TensorError::ShapeMismatch {
+            expected: "4".into(),
+            got: "3".into(),
+        });
         assert!(e.source().is_some());
         assert!(IndexError::EmptyTrainingSet.source().is_none());
     }

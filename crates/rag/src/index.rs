@@ -1,25 +1,34 @@
-//! Vector indexes: exact flat search and IVF approximate search.
+//! Vector indexes: exact flat search and the IVF core.
 //!
 //! [`FlatIndex`] is FAISS's `IndexFlatIP`: exact dot-product scan, optionally
-//! executed on a simulated GPU (Lab 12's "GPU-enabled retriever").
-//! [`IvfIndex`] is `IndexIVFFlat`: a k-means coarse quantizer buckets
-//! vectors into `nlist` inverted lists; queries probe only the `nprobe`
-//! nearest lists, trading recall for latency — the knob the course's
-//! latency-optimization lab turns.
+//! executed on a simulated GPU (Lab 12's "GPU-enabled retriever"), and the
+//! exact oracle every recall figure is measured against. [`IvfIndex`] is
+//! FAISS's `IVF{n},Flat` / `IVF{n},PQ{m}`: a k-means coarse quantizer
+//! buckets vectors into `nlist` inverted lists whose rows a [`Codec`]
+//! stores; queries probe only the `nprobe` nearest lists, trading recall
+//! for latency — the knob the course's latency-optimization lab turns.
+//! The lists are placed over one or more [`IvfShard`]s (an unsharded index
+//! is one shard; [`crate::shard`] places them over a GPU cluster). On a
+//! device, every shard prices the same per-batch command sequence: coarse
+//! probe, (Pq) table build, residency touches, one scan kernel per codec,
+//! top-k select and hit read-back.
 //!
-//! The read path and the build path are separate contracts:
-//! [`RetrievalIndex`] is everything a serving layer needs (search, batched
-//! search, footprint) and is object-shaped enough to cover immutable
-//! compound indexes like [`crate::shard::ShardedIndex`]; [`VectorIndex`]
-//! extends it with `add` for indexes that grow in place.
+//! [`RetrievalIndex`] is the read-path contract — search, batched search,
+//! footprint and residency — everything a serving layer needs.
 
 use crate::error::IndexError;
+use crate::pq::{adc_score_rows, residual, PqCodebook, PqConfig};
+use crate::residency::{ListResidency, TierStats};
+use gpu_sim::pool::{PoolLease, PoolStats};
+use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
 use rayon::prelude::*;
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::residency::DeviceTensor;
+use sagegpu_tensor::TensorError;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// One search result.
@@ -30,15 +39,18 @@ pub struct SearchHit {
 }
 
 /// The read-side index contract: everything retrieval and serving need,
-/// implemented by every index shape (flat, IVF, IVF-PQ, sharded).
+/// implemented by [`FlatIndex`], [`IvfIndex`] and its [`IvfShard`]s.
 pub trait RetrievalIndex: Send + Sync {
-    /// Returns the top-`k` hits for `query`, best first.
-    fn search(&self, query: &[f32], k: usize) -> Vec<SearchHit>;
-    /// Searches many queries in one pass. The default walks queries one by
-    /// one; GPU-backed indexes override it with batched device scoring.
-    fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>> {
-        queries.iter().map(|q| self.search(q, k)).collect()
+    /// Returns the top-`k` hits for `query`, best first. The default is a
+    /// batch of one.
+    fn search(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
+        self.search_batch(std::slice::from_ref(&query.to_vec()), k)
+            .pop()
+            .unwrap_or_default()
     }
+    /// Searches many queries in one pass; per-query hits are identical to
+    /// [`Self::search`]'s.
+    fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>>;
     /// Number of indexed vectors.
     fn len(&self) -> usize;
     /// Whether the index is empty.
@@ -67,12 +79,6 @@ pub trait RetrievalIndex: Send + Sync {
     fn pool_stats(&self) -> Vec<gpu_sim::pool::PoolStats> {
         Vec::new()
     }
-}
-
-/// The build-side extension: indexes that can grow in place.
-pub trait VectorIndex: RetrievalIndex {
-    /// Adds a vector under a document id.
-    fn add(&mut self, doc_id: usize, vector: Vec<f32>);
 }
 
 /// The ranking order hits are returned in: score descending, `doc_id`
@@ -145,65 +151,18 @@ impl TopK {
 
 /// Selects the best `k` hits in `O(n log k)` with a bounded heap instead of
 /// sorting the full candidate list — the candidate set is the whole corpus
-/// (flat) or every probed list (IVF), while `k` is a handful.
+/// (flat), every probed list (IVF), or the shards' local top-k lists at the
+/// gather. Because the ranking order is total (ties broken by `doc_id` via
+/// `total_cmp`) and document ids are unique across shards, the gather's
+/// result is exactly the top-k of every shard's candidates regardless of
+/// how they were grouped — the property that makes sharded search
+/// bit-identical to a single-shard scan.
 pub(crate) fn top_k(scores: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
     let mut best = TopK::new(k);
     for hit in scores {
         best.push(hit);
     }
     best.into_sorted()
-}
-
-/// Merges two lists already sorted by [`hit_order`], keeping at most `k`.
-fn merge_two(a: Vec<SearchHit>, b: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
-    let mut out = Vec::with_capacity(k.min(a.len() + b.len()));
-    let (mut ai, mut bi) = (0usize, 0usize);
-    while out.len() < k && (ai < a.len() || bi < b.len()) {
-        let take_a = match (a.get(ai), b.get(bi)) {
-            (Some(x), Some(y)) => hit_order(x, y) != std::cmp::Ordering::Greater,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_a {
-            out.push(a[ai]);
-            ai += 1;
-        } else {
-            out.push(b[bi]);
-            bi += 1;
-        }
-    }
-    out
-}
-
-/// The gather-side top-k merge tree: pairwise-merges per-shard hit lists
-/// (each already sorted by the ranking order, as `top_k` returns them)
-/// round by round until one list of at most `k` survivors remains —
-/// `log₂(shards)` merge rounds instead of re-sorting the concatenation.
-///
-/// Because the ranking order is total (ties broken by `doc_id` via
-/// `total_cmp`) and document ids are unique across shards, the result is
-/// exactly `top_k` of the concatenated candidates regardless of shard
-/// order — the property that makes sharded search bit-identical to a
-/// single-shard scan.
-pub fn merge_top_k(lists: Vec<Vec<SearchHit>>, k: usize) -> Vec<SearchHit> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut round = lists;
-    while round.len() > 1 {
-        let mut next = Vec::with_capacity(round.len().div_ceil(2));
-        let mut it = round.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b, k)),
-                None => next.push(a),
-            }
-        }
-        round = next;
-    }
-    let mut out = round.pop().unwrap_or_default();
-    out.truncate(k);
-    out
 }
 
 /// Inner-product of one row against a query, in index order — the single
@@ -216,8 +175,8 @@ pub(crate) fn dot(row: &[f32], query: &[f32]) -> f32 {
 }
 
 /// Index of the centroid with the highest inner product (first wins on
-/// ties) — the coarse-assignment rule shared by training, [`IvfIndex::add`],
-/// and shard construction, so every path buckets a vector identically.
+/// ties) — the coarse-assignment rule shared by training and shard
+/// construction, so every path buckets a vector identically.
 pub(crate) fn nearest_centroid(centroids: &[f32], dim: usize, v: &[f32]) -> usize {
     let mut best = 0usize;
     let mut best_score = f32::NEG_INFINITY;
@@ -262,6 +221,14 @@ impl FlatIndex {
             gpu: Some(gpu),
             ..Self::new(dim)
         }
+    }
+
+    /// Adds a vector under a document id.
+    pub fn add(&mut self, doc_id: usize, vector: Vec<f32>) {
+        assert_eq!(vector.len(), self.dim, "vector dim mismatch");
+        self.ids.push(doc_id);
+        self.vectors.extend(vector);
+        *self.device_mat.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     fn cpu_scores(&self, query: &[f32]) -> Vec<f32> {
@@ -356,18 +323,8 @@ impl RetrievalIndex for FlatIndex {
     }
 }
 
-impl VectorIndex for FlatIndex {
-    fn add(&mut self, doc_id: usize, vector: Vec<f32>) {
-        assert_eq!(vector.len(), self.dim, "vector dim mismatch");
-        self.ids.push(doc_id);
-        self.vectors.extend(vector);
-        *self.device_mat.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
 /// Seeded Lloyd k-means over unit vectors under inner-product assignment:
-/// the coarse-quantizer trainer shared by [`IvfIndex`] and
-/// [`crate::pq::IvfPqIndex`]. Returns `(centroids, assignments)` or a
+/// the coarse-quantizer trainer of [`IvfIndex`]. Returns `(centroids, assignments)` or a
 /// typed error: an empty corpus, `nlist` larger than the corpus, and
 /// clusters that stay empty even after deterministic re-seeding (fewer
 /// distinct vectors than lists) are all [`IndexError`]s, never panics or
@@ -485,222 +442,722 @@ pub(crate) fn train_coarse(
     Ok((centroids, assignments))
 }
 
-/// IVF approximate index: k-means centroids + inverted lists.
-pub struct IvfIndex {
+/// How an inverted list stores and scores its rows — FAISS's
+/// `IVF{n},Flat` / `IVF{n},PQ{m}` index-factory split. Everything else
+/// (coarse quantizer, probing, residency, scan pricing, merge, refine) is
+/// the same [`IvfIndex`] for both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Codec {
+    /// Full-precision `dim × f32` rows, scored by `dot(v, q)`: exact
+    /// within the probed lists.
+    Full,
+    /// `m`-byte PQ codes of the coarse residual, scored as the query's
+    /// centroid score plus the ADC lookup sum (see [`crate::pq`]).
+    Pq(PqConfig),
+}
+
+/// The trained quantizers every shard of one index shares.
+pub(crate) struct Quantizer {
     dim: usize,
-    nprobe: usize,
-    /// Row-major `nlist × dim`.
+    /// Row-major `nlist × dim` coarse centroids.
     centroids: Vec<f32>,
-    /// Inverted lists: per centroid, (doc_id, vector offset) pairs.
-    lists: Vec<Vec<usize>>,
-    ids: Vec<usize>,
-    vectors: Vec<f32>,
-    gpu: Option<GpuExecutor>,
-    /// Cached device-resident centroid matrix (uploaded lazily, one charged
-    /// H2D). Centroids are immutable after training, so `add` never
-    /// invalidates it.
-    device_centroids: Mutex<Option<Arc<DeviceTensor>>>,
+    /// The residual codebook; `None` for [`Codec::Full`].
+    codebook: Option<PqCodebook>,
+}
+
+impl Quantizer {
+    /// Trains the coarse quantizer on `data`, then (Pq codec) the codebook
+    /// on the coarse residuals, priced on `exec` when one is given.
+    /// Returns the quantizer and every training vector's list.
+    pub(crate) fn train(
+        dim: usize,
+        nlist: usize,
+        codec: Codec,
+        data: &[(usize, Vec<f32>)],
+        seed: u64,
+        exec: Option<&GpuExecutor>,
+    ) -> Result<(Self, Vec<usize>), IndexError> {
+        let (centroids, assignments) = train_coarse(dim, nlist, data, seed)?;
+        let codebook = match codec {
+            Codec::Full => None,
+            Codec::Pq(cfg) => {
+                let residuals: Vec<(usize, Vec<f32>)> = data
+                    .iter()
+                    .zip(&assignments)
+                    .map(|((doc, v), &a)| (*doc, residual(v, &centroids[a * dim..(a + 1) * dim])))
+                    .collect();
+                Some(PqCodebook::train(dim, cfg, &residuals, seed, exec)?)
+            }
+        };
+        Ok((
+            Self {
+                dim,
+                centroids,
+                codebook,
+            },
+            assignments,
+        ))
+    }
+
+    pub(crate) fn nlist(&self) -> usize {
+        self.centroids.len() / self.dim
+    }
+
+    /// The list a vector routes to.
+    pub(crate) fn assign(&self, v: &[f32]) -> usize {
+        nearest_centroid(&self.centroids, self.dim, v)
+    }
+
+    fn centroid(&self, list: usize) -> &[f32] {
+        &self.centroids[list * self.dim..(list + 1) * self.dim]
+    }
+
+    /// The host half of a batch search: every centroid's score, the
+    /// top-`nprobe` lists in probe order (score descending, lowest id on
+    /// ties) and, for the Pq codec, the ADC tables. It depends only on the
+    /// queries and the quantizers, so every shard of an index scans from
+    /// one plan, and the shards together cover exactly the lists an
+    /// unsharded scan probes.
+    fn plan<'q>(&self, queries: &'q [Vec<f32>], nprobe: usize) -> BatchPlan<'q> {
+        let coarse: Vec<Vec<f32>> = queries
+            .iter()
+            .map(|q| {
+                (0..self.nlist())
+                    .map(|c| dot(self.centroid(c), q))
+                    .collect()
+            })
+            .collect();
+        let probes = coarse
+            .iter()
+            .map(|scores| {
+                let mut ranked: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
+                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                ranked.into_iter().take(nprobe).map(|(c, _)| c).collect()
+            })
+            .collect();
+        let tables = match &self.codebook {
+            Some(cb) => queries.iter().map(|q| cb.adc_rows(q)).collect(),
+            None => Vec::new(),
+        };
+        BatchPlan {
+            queries,
+            coarse,
+            probes,
+            tables,
+        }
+    }
+}
+
+/// The host half of one batch search (see [`Quantizer::plan`]).
+struct BatchPlan<'q> {
+    queries: &'q [Vec<f32>],
+    /// Per query: every coarse centroid's score.
+    coarse: Vec<Vec<f32>>,
+    /// Per query: the top-`nprobe` list ids in probe order.
+    probes: Vec<Vec<usize>>,
+    /// Per query, Pq codec only: the ADC table as one row per subspace.
+    tables: Vec<Vec<[f32; 256]>>,
+}
+
+/// Every list's rows in the codec's format, list-major.
+enum Rows {
+    /// Per list: `len × dim` f32s.
+    Full(Vec<Vec<f32>>),
+    /// Per list: `len × m` code bytes.
+    Pq(Vec<Vec<u8>>),
+}
+
+/// Groups `(doc, vector, list)` entries into per-list row buffers, each
+/// entry stored as `row(vector, list)`.
+fn group_rows<T>(
+    entries: &[(usize, &[f32], usize)],
+    nlist: usize,
+    row: impl Fn(&[f32], usize) -> Vec<T>,
+) -> Vec<Vec<T>> {
+    let mut lists: Vec<Vec<T>> = (0..nlist).map(|_| Vec::new()).collect();
+    for &(_, v, list) in entries {
+        lists[list].extend(row(v, list));
+    }
+    lists
+}
+
+/// A shard's device: its executor, the resident centroid matrix and (Pq)
+/// codebook the coarse and table kernels read, and the residency tier over
+/// the per-list rows.
+struct GpuState {
+    exec: GpuExecutor,
+    centroids: DeviceTensor,
+    codebook: Option<DeviceTensor>,
+    /// Interior mutability: scans take `&self` but promotion moves leases.
+    residency: Mutex<ListResidency>,
+}
+
+impl GpuState {
+    fn tier(&self) -> std::sync::MutexGuard<'_, ListResidency> {
+        self.residency.lock().expect("residency lock")
+    }
+
+    /// Prices coarse ranking for a batch of `b` queries as one fused
+    /// `ivf_coarse_batch` launch (query block H2D, one kernel over
+    /// `b × nlist` dot products, score D2H) — per-*batch* fixed cost, not
+    /// per-query, so the launch overhead does not replicate with the batch
+    /// size.
+    fn price_coarse(&self, b: u64, dim: u64) {
+        let nlist = self.centroids.rows() as u64;
+        let query_bytes = 4 * b * dim;
+        let _q = self
+            .exec
+            .gpu()
+            .htod_pooled(self.exec.pool(), query_bytes)
+            .expect("query upload");
+        self.exec.residency().add_h2d(query_bytes);
+        let cfg = LaunchConfig::for_elements(b * nlist, 256);
+        let profile = KernelProfile {
+            flops: 2 * b * nlist * dim,
+            bytes: self.centroids.size_bytes() + 4 * (b * dim + b * nlist),
+            access: AccessPattern::Coalesced,
+            registers_per_thread: 32,
+        };
+        LaunchSpec::new("ivf_coarse_batch", cfg, profile)
+            .run(self.exec.gpu(), || ())
+            .expect("coarse scoring kernel");
+        let score_bytes = 4 * b * nlist;
+        let lease = self.exec.pool().lease(score_bytes).expect("score buffer");
+        self.exec.gpu().dtoh_pooled(&lease).expect("score readback");
+        self.exec.residency().add_d2h(score_bytes);
+    }
+
+    /// Pq codec only: prices the ADC tables of a whole batch as one
+    /// `pq_adc_table` launch and leases their device buffer for the scan.
+    /// The scan reads the host-side plan tables, so only the bytes are
+    /// leased.
+    fn price_tables(&self, b: u64, dim: u64) -> Option<PoolLease> {
+        let codebook = self.codebook.as_ref()?;
+        let table_elems = codebook.rows() as u64;
+        let cfg = LaunchConfig::for_elements(b * table_elems, 256);
+        let profile = KernelProfile {
+            flops: 2 * b * table_elems * codebook.cols() as u64,
+            // Codebook (read once from cache), the query block, and the
+            // emitted tables.
+            bytes: codebook.size_bytes() + 4 * (b * dim + b * table_elems),
+            access: AccessPattern::Coalesced,
+            registers_per_thread: 32,
+        };
+        LaunchSpec::new("pq_adc_table", cfg, profile)
+            .run(self.exec.gpu(), || ())
+            .expect("adc table kernel");
+        Some(
+            self.exec
+                .pool()
+                .lease(4 * b * table_elems)
+                .expect("adc tables fit on device"),
+        )
+    }
+
+    /// Residency gate: every list a batch scans must be device-resident
+    /// before the scan launches. Hits are free; misses charge a promotion
+    /// copy (and evictions) in front of the kernel — the exposed time the
+    /// profiler attributes. Each distinct list is touched once per batch,
+    /// first-touch order.
+    fn touch_probed(&self, probes: &[Vec<usize>]) {
+        let mut res = self.tier();
+        let mut seen = vec![false; self.centroids.rows()];
+        for &list in probes.iter().flatten() {
+            if !std::mem::replace(&mut seen[list], true) {
+                res.touch(list).expect("list promotion");
+            }
+        }
+    }
+
+    /// Device-side top-k selection: one coalesced sweep of the raw scores
+    /// emitting `b × k` (doc, score) pairs, then a read-back of only the
+    /// selected hits. The host selected while scanning.
+    fn price_select(&self, k: u64, scanned: u64, selected: &[Vec<SearchHit>]) {
+        let b = selected.len() as u64;
+        let cfg = LaunchConfig::for_elements(scanned, 256);
+        let profile = KernelProfile {
+            flops: scanned,
+            bytes: 4 * scanned + 8 * b * k,
+            access: AccessPattern::Coalesced,
+            registers_per_thread: 32,
+        };
+        LaunchSpec::new("topk_select", cfg, profile)
+            .run(self.exec.gpu(), || ())
+            .expect("top-k select kernel");
+        let hit_bytes: u64 = selected.iter().map(|h| 8 * h.len() as u64).sum();
+        if hit_bytes > 0 {
+            let lease = self.exec.pool().lease(hit_bytes).expect("hit buffer");
+            self.exec.gpu().dtoh_pooled(&lease).expect("hit readback");
+            self.exec.residency().add_d2h(hit_bytes);
+        }
+    }
+}
+
+/// One shard of an [`IvfIndex`]: the rows of the lists placed on it and
+/// the device it serves them from. Every shard shares its index's
+/// quantizers; an unsharded index is one shard holding every list.
+pub struct IvfShard {
+    quant: Arc<Quantizer>,
+    nprobe: usize,
+    /// Per list: member doc ids, insertion order (empty for lists placed
+    /// on other shards).
+    ids: Vec<Vec<usize>>,
+    rows: Rows,
+    gpu: Option<GpuState>,
+}
+
+impl IvfShard {
+    /// Stores `(doc, vector, list)` entries in the codec's row format.
+    fn new(quant: Arc<Quantizer>, nprobe: usize, entries: &[(usize, &[f32], usize)]) -> Self {
+        let nlist = quant.nlist();
+        let rows = match &quant.codebook {
+            None => Rows::Full(group_rows(entries, nlist, |v, _| v.to_vec())),
+            Some(cb) => Rows::Pq(group_rows(entries, nlist, |v, list| {
+                cb.encode(&residual(v, quant.centroid(list)))
+            })),
+        };
+        let mut ids = vec![Vec::new(); nlist];
+        for &(doc, _, list) in entries {
+            ids[list].push(doc);
+        }
+        Self {
+            quant,
+            nprobe,
+            ids,
+            rows,
+            gpu: None,
+        }
+    }
+
+    /// Bytes list `list`'s rows occupy, on host or device.
+    fn list_bytes(&self, list: usize) -> u64 {
+        match &self.rows {
+            Rows::Full(rows) => 4 * rows[list].len() as u64,
+            Rows::Pq(rows) => rows[list].len() as u64,
+        }
+    }
+
+    /// Total row bytes across the shard's lists — the spillable payload a
+    /// residency budget governs.
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        (0..self.ids.len()).map(|l| self.list_bytes(l)).sum()
+    }
+
+    /// Moves the shard device-resident on `exec`: uploads the coarse
+    /// centroids and (Pq) the codebook as [`DeviceTensor`]s (charged H2D)
+    /// and puts every list's rows under a [`ListResidency`] tier. With
+    /// `budget: None` the tier holds the whole payload and every list pays
+    /// its one H2D now, list-id order, so scans never miss; with
+    /// `Some(bytes)` cold lists stay on host and promote charge-on-miss.
+    /// Residency moves bytes, never values: hits are bit-identical at every
+    /// budget.
+    pub(crate) fn attach(
+        &mut self,
+        exec: GpuExecutor,
+        budget: Option<u64>,
+    ) -> Result<(), IndexError> {
+        let q = &self.quant;
+        let centroids = exec.upload(&Tensor::from_vec(q.nlist(), q.dim, q.centroids.clone())?)?;
+        let codebook = q
+            .codebook
+            .as_ref()
+            .map(|cb| {
+                let host =
+                    Tensor::from_vec(cb.m() * cb.ksub(), cb.dsub(), cb.centroids().to_vec())?;
+                exec.upload(&host)
+            })
+            .transpose()?;
+        let list_bytes: Vec<u64> = (0..self.ids.len()).map(|l| self.list_bytes(l)).collect();
+        let mut residency = ListResidency::new(
+            exec.clone(),
+            &list_bytes,
+            budget.unwrap_or_else(|| list_bytes.iter().sum()),
+        );
+        if budget.is_none() {
+            for list in 0..list_bytes.len() {
+                residency.touch(list).map_err(TensorError::from)?;
+            }
+        }
+        self.gpu = Some(GpuState {
+            exec,
+            centroids,
+            codebook,
+            residency: Mutex::new(residency),
+        });
+        Ok(())
+    }
+
+    /// Scans every query's probed lists and selects its top-k as it
+    /// scores: `dot(v, q)` for full rows, the centroid score (already
+    /// computed by the coarse stage) plus the ADC sum for residual codes.
+    fn scan(&self, plan: &BatchPlan, k: usize) -> Vec<Vec<SearchHit>> {
+        let dim = self.quant.dim;
+        (0..plan.queries.len())
+            .map(|qi| {
+                let mut best = TopK::new(k);
+                for &list in &plan.probes[qi] {
+                    let ids = &self.ids[list];
+                    match &self.rows {
+                        Rows::Full(rows) => {
+                            let q = &plan.queries[qi];
+                            for (&doc_id, v) in ids.iter().zip(rows[list].chunks_exact(dim)) {
+                                best.push(SearchHit {
+                                    doc_id,
+                                    score: dot(v, q),
+                                });
+                            }
+                        }
+                        Rows::Pq(rows) => {
+                            let bias = plan.coarse[qi][list];
+                            let table = &plan.tables[qi];
+                            for (&doc_id, codes) in
+                                ids.iter().zip(rows[list].chunks_exact(table.len()))
+                            {
+                                best.push(SearchHit {
+                                    doc_id,
+                                    score: bias + adc_score_rows(table, codes),
+                                });
+                            }
+                        }
+                    }
+                }
+                best.into_sorted()
+            })
+            .collect()
+    }
+
+    /// The scan kernel for `scanned` rows over `b` queries: a coalesced
+    /// `ivf_flat_scan` of `2 · dim` flops per full row, or a gather-heavy
+    /// `pq_adc_scan` of `m` table lookups per code row.
+    fn scan_kernel(&self, b: u64, scanned: u64) -> (&'static str, KernelProfile) {
+        match &self.quant.codebook {
+            None => {
+                let dim = self.quant.dim as u64;
+                let profile = KernelProfile {
+                    flops: 2 * scanned * dim,
+                    // Rows, the query block, and the raw scores left on
+                    // device for selection.
+                    bytes: 4 * scanned * dim + 4 * b * dim + 4 * scanned,
+                    access: AccessPattern::Coalesced,
+                    registers_per_thread: 32,
+                };
+                ("ivf_flat_scan", profile)
+            }
+            Some(cb) => {
+                let (m, ksub) = (cb.m() as u64, cb.ksub() as u64);
+                let profile = KernelProfile {
+                    flops: scanned * m,
+                    // Codes (1 byte each), the resident tables, and the
+                    // raw scores left on device for selection.
+                    bytes: scanned * m + 4 * b * m * ksub + 4 * scanned,
+                    access: AccessPattern::Random,
+                    registers_per_thread: 32,
+                };
+                ("pq_adc_scan", profile)
+            }
+        }
+    }
+
+    /// Searches with a precomputed plan. On a device, coarse ranking,
+    /// (Pq) table build, list scan and top-k selection are each priced as
+    /// one launch for the whole batch, after the residency touches, so
+    /// fixed launch/transfer costs amortize across queries and the scanned
+    /// row volume — exactly the work sharding divides — is the term that
+    /// scales.
+    fn search_planned(&self, plan: &BatchPlan, k: usize) -> Vec<Vec<SearchHit>> {
+        let b = plan.queries.len();
+        if b == 0 || self.ids.iter().all(Vec::is_empty) {
+            return vec![Vec::new(); b];
+        }
+        let Some(gpu) = &self.gpu else {
+            return self.scan(plan, k);
+        };
+        let dim = self.quant.dim as u64;
+        gpu.price_coarse(b as u64, dim);
+        let _tables = gpu.price_tables(b as u64, dim);
+        let scanned: u64 = plan
+            .probes
+            .iter()
+            .flatten()
+            .map(|&list| self.ids[list].len() as u64)
+            .sum();
+        if scanned == 0 {
+            return vec![Vec::new(); b];
+        }
+        gpu.touch_probed(&plan.probes);
+        let (name, profile) = self.scan_kernel(b as u64, scanned);
+        let selected = LaunchSpec::new(name, LaunchConfig::for_elements(scanned, 256), profile)
+            .run(gpu.exec.gpu(), || self.scan(plan, k))
+            .expect("scan kernel");
+        gpu.price_select(k as u64, scanned, &selected);
+        selected
+    }
+}
+
+impl RetrievalIndex for IvfShard {
+    /// This shard's own scan: its plan, its lists, its device — no merge
+    /// and no refine.
+    fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>> {
+        for q in queries {
+            assert_eq!(q.len(), self.quant.dim, "query dim mismatch");
+        }
+        self.search_planned(&self.quant.plan(queries, self.nprobe), k)
+    }
+
+    fn len(&self) -> usize {
+        self.ids.iter().map(Vec::len).sum()
+    }
+
+    fn device_bytes(&self) -> u64 {
+        // Coarse centroids + codebook (f32) + the list rows: the
+        // compression headline against a flat `4 · len · dim` matrix.
+        let codebook = self
+            .quant
+            .codebook
+            .as_ref()
+            .map_or(0, |cb| cb.centroids().len());
+        4 * (self.quant.centroids.len() + codebook) as u64 + self.payload_bytes()
+    }
+}
+
+/// The IVF index: one coarse quantizer, inverted lists stored under a
+/// [`Codec`], placed over one or more [`IvfShard`]s. Search plans once,
+/// scans every shard on its own device, selects the top-k of the shards'
+/// local top-k lists, and (Pq with refine) re-ranks those candidates
+/// exactly. [`IvfIndex::train`] builds the unsharded host index;
+/// [`IvfIndex::build`](crate::shard) places lists over a GPU cluster.
+pub struct IvfIndex {
+    quant: Arc<Quantizer>,
+    nprobe: usize,
+    /// Exact re-rank depth (0 = off): the merged top-`max(refine, k)` is
+    /// re-scored against `exact` before the final top-k.
+    refine: usize,
+    pub(crate) shards: Vec<IvfShard>,
+    /// doc id → full-precision vector, the refine source: kept only while
+    /// `refine > 0`. Host RAM only; never counted in device bytes.
+    exact: HashMap<usize, Vec<f32>>,
 }
 
 impl std::fmt::Debug for IvfIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IvfIndex")
-            .field("dim", &self.dim)
-            .field("nlist", &self.lists.len())
+            .field("dim", &self.quant.dim)
+            .field("nlist", &self.nlist())
             .field("nprobe", &self.nprobe)
-            .field("len", &self.ids.len())
-            .field("gpu", &self.gpu.is_some())
+            .field("refine", &self.refine)
+            .field("len", &self.len())
+            .field("shards", &self.shards.len())
             .finish()
     }
 }
 
 impl IvfIndex {
-    /// Trains the coarse quantizer on `data` and assigns every vector.
+    /// Trains an unsharded host index on all of `data`: the coarse
+    /// quantizer, then (Pq) the codebook on the coarse residuals, then
+    /// every vector into its list.
     ///
-    /// `nprobe` is clamped to `nlist`. Degenerate configurations are typed
-    /// errors: an empty corpus, `nlist > data.len()`, `nlist == 0`, or
-    /// clusters left empty by k-means (see [`IndexError`]).
+    /// `nprobe` is clamped to `1..=nlist`. Degenerate configurations are
+    /// typed errors: an empty corpus, `nlist > data.len()`, `nlist == 0`,
+    /// clusters left empty by k-means, or an impossible PQ layout (see
+    /// [`IndexError`]).
     pub fn train(
         dim: usize,
         nlist: usize,
         nprobe: usize,
+        codec: Codec,
         data: &[(usize, Vec<f32>)],
         seed: u64,
     ) -> Result<Self, IndexError> {
-        let (centroids, assignments) = train_coarse(dim, nlist, data, seed)?;
-        let nprobe = nprobe.clamp(1, nlist);
-
-        // Build inverted lists.
-        let mut lists = vec![Vec::new(); nlist];
-        let mut ids = Vec::with_capacity(data.len());
-        let mut vectors = Vec::with_capacity(data.len() * dim);
-        for (row, ((doc_id, v), &a)) in data.iter().zip(&assignments).enumerate() {
-            ids.push(*doc_id);
-            vectors.extend(v.iter().copied());
-            lists[a].push(row);
-        }
-
-        Ok(Self {
-            dim,
-            nprobe,
-            centroids,
-            lists,
-            ids,
-            vectors,
-            gpu: None,
-            device_centroids: Mutex::new(None),
-        })
+        let (quant, assignments) = Quantizer::train(dim, nlist, codec, data, seed, None)?;
+        let entries = data
+            .iter()
+            .zip(&assignments)
+            .map(|((doc, v), &list)| (*doc, v.as_slice(), list))
+            .collect();
+        Ok(Self::assemble(quant, nprobe, vec![entries]))
     }
 
-    /// Routes centroid scoring through a simulated GPU: the centroid matrix
-    /// is cached device-resident and queries are scored with the same
-    /// batched kernels as [`FlatIndex`], so the server's micro-batcher no
-    /// longer rebuilds per-query centroid work.
-    pub fn with_gpu(mut self, gpu: GpuExecutor) -> Self {
-        self.gpu = Some(gpu);
+    /// Stores `per_shard[s]`'s `(doc, vector, list)` entries on shard `s`,
+    /// encoding the shards in parallel.
+    pub(crate) fn assemble(
+        quant: Quantizer,
+        nprobe: usize,
+        per_shard: Vec<Vec<(usize, &[f32], usize)>>,
+    ) -> Self {
+        let quant = Arc::new(quant);
+        let nprobe = nprobe.clamp(1, quant.nlist());
+        let shards = per_shard
+            .par_iter()
+            .map(|entries| IvfShard::new(Arc::clone(&quant), nprobe, entries))
+            .collect();
+        Self {
+            quant,
+            nprobe,
+            refine: 0,
+            shards,
+            exact: HashMap::new(),
+        }
+    }
+
+    /// Serves the unsharded index from a simulated GPU (see
+    /// [`IvfShard`]'s attach): `budget: None` keeps every list resident,
+    /// `Some(bytes)` serves under tiered residency.
+    pub fn with_gpu(mut self, exec: GpuExecutor, budget: Option<u64>) -> Result<Self, IndexError> {
+        let shards = self.shards.len();
+        let [shard] = self.shards.as_mut_slice() else {
+            return Err(IndexError::BadShardCount { shards, devices: 1 });
+        };
+        shard.attach(exec, budget)?;
+        Ok(self)
+    }
+
+    /// Enables exact refine: search pulls the top-`max(r, k)` candidates,
+    /// merged across shards, and re-scores them against the full-precision
+    /// vectors of `data` before the final top-k (the FAISS
+    /// `IndexRefineFlat` recipe). Refining after the merge keeps the result
+    /// independent of the shard count. Full rows already score exactly, so
+    /// refine is off for [`Codec::Full`]; `r = 0` keeps codec ranking.
+    /// Only a refining index keeps the host copy.
+    pub fn with_refine(mut self, r: usize, data: &[(usize, Vec<f32>)]) -> Self {
+        self.refine = if self.quant.codebook.is_some() { r } else { 0 };
+        self.exact = match self.refine {
+            0 => HashMap::new(),
+            _ => data.iter().map(|(doc, v)| (*doc, v.clone())).collect(),
+        };
         self
     }
 
     /// Number of inverted lists.
     pub fn nlist(&self) -> usize {
-        self.lists.len()
+        self.quant.nlist()
     }
 
-    /// Lists probed per query.
+    /// Lists probed per query (global, not per shard).
     pub fn nprobe(&self) -> usize {
         self.nprobe
     }
 
-    /// Changes the probe count (clamped to `nlist`).
+    /// Changes the probe count (clamped to `1..=nlist`).
     pub fn set_nprobe(&mut self, nprobe: usize) {
         self.nprobe = nprobe.clamp(1, self.nlist());
+        for shard in &mut self.shards {
+            shard.nprobe = self.nprobe;
+        }
     }
 
     /// Fraction of the database scanned per query, on average.
     pub fn scan_fraction(&self) -> f64 {
-        let probed: usize = {
-            // Average list size × nprobe / total.
-            let total: usize = self.lists.iter().map(|l| l.len()).sum();
-            if total == 0 {
-                return 0.0;
-            }
-            total * self.nprobe / self.lists.len()
-        };
-        probed as f64 / self.ids.len().max(1) as f64
-    }
-
-    /// The cached device-resident centroid matrix.
-    fn centroid_matrix(&self) -> Arc<DeviceTensor> {
-        let gpu = self
-            .gpu
-            .as_ref()
-            .expect("centroid matrix requires a GPU index");
-        let mut cached = self
-            .device_centroids
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        cached
-            .get_or_insert_with(|| {
-                let host = Tensor::from_vec(self.nlist(), self.dim, self.centroids.clone())
-                    .expect("centroid shape");
-                Arc::new(gpu.upload(&host).expect("centroids fit on device"))
-            })
-            .clone()
-    }
-
-    fn host_centroid_scores(&self, query: &[f32]) -> Vec<f32> {
-        (0..self.nlist())
-            .map(|c| dot(&self.centroids[c * self.dim..(c + 1) * self.dim], query))
-            .collect()
-    }
-
-    /// Probes the `nprobe` best lists given precomputed centroid scores —
-    /// the shared back half of `search` and `search_batch`.
-    fn search_with_centroid_scores(
-        &self,
-        query: &[f32],
-        centroid_scores: &[f32],
-        k: usize,
-    ) -> Vec<SearchHit> {
-        let mut ranked: Vec<(usize, f32)> = centroid_scores.iter().copied().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut hits = Vec::new();
-        for &(c, _) in ranked.iter().take(self.nprobe) {
-            for &row in &self.lists[c] {
-                let v = &self.vectors[row * self.dim..(row + 1) * self.dim];
-                hits.push(SearchHit {
-                    doc_id: self.ids[row],
-                    score: dot(v, query),
-                });
-            }
+        let total = self.len();
+        if total == 0 {
+            return 0.0;
         }
-        top_k(hits, k)
+        (total * self.nprobe / self.nlist()) as f64 / total as f64
+    }
+
+    /// The shards, in device order (an unsharded index has one).
+    pub fn shards(&self) -> &[IvfShard] {
+        &self.shards
+    }
+
+    /// The attached shards' devices, shard order.
+    fn devices(&self) -> impl Iterator<Item = &GpuState> {
+        self.shards.iter().filter_map(|shard| shard.gpu.as_ref())
+    }
+
+    /// Splits a total device budget over the shards in proportion to each
+    /// shard's list payload, so a balanced placement gets a balanced
+    /// budget.
+    pub(crate) fn split_budget(&self, budget_bytes: u64) -> Vec<u64> {
+        let bytes: Vec<u64> = self.shards.iter().map(IvfShard::payload_bytes).collect();
+        let total: u64 = bytes.iter().sum();
+        bytes
+            .iter()
+            .map(|&b| match total {
+                0 => 0,
+                _ => ((budget_bytes as u128 * b as u128) / total as u128) as u64,
+            })
+            .collect()
     }
 }
 
 impl RetrievalIndex for IvfIndex {
-    fn search(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
-        if self.ids.is_empty() {
-            return Vec::new();
-        }
-        let centroid_scores = match &self.gpu {
-            Some(gpu) => {
-                let mat = self.centroid_matrix();
-                gpu.score_rows(&*mat, query).expect("gpu centroid scoring")
-            }
-            None => self.host_centroid_scores(query),
-        };
-        self.search_with_centroid_scores(query, &centroid_scores, k)
-    }
-
-    /// Batched centroid scoring through the cached device matrix, mirroring
-    /// [`FlatIndex`]'s batch path: all queries score against the resident
-    /// centroids in chunked double-buffered launches, then each probes its
-    /// lists. Hits are bit-identical to per-query [`RetrievalIndex::search`].
+    /// Batch search: the host plan is computed once, every shard scans it
+    /// in order on the calling thread (pricing its own device), the
+    /// per-shard lists merge through one top-k selection, and with refine
+    /// the merged top-`max(refine, k)` is re-scored exactly. Hits are
+    /// bit-identical to per-query search and to any shard count.
     fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<SearchHit>> {
         for q in queries {
-            assert_eq!(q.len(), self.dim, "query dim mismatch");
+            assert_eq!(q.len(), self.quant.dim, "query dim mismatch");
         }
-        if self.ids.is_empty() || queries.is_empty() {
-            return queries.iter().map(|_| Vec::new()).collect();
+        if queries.is_empty() {
+            return Vec::new();
         }
-        let per_query: Vec<Vec<f32>> = match &self.gpu {
-            Some(gpu) => {
-                let mat = self.centroid_matrix();
-                gpu.score_rows_batch(&*mat, queries)
-                    .expect("gpu centroid scoring")
-            }
-            None => queries
-                .iter()
-                .map(|q| self.host_centroid_scores(q))
-                .collect(),
-        };
+        let kprime = k.max(self.refine);
+        let plan = self.quant.plan(queries, self.nprobe);
+        let mut per_shard: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.search_planned(&plan, kprime).into_iter())
+            .collect();
+        let merged = queries.iter().map(|_| {
+            let local = per_shard
+                .iter_mut()
+                .flat_map(|hits| hits.next().unwrap_or_default());
+            top_k(local.collect(), kprime)
+        });
+        if self.refine == 0 {
+            return merged.collect();
+        }
         queries
             .iter()
-            .zip(per_query)
-            .map(|(q, scores)| self.search_with_centroid_scores(q, &scores, k))
+            .zip(merged)
+            .map(|(q, candidates)| {
+                let rescored = candidates
+                    .into_iter()
+                    .map(|h| SearchHit {
+                        doc_id: h.doc_id,
+                        score: dot(&self.exact[&h.doc_id], q),
+                    })
+                    .collect();
+                top_k(rescored, k)
+            })
             .collect()
     }
 
     fn len(&self) -> usize {
-        self.ids.len()
+        self.shards.iter().map(RetrievalIndex::len).sum()
     }
 
     fn device_bytes(&self) -> u64 {
-        // Centroids plus the full-precision vectors the probed lists scan.
-        4 * (self.centroids.len() + self.vectors.len()) as u64
+        // Sum across devices — honest about the replicated centroids and
+        // codebook every shard carries.
+        self.shards.iter().map(RetrievalIndex::device_bytes).sum()
     }
-}
 
-impl VectorIndex for IvfIndex {
-    fn add(&mut self, doc_id: usize, vector: Vec<f32>) {
-        assert_eq!(vector.len(), self.dim, "vector dim mismatch");
-        let best = nearest_centroid(&self.centroids, self.dim, &vector);
-        let row = self.ids.len();
-        self.ids.push(doc_id);
-        self.vectors.extend(vector);
-        self.lists[best].push(row);
+    /// The shards' tiers merged (counters and budgets add).
+    fn residency_stats(&self) -> Option<TierStats> {
+        self.devices()
+            .map(|gpu| gpu.tier().stats())
+            .reduce(|mut all, stats| {
+                all.merge(&stats);
+                all
+            })
+    }
+
+    /// Splits the budget over the shards like the build does.
+    fn set_residency_budget(&self, budget_bytes: u64) -> bool {
+        let budgets = self.split_budget(budget_bytes);
+        for (shard, budget) in self.shards.iter().zip(budgets) {
+            if let Some(gpu) = &shard.gpu {
+                gpu.tier().set_budget(budget);
+            }
+        }
+        self.devices().next().is_some()
+    }
+
+    fn pool_stats(&self) -> Vec<PoolStats> {
+        self.devices().map(|gpu| gpu.exec.pool().stats()).collect()
     }
 }
 
@@ -850,7 +1307,7 @@ mod tests {
             flat.add(*id, v.clone());
         }
         // Probe every list.
-        let ivf = IvfIndex::train(96, 8, 8, &data, 1).expect("trains");
+        let ivf = IvfIndex::train(96, 8, 8, Codec::Full, &data, 1).expect("trains");
         let q = &data[11].1;
         let exact = flat.search(q, 10);
         let approx = ivf.search(q, 10);
@@ -864,7 +1321,7 @@ mod tests {
         for (id, v) in &data {
             flat.add(*id, v.clone());
         }
-        let mut ivf = IvfIndex::train(96, 16, 16, &data, 2).expect("trains");
+        let mut ivf = IvfIndex::train(96, 16, 16, Codec::Full, &data, 2).expect("trains");
         ivf.set_nprobe(2);
         assert!(
             ivf.scan_fraction() < 0.3,
@@ -890,12 +1347,12 @@ mod tests {
         let (_, _, data) = indexed_corpus(10);
         // Empty corpus.
         assert_eq!(
-            IvfIndex::train(96, 4, 4, &[], 1).unwrap_err(),
+            IvfIndex::train(96, 4, 4, Codec::Full, &[], 1).unwrap_err(),
             IndexError::EmptyTrainingSet
         );
         // More lists than vectors (used to be silently clamped).
         assert_eq!(
-            IvfIndex::train(96, 11, 4, &data, 1).unwrap_err(),
+            IvfIndex::train(96, 11, 4, Codec::Full, &data, 1).unwrap_err(),
             IndexError::NlistExceedsCorpus {
                 nlist: 11,
                 corpus: 10
@@ -903,7 +1360,7 @@ mod tests {
         );
         // Zero lists.
         assert_eq!(
-            IvfIndex::train(96, 0, 1, &data, 1).unwrap_err(),
+            IvfIndex::train(96, 0, 1, Codec::Full, &data, 1).unwrap_err(),
             IndexError::ZeroClusters
         );
     }
@@ -917,7 +1374,7 @@ mod tests {
         let (_, embedder, _) = indexed_corpus(1);
         let v = embedder.embed("identical document text");
         let data: Vec<(usize, Vec<f32>)> = (0..8).map(|i| (i, v.clone())).collect();
-        let err = IvfIndex::train(96, 4, 4, &data, 1).unwrap_err();
+        let err = IvfIndex::train(96, 4, 4, Codec::Full, &data, 1).unwrap_err();
         assert!(
             matches!(err, IndexError::EmptyCluster { .. }),
             "expected EmptyCluster, got {err:?}"
@@ -936,23 +1393,13 @@ mod tests {
                 (i, embedder.embed(&format!("topic {topic} variant {i}")))
             })
             .collect();
-        let ivf = IvfIndex::train(96, 4, 4, &data, 1).expect("repair succeeds");
+        let ivf = IvfIndex::train(96, 4, 4, Codec::Full, &data, 1).expect("repair succeeds");
+        let lists = &ivf.shards()[0].ids;
         assert!(
-            ivf.lists.iter().all(|l| !l.is_empty()),
+            lists.iter().all(|l| !l.is_empty()),
             "every list must own at least one vector: {:?}",
-            ivf.lists.iter().map(|l| l.len()).collect::<Vec<_>>()
+            lists.iter().map(|l| l.len()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn ivf_add_after_train_is_searchable() {
-        let (_, embedder, data) = indexed_corpus(20);
-        let mut ivf = IvfIndex::train(96, 4, 4, &data, 3).expect("trains");
-        let new_vec = embedder.embed("kernel kernel kernel occupancy warp");
-        ivf.add(999, new_vec.clone());
-        assert_eq!(ivf.len(), 21);
-        let hits = ivf.search(&new_vec, 1);
-        assert_eq!(hits[0].doc_id, 999);
     }
 
     #[test]
@@ -960,11 +1407,12 @@ mod tests {
         use gpu_sim::{DeviceSpec, Gpu};
         use std::sync::Arc;
         let (_, embedder, data) = indexed_corpus(60);
-        let cpu = IvfIndex::train(96, 8, 3, &data, 5).expect("trains");
+        let cpu = IvfIndex::train(96, 8, 3, Codec::Full, &data, 5).expect("trains");
         let gpu_exec = GpuExecutor::new(Arc::new(Gpu::new(0, DeviceSpec::t4())));
-        let gpu = IvfIndex::train(96, 8, 3, &data, 5)
+        let gpu = IvfIndex::train(96, 8, 3, Codec::Full, &data, 5)
             .expect("trains")
-            .with_gpu(gpu_exec.clone());
+            .with_gpu(gpu_exec.clone(), None)
+            .expect("uploads");
         let queries: Vec<Vec<f32>> = (0..12)
             .map(|i| embedder.embed(&Corpus::topic_query(i % 5, 6, i as u64)))
             .collect();
@@ -985,6 +1433,52 @@ mod tests {
         let h2d_after = gpu_exec.residency_snapshot().h2d_bytes;
         // Only query payloads cross again, not the centroid matrix.
         assert!(h2d_after - h2d < 4 * (8 * 96) as u64 + 12 * 4 * 96 + 1);
+    }
+
+    #[test]
+    fn full_codec_scan_prices_the_flops_the_host_scan_performs() {
+        use gpu_sim::trace::RecordBody;
+        use gpu_sim::{DeviceSpec, Gpu};
+        let (_, embedder, data) = indexed_corpus(60);
+        let queries: Vec<Vec<f32>> = (0..5)
+            .map(|i| embedder.embed(&Corpus::topic_query(i % 5, 6, i as u64)))
+            .collect();
+        let exec = GpuExecutor::new(Arc::new(Gpu::new(0, DeviceSpec::t4())));
+        let mut ivf = IvfIndex::train(96, 8, 8, Codec::Full, &data, 5)
+            .expect("trains")
+            .with_gpu(exec.clone(), None)
+            .expect("uploads");
+        let scan_flops = |ivf: &IvfIndex| -> Vec<u64> {
+            let _sink = exec.record_trace();
+            ivf.search_batch(&queries, 10);
+            let trace = exec
+                .finish_trace("ivf-flat-scan")
+                .expect("recording was on");
+            trace
+                .records
+                .iter()
+                .filter_map(|r| match &r.body {
+                    RecordBody::Kernel { name, flops, .. } if name == "ivf_flat_scan" => {
+                        Some(*flops)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        // The host scan calls `dot` once per scanned row: `dim` multiplies
+        // and `dim` adds. Full probe scans every row for every query.
+        assert_eq!(scan_flops(&ivf), vec![2 * 5 * 60 * 96]);
+        ivf.set_nprobe(3);
+        let plan = ivf.quant.plan(&queries, 3);
+        let lists = &ivf.shards()[0].ids;
+        let scanned: u64 = plan
+            .probes
+            .iter()
+            .flatten()
+            .map(|&l| lists[l].len() as u64)
+            .sum();
+        assert!(scanned < 5 * 60, "three of eight lists scan fewer rows");
+        assert_eq!(scan_flops(&ivf), vec![2 * scanned * 96]);
     }
 
     #[test]
@@ -1048,7 +1542,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_tree_matches_top_k_of_concatenation() {
+    fn top_k_of_shard_top_ks_matches_top_k_of_all_candidates() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(17);
@@ -1056,10 +1550,10 @@ mod tests {
             let shards = rng.gen_range(1..6usize);
             let k = rng.gen_range(0..12usize);
             let mut next_doc = 0usize;
-            let lists: Vec<Vec<SearchHit>> = (0..shards)
+            let candidates: Vec<Vec<SearchHit>> = (0..shards)
                 .map(|_| {
                     let n = rng.gen_range(0..20usize);
-                    let hits: Vec<SearchHit> = (0..n)
+                    (0..n)
                         .map(|_| {
                             let doc_id = next_doc;
                             next_doc += 1;
@@ -1069,19 +1563,19 @@ mod tests {
                                 score: (rng.gen_range(-4..4i32) as f32) / 2.0,
                             }
                         })
-                        .collect();
-                    top_k(hits, k)
+                        .collect()
                 })
                 .collect();
-            let concatenated: Vec<SearchHit> = lists.iter().flatten().copied().collect();
+            let local: Vec<SearchHit> = candidates
+                .iter()
+                .flat_map(|hits| top_k(hits.clone(), k))
+                .collect();
             assert_eq!(
-                merge_top_k(lists.clone(), k),
-                top_k(concatenated, k),
+                top_k(local, k),
+                top_k(candidates.concat(), k),
                 "trial {trial}, shards {shards}, k {k}"
             );
         }
-        assert!(merge_top_k(vec![], 3).is_empty());
-        assert!(merge_top_k(vec![vec![], vec![]], 0).is_empty());
     }
 
     #[test]
@@ -1122,7 +1616,7 @@ mod tests {
         for (id, v) in &data {
             flat.add(*id, v.clone());
         }
-        let mut ivf = IvfIndex::train(96, 16, 1, &data, 2).expect("trains");
+        let mut ivf = IvfIndex::train(96, 16, 1, Codec::Full, &data, 2).expect("trains");
         let queries: Vec<&Vec<f32>> = (0..10).map(|i| &data[i * 17].1).collect();
         let exact: Vec<Vec<SearchHit>> = queries.iter().map(|q| flat.search(q, 5)).collect();
         let mut prev = -1.0;
@@ -1153,7 +1647,7 @@ mod tests {
         for (id, v) in &data {
             flat.add(*id, v.clone());
         }
-        let ivf = IvfIndex::train(96, 8, 8, &data, 5).expect("trains");
+        let ivf = IvfIndex::train(96, 8, 8, Codec::Full, &data, 5).expect("trains");
         assert_eq!(ivf.nprobe(), ivf.nlist());
         for i in 0..12 {
             let q = &data[i * 5].1;
@@ -1169,7 +1663,7 @@ mod tests {
             flat.add(*id, v.clone());
         }
         assert_eq!(flat.device_bytes(), 4 * 40 * 96);
-        let ivf = IvfIndex::train(96, 8, 4, &data, 1).expect("trains");
+        let ivf = IvfIndex::train(96, 8, 4, Codec::Full, &data, 1).expect("trains");
         assert_eq!(ivf.device_bytes(), 4 * (8 * 96 + 40 * 96));
     }
 

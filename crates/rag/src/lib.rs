@@ -16,20 +16,24 @@
 //! - [`embed`] — hashed bag-of-words with seeded random projection to a
 //!   dense unit vector (a deterministic stand-in for a sentence encoder).
 //! - [`index`] — [`index::FlatIndex`] (exact dot-product search, optionally
-//!   scored on a simulated GPU) and [`index::IvfIndex`] (k-means coarse
-//!   quantizer, `nlist`/`nprobe` — the FAISS IVF design), with recall@k
-//!   measurement against the exact baseline.
+//!   scored on a simulated GPU; the exact oracle) and [`index::IvfIndex`]:
+//!   one k-means coarse quantizer (`nlist`/`nprobe`) whose inverted lists
+//!   store rows under an [`index::Codec`] — full precision or PQ codes,
+//!   FAISS's `IVF{n},Flat` / `IVF{n},PQ{m}` — with recall@k measurement
+//!   against the exact baseline. On a GPU every list scan is priced, and
+//!   the lists live under the [`residency`] tier.
 //! - [`generate`] — a bigram Markov "small LLM" whose decode cost is
 //!   charged to the GPU per token (the latency shape of autoregressive
 //!   generation).
-//! - [`pq`] — product quantization: trained per-subspace codebooks,
-//!   asymmetric-distance (ADC) tables, and [`pq::IvfPqIndex`] whose coded
-//!   lists live in pooled device memory — corpora far larger than device
-//!   memory stay resident (the FAISS `IndexIVFPQ` design).
-//! - [`shard`] — [`shard::ShardedIndex`]: inverted lists partitioned
-//!   across a simulated multi-GPU cluster (size-balanced greedy placement
-//!   by default): one shared search plan per batch, inline per-shard
-//!   scans, and an order-stable top-k merge tree.
+//! - [`pq`] — product quantization: trained per-subspace codebooks and
+//!   asymmetric-distance (ADC) tables, the Pq codec's arithmetic — corpora
+//!   far larger than device memory stay resident (the FAISS `IndexIVFPQ`
+//!   design).
+//! - [`shard`] — an [`index::IvfIndex`]'s lists placed across a simulated
+//!   multi-GPU cluster (size-balanced greedy placement): one shared search
+//!   plan per batch, inline per-shard scans, a total-order top-k gather,
+//!   and one exact refine after it. [`shard::ShardedIndex`] names the same
+//!   type.
 //! - [`residency`] — [`residency::ListResidency`]: tiered list residency
 //!   under a device byte budget — hot lists hold pooled leases, cold
 //!   lists spill to host and promote charge-on-miss, with clock/LRU
@@ -61,11 +65,9 @@ pub mod prelude {
     pub use crate::embed::Embedder;
     pub use crate::error::IndexError;
     pub use crate::generate::MarkovGenerator;
-    pub use crate::index::{
-        recall_at_k, FlatIndex, IvfIndex, RetrievalIndex, SearchHit, VectorIndex,
-    };
+    pub use crate::index::{recall_at_k, Codec, FlatIndex, IvfIndex, RetrievalIndex, SearchHit};
     pub use crate::pipeline::{LatencyReport, RagPipeline, RagResponse};
-    pub use crate::pq::{IvfPqIndex, PqCodebook, PqConfig};
+    pub use crate::pq::{PqCodebook, PqConfig};
     pub use crate::residency::{ListResidency, TierStats};
     pub use crate::serve::{
         CacheStats, RagServer, ResponseHandle, RetrievalCache, ServeError, ServedResponse,

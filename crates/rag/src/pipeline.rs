@@ -49,7 +49,7 @@ pub struct LatencyReport {
 }
 
 /// The assembled RAG service, generic over any read-path index shape
-/// (flat, IVF, IVF-PQ, or multi-GPU sharded).
+/// (flat, or IVF of either codec on one or many GPUs).
 pub struct RagPipeline<I: RetrievalIndex> {
     pub embedder: Embedder,
     pub index: I,
@@ -310,7 +310,6 @@ pub fn build_flat_pipeline(
     gpu: GpuExecutor,
     seed: u64,
 ) -> RagPipeline<crate::index::FlatIndex> {
-    use crate::index::VectorIndex;
     let corpus = Corpus::synthetic(corpus_size, 80, seed);
     let embedder = Embedder::new(embed_dim, seed.wrapping_add(1));
     let mut index = crate::index::FlatIndex::with_gpu(embed_dim, gpu.clone());

@@ -1,13 +1,13 @@
 //! Tiered list residency: hot inverted lists on device, cold lists on host.
 //!
-//! PR 9's sharded IVF-PQ still pins every inverted list's packed codes in
-//! pooled device memory for the lifetime of the index, so the fleet can
-//! only serve corpora that fit aggregate GPU memory. [`ListResidency`]
-//! breaks that ceiling the way FAISS's `OnDiskInvertedLists` and the
-//! PyTorch caching allocator break theirs: codes always *exist* on host
-//! (the simulator computes on host RAM anyway), and the manager decides
-//! which lists additionally hold a device [`PoolLease`] under a
-//! configurable byte **budget**. A probed list that is already resident is
+//! An index that pins every inverted list's rows in pooled device memory
+//! for its lifetime can only serve corpora that fit aggregate GPU memory.
+//! [`ListResidency`] breaks that ceiling the way FAISS's
+//! `OnDiskInvertedLists` and the PyTorch caching allocator break theirs:
+//! rows (full-precision vectors or PQ codes) always *exist* on host (the
+//! simulator computes on host RAM anyway), and the manager decides which
+//! lists additionally hold a device [`PoolLease`] under a configurable
+//! byte **budget**. A probed list that is already resident is
 //! a *hit* (no transfer); a cold list is a *miss* that promotes
 //! charge-on-miss — victims are evicted until the list fits, then one H2D
 //! copy named `"promote-list"` is charged through the residency layer, so
@@ -15,7 +15,7 @@
 //! first-time uploads.
 //!
 //! Residency only moves bytes, never values: the scan arithmetic reads the
-//! same host-side code slices whether a list is hot or cold, so search
+//! same host-side rows whether a list is hot or cold, so search
 //! results are bit-identical to a fully-resident index at every budget.
 //! What the budget changes is the *cost* — promotion copies serialize in
 //! front of the scan kernel on the command stream, which is exactly the
@@ -38,25 +38,12 @@ pub const PROMOTE_COPY_NAME: &str = "promote-list";
 /// Per-list residency bookkeeping.
 #[derive(Debug, Default)]
 struct Slot {
-    /// Packed-code bytes this list occupies when resident (0 = empty list).
+    /// Row bytes this list occupies when resident (0 = empty list).
     bytes: u64,
     /// The device slab while hot; `None` while spilled to host.
     lease: Option<PoolLease>,
     /// Monotonic touch stamp (LRU ordering).
     last_touch: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Per-list counters exported by [`ListResidency::list_counters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ListCounters {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub resident: bool,
-    pub bytes: u64,
 }
 
 /// Aggregate point-in-time view of a [`ListResidency`] manager.
@@ -64,7 +51,7 @@ pub struct ListCounters {
 pub struct TierStats {
     /// Device byte budget for list codes.
     pub budget_bytes: u64,
-    /// Total packed-code bytes across all lists (the spillable set).
+    /// Total row bytes across all lists (the spillable set).
     pub list_bytes: u64,
     /// Probes that found their list already resident.
     pub hits: u64,
@@ -168,11 +155,6 @@ impl ListResidency {
         }
     }
 
-    /// The configured device byte budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Shrinks or grows the budget, evicting down immediately when the
     /// resident set no longer fits.
     pub fn set_budget(&mut self, budget: u64) {
@@ -204,13 +186,11 @@ impl ListResidency {
         }
         if slot.lease.is_some() {
             slot.last_touch = tick;
-            slot.hits += 1;
             self.hits += 1;
             self.exec.residency().record_hit();
             return Ok(0);
         }
         let bytes = slot.bytes;
-        slot.misses += 1;
         self.misses += 1;
         self.exec.residency().record_miss();
         if bytes > self.budget {
@@ -256,7 +236,6 @@ impl ListResidency {
             };
             let slot = &mut self.slots[victim];
             slot.lease = None; // drop: slab returns to the pool cache
-            slot.evictions += 1;
             self.resident_bytes -= slot.bytes;
             self.evictions += 1;
             any = true;
@@ -289,20 +268,6 @@ impl ListResidency {
             resident_lists: self.slots.iter().filter(|s| s.lease.is_some()).count(),
             total_lists: self.slots.len(),
         }
-    }
-
-    /// Per-list hit/miss/evict counters, list-id order.
-    pub fn list_counters(&self) -> Vec<ListCounters> {
-        self.slots
-            .iter()
-            .map(|s| ListCounters {
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                resident: s.lease.is_some(),
-                bytes: s.bytes,
-            })
-            .collect()
     }
 }
 
@@ -339,17 +304,14 @@ mod tests {
         res.touch(0).unwrap();
         res.touch(1).unwrap();
         res.touch(2).unwrap(); // must evict list 0 (coldest)
-        let counters = res.list_counters();
-        assert!(!counters[0].resident);
-        assert!(counters[1].resident && counters[2].resident);
-        assert_eq!(counters[0].evictions, 1);
-        res.touch(1).unwrap(); // refresh 1
+        assert_eq!(res.stats().evictions, 1);
+        assert_eq!(res.touch(1).unwrap(), 0, "list 1 stayed resident"); // refresh 1
         res.touch(3).unwrap(); // must evict 2, not 1
-        let counters = res.list_counters();
-        assert!(counters[1].resident && !counters[2].resident);
+        assert_eq!(res.touch(1).unwrap(), 0, "list 1 stayed resident");
+        assert_eq!(res.touch(2).unwrap(), 1000, "list 2 was evicted");
         let s = res.stats();
         assert!(s.high_water_bytes <= s.budget_bytes);
-        assert_eq!(s.evictions, 2);
+        assert_eq!(s.evictions, 3);
     }
 
     #[test]

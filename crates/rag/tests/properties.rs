@@ -2,13 +2,20 @@
 
 use proptest::prelude::*;
 use sagegpu_rag::embed::{cosine, Embedder};
-use sagegpu_rag::index::{
-    recall_at_k, FlatIndex, IvfIndex, RetrievalIndex, SearchHit, VectorIndex,
-};
-use sagegpu_rag::pq::{IvfPqIndex, PqConfig};
+use sagegpu_rag::index::{recall_at_k, Codec, FlatIndex, IvfIndex, RetrievalIndex, SearchHit};
+use sagegpu_rag::pq::PqConfig;
 use sagegpu_rag::shard::{Placement, ShardPlan, ShardedIndex};
 use sagegpu_rag::tokenize::tokenize;
 use std::sync::Arc;
+
+/// Codec 0 stores full-precision rows; codec 1 the PQ layout the
+/// IVF-PQ properties below use.
+fn codec(id: usize) -> Codec {
+    match id {
+        0 => Codec::Full,
+        _ => Codec::Pq(PqConfig::new(8, 6)),
+    }
+}
 
 fn embedded_docs(n: usize, dim: usize, seed: u64) -> (Embedder, Vec<(usize, Vec<f32>)>) {
     let e = Embedder::new(dim, seed);
@@ -77,9 +84,12 @@ proptest! {
         prop_assert_eq!(recall_at_k(&a, &a), 1.0);
     }
 
-    /// IVF with full probing has perfect recall against flat.
+    /// IVF with full probing reproduces flat exactly, with its scans
+    /// priced on a GPU.
     #[test]
     fn ivf_full_probe_exact(n in 8usize..60, nlist in 1usize..8, seed in 0u64..20) {
+        use gpu_sim::{DeviceSpec, Gpu};
+        use sagegpu_tensor::gpu_exec::GpuExecutor;
         let e = Embedder::new(48, seed);
         let data: Vec<(usize, Vec<f32>)> = (0..n)
             .map(|i| (i, e.embed(&format!("document {i} topic {}", i % 3))))
@@ -88,20 +98,27 @@ proptest! {
         for (id, v) in &data {
             flat.add(*id, v.clone());
         }
-        let ivf = IvfIndex::train(48, nlist, nlist, &data, seed).expect("ivf trains");
+        let exec = GpuExecutor::new(Arc::new(Gpu::new(0, DeviceSpec::t4())));
+        let ivf = IvfIndex::train(48, nlist, nlist, Codec::Full, &data, seed)
+            .expect("ivf trains")
+            .with_gpu(exec.clone(), None)
+            .expect("attaches");
         let q = e.embed("topic 1 document");
         let exact = flat.search(&q, 5);
         let approx = ivf.search(&q, 5);
         prop_assert_eq!(recall_at_k(&exact, &approx), 1.0);
+        prop_assert_eq!(approx, exact);
+        prop_assert!(exec.gpu().kernels_launched() > 0, "the scan must be priced");
     }
 
     /// Sharded scatter-gather search is bit-identical to a single shard,
-    /// for any shard count the cluster can hold: shards partition exactly
-    /// the rows one shard would scan, score them with the same ADC
-    /// arithmetic, and the merge tree's ranking is a total order — so the
-    /// global top-k cannot depend on how candidates were grouped.
+    /// for either codec and any shard count the cluster can hold: shards
+    /// partition exactly the rows one shard would scan, score them with the
+    /// same arithmetic, and the gather's ranking is a total order — so
+    /// the global top-k cannot depend on how candidates were grouped.
     #[test]
     fn sharded_search_is_shard_count_invariant(
+        codec_id in 0usize..2,
         n in 40usize..120,
         shards in 2usize..5,
         nprobe in 1usize..9,
@@ -124,21 +141,24 @@ proptest! {
         let cluster = |s: usize| {
             Arc::new(GpuCluster::homogeneous(s, DeviceSpec::t4(), LinkKind::Pcie))
         };
-        let one = ShardedIndex::build(48, plan(1), &data, cluster(1), seed).expect("builds");
-        let many = ShardedIndex::build(48, plan(shards), &data, cluster(shards), seed)
-            .expect("builds");
+        let build = |s: usize| {
+            ShardedIndex::build_with_codec(48, codec(codec_id), plan(s), &data, cluster(s), seed)
+                .expect("builds")
+        };
+        let (one, many) = (build(1), build(shards));
         let queries: Vec<Vec<f32>> = (0..4)
             .map(|i| e.embed(&format!("topic {} document", i % 3)))
             .collect();
         prop_assert_eq!(one.search_batch(&queries, k), many.search_batch(&queries, k));
     }
 
-    /// Tiered residency moves bytes, never values: for random corpora,
-    /// budgets and query streams, a budgeted index returns hits
-    /// bit-identical to the fully-resident one — and the tier's
+    /// Tiered residency moves bytes, never values: for either codec and
+    /// random corpora, budgets and query streams, a budgeted index returns
+    /// hits bit-identical to the fully-resident one — and the tier's
     /// resident-byte high-water never exceeds the budget.
     #[test]
     fn tiered_search_is_bit_identical_and_respects_budget(
+        codec_id in 0usize..2,
         n in 40usize..120,
         budget_pct in 2u64..120,
         stream in prop::collection::vec(0usize..6, 1..10),
@@ -148,14 +168,15 @@ proptest! {
         use sagegpu_tensor::gpu_exec::GpuExecutor;
         let (e, data) = embedded_docs(n, 48, seed);
         let exec = || GpuExecutor::new(Arc::new(Gpu::new(0, DeviceSpec::t4())));
-        let train = || {
-            IvfPqIndex::train(48, 8, 3, PqConfig::new(8, 6), &data, seed).expect("trains")
+        let train = |budget: Option<u64>| {
+            IvfIndex::train(48, 8, 3, codec(codec_id), &data, seed)
+                .expect("trains")
+                .with_gpu(exec(), budget)
+                .expect("attaches")
         };
-        let full = train().with_gpu(exec()).expect("attaches");
-        let budget = full.list_code_bytes() * budget_pct / 100;
-        let tiered = train()
-            .with_gpu_tiered(exec(), budget)
-            .expect("attaches");
+        let full = train(None);
+        let list_bytes = full.residency_stats().expect("tier attached").list_bytes;
+        let tiered = train(Some(list_bytes * budget_pct / 100));
         for &t in &stream {
             let q = e.embed(&format!("topic {t} document"));
             prop_assert_eq!(full.search(&q, 5), tiered.search(&q, 5));
@@ -165,7 +186,7 @@ proptest! {
             .map(|&t| e.embed(&format!("document about topic {t}")))
             .collect();
         prop_assert_eq!(full.search_batch(&batch, 5), tiered.search_batch(&batch, 5));
-        let stats = tiered.tier_stats().expect("tier attached");
+        let stats = tiered.residency_stats().expect("tier attached");
         prop_assert!(
             stats.high_water_bytes <= stats.budget_bytes,
             "resident high-water {} exceeded budget {}",
@@ -186,7 +207,7 @@ proptest! {
         for (id, v) in &data {
             flat.add(*id, v.clone());
         }
-        let mut idx = IvfPqIndex::train(48, 8, 1, PqConfig::new(8, 8), &data, seed)
+        let mut idx = IvfIndex::train(48, 8, 1, Codec::Pq(PqConfig::new(8, 8)), &data, seed)
             .expect("trains");
         let queries: Vec<Vec<f32>> = (0..4)
             .map(|i| e.embed(&format!("topic {} document", i % 3)))
@@ -224,7 +245,7 @@ proptest! {
             flat.add(*id, v.clone());
         }
         let nlist = 4.min(n);
-        let idx = IvfPqIndex::train(48, nlist, nlist, PqConfig::new(1, 8), &data, seed)
+        let idx = IvfIndex::train(48, nlist, nlist, Codec::Pq(PqConfig::new(1, 8)), &data, seed)
             .expect("trains");
         let q = e.embed("topic 1 document");
         let exact = flat.search(&q, n);

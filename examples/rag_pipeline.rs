@@ -12,7 +12,7 @@ use sagemaker_gpu_workflows::sagegpu::gpu::{DeviceSpec, Gpu};
 use sagemaker_gpu_workflows::sagegpu::rag::corpus::Corpus;
 use sagemaker_gpu_workflows::sagegpu::rag::embed::Embedder;
 use sagemaker_gpu_workflows::sagegpu::rag::index::{
-    recall_at_k, FlatIndex, IvfIndex, RetrievalIndex, VectorIndex,
+    recall_at_k, Codec, FlatIndex, IvfIndex, RetrievalIndex,
 };
 use sagemaker_gpu_workflows::sagegpu::rag::pipeline::build_flat_pipeline;
 use sagemaker_gpu_workflows::sagegpu::tensor::gpu_exec::GpuExecutor;
@@ -64,7 +64,7 @@ fn main() {
     }
     println!("\nIVF probe sweep (400 docs, 20 lists):");
     for nprobe in [1usize, 2, 5, 10, 20] {
-        let mut ivf = IvfIndex::train(96, 20, 20, &data, 7).expect("ivf trains");
+        let mut ivf = IvfIndex::train(96, 20, 20, Codec::Full, &data, 7).expect("ivf trains");
         ivf.set_nprobe(nprobe);
         let mut recall = 0.0;
         for i in 0..10 {
