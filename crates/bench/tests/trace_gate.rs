@@ -38,6 +38,23 @@ fn committed_goldens_pass_against_fresh_recordings() {
 }
 
 #[test]
+fn golden_traces_rewrite_to_the_same_json() {
+    // Pins the `TraceV1` schema: a renamed key, a `null` written where a
+    // key is omitted (`pricing`), or a reordered array all differ here.
+    for (name, stem, _) in GATED_WORKLOADS {
+        let path = golden_path(stem);
+        let committed = std::fs::read_to_string(&path).expect("golden is readable");
+        let rewritten = TraceV1::read_file(&path)
+            .unwrap_or_else(|e| panic!("golden {stem}: {e}"))
+            .to_json();
+        assert!(
+            serde_json::from_str(&rewritten).unwrap() == serde_json::from_str(&committed).unwrap(),
+            "{name}: rewriting the golden changed its JSON"
+        );
+    }
+}
+
+#[test]
 fn golden_traces_identity_replay_exactly() {
     for (name, stem, _) in GATED_WORKLOADS {
         let trace =

@@ -47,7 +47,7 @@ use crate::dim::Dim3;
 use crate::event::{EventKind, EventRecorder, TraceEvent};
 use crate::kernel::{AccessPattern, KernelPricing, KernelProfile, LaunchConfig};
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -289,7 +289,9 @@ impl TraceV1 {
 
     /// Serializes the trace to its JSON artifact form.
     pub fn to_json(&self) -> String {
-        write_trace(self)
+        let json = serde_json::to_string_pretty(&trace_to_value(self))
+            .expect("writing a JSON value cannot fail");
+        json + "\n"
     }
 
     /// Parses a JSON artifact, checking `version` before anything else.
@@ -902,36 +904,10 @@ fn copy_cost_ns(spec: &DeviceSpec, kind: CopyKind, bytes: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// JSON writer (hand-rolled: the vendored serde stubs derive no-ops. The
-// vendored serde_json also writes, via `to_string_pretty` on a `Value`,
-// but this writer still formats by hand)
+// JSON form: each `*_to_value` writer sits beside the `parse_*` reader it
+// inverts. Numbers go through `f64` both ways; Rust's shortest round-trip
+// float formatting makes the read-back bit-identical.
 // ---------------------------------------------------------------------
-
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    // `{}` is Rust's shortest-roundtrip float formatting, so parsing the
-    // artifact back yields bit-identical values.
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push('0');
-    }
-}
 
 fn link_tag(l: LinkKind) -> &'static str {
     match l {
@@ -967,219 +943,6 @@ fn access_from_tag(tag: &str) -> Option<AccessPattern> {
     }
 }
 
-fn write_dim(out: &mut String, d: Dim3) {
-    out.push_str(&format!("[{},{},{}]", d.x, d.y, d.z));
-}
-
-fn write_topology(out: &mut String, t: &Option<Topology>) {
-    match t {
-        None => out.push_str("null"),
-        Some(Topology::Flat(link)) => {
-            out.push_str("{\"kind\":\"flat\",\"link\":");
-            push_str_lit(out, link_tag(*link));
-            out.push('}');
-        }
-        Some(Topology::TwoTier {
-            island,
-            intra,
-            inter,
-        }) => {
-            out.push_str(&format!(
-                "{{\"kind\":\"two_tier\",\"island\":{island},\"intra\":"
-            ));
-            push_str_lit(out, link_tag(*intra));
-            out.push_str(",\"inter\":");
-            push_str_lit(out, link_tag(*inter));
-            out.push('}');
-        }
-    }
-}
-
-fn write_spec(out: &mut String, s: &DeviceSpec) {
-    out.push_str("{\"name\":");
-    push_str_lit(out, &s.name);
-    out.push_str(&format!(
-        ",\"sm_count\":{},\"cores_per_sm\":{},\"warp_size\":{},\"clock_ghz\":",
-        s.sm_count, s.cores_per_sm, s.warp_size
-    ));
-    push_f64(out, s.clock_ghz);
-    out.push_str(&format!(
-        ",\"max_threads_per_sm\":{},\"max_blocks_per_sm\":{},\"max_threads_per_block\":{},\"shared_mem_per_sm\":{},\"registers_per_sm\":{}",
-        s.max_threads_per_sm,
-        s.max_blocks_per_sm,
-        s.max_threads_per_block,
-        s.shared_mem_per_sm,
-        s.registers_per_sm
-    ));
-    out.push_str(&format!(
-        ",\"memory\":{{\"capacity_bytes\":{},\"bandwidth_bytes_per_sec\":",
-        s.memory.capacity_bytes
-    ));
-    push_f64(out, s.memory.bandwidth_bytes_per_sec);
-    out.push_str(",\"latency_ns\":");
-    push_f64(out, s.memory.latency_ns);
-    out.push_str("},\"pcie_bandwidth_bytes_per_sec\":");
-    push_f64(out, s.pcie_bandwidth_bytes_per_sec);
-    out.push_str(",\"pcie_latency_ns\":");
-    push_f64(out, s.pcie_latency_ns);
-    out.push_str(",\"launch_overhead_ns\":");
-    push_f64(out, s.launch_overhead_ns);
-    out.push('}');
-}
-
-fn write_pricing(out: &mut String, p: &KernelPricing) {
-    out.push_str("{\"grid\":");
-    write_dim(out, p.cfg.grid);
-    out.push_str(",\"block\":");
-    write_dim(out, p.cfg.block);
-    out.push_str(&format!(
-        ",\"shared_mem_bytes\":{},\"flops\":{},\"bytes\":{},\"access\":",
-        p.cfg.shared_mem_bytes, p.profile.flops, p.profile.bytes
-    ));
-    push_str_lit(out, access_tag(p.profile.access));
-    out.push_str(&format!(
-        ",\"registers_per_thread\":{}}}",
-        p.profile.registers_per_thread
-    ));
-}
-
-fn write_record(out: &mut String, r: &TraceRecord) {
-    out.push_str("{\"op\":");
-    push_str_lit(out, r.body.op());
-    out.push_str(&format!(",\"device\":{},\"stream\":{}", r.device, r.stream));
-    match &r.body {
-        RecordBody::Kernel {
-            name,
-            dur_ns,
-            bytes,
-            flops,
-            occupancy,
-            pricing,
-        } => {
-            out.push_str(",\"name\":");
-            push_str_lit(out, name);
-            out.push_str(&format!(
-                ",\"dur_ns\":{dur_ns},\"bytes\":{bytes},\"flops\":{flops},\"occupancy\":"
-            ));
-            push_f64(out, *occupancy);
-            if let Some(p) = pricing {
-                out.push_str(",\"pricing\":");
-                write_pricing(out, p);
-            }
-        }
-        RecordBody::Copy {
-            name,
-            kind,
-            dur_ns,
-            bytes,
-        } => {
-            out.push_str(",\"name\":");
-            push_str_lit(out, name);
-            out.push_str(",\"kind\":");
-            push_str_lit(out, kind.tag());
-            out.push_str(&format!(",\"dur_ns\":{dur_ns},\"bytes\":{bytes}"));
-        }
-        RecordBody::EventRecord { slot } | RecordBody::EventWait { slot } => {
-            out.push_str(&format!(",\"slot\":{slot}"));
-        }
-        RecordBody::CollectiveStep {
-            name,
-            dur_ns,
-            bytes,
-            not_before_ns,
-        } => {
-            out.push_str(",\"name\":");
-            push_str_lit(out, name);
-            out.push_str(&format!(
-                ",\"dur_ns\":{dur_ns},\"bytes\":{bytes},\"not_before_ns\":{not_before_ns}"
-            ));
-        }
-        RecordBody::Collective {
-            name,
-            bytes,
-            channel,
-            ready_ns,
-            gates,
-        } => {
-            out.push_str(",\"name\":");
-            push_str_lit(out, name);
-            out.push_str(&format!(
-                ",\"bytes\":{bytes},\"channel\":{channel},\"ready_ns\":["
-            ));
-            for (i, r) in ready_ns.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{r}"));
-            }
-            out.push_str("],\"gates\":[");
-            for (i, g) in gates.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                match g {
-                    Some(s) => out.push_str(&format!("{s}")),
-                    None => out.push_str("null"),
-                }
-            }
-            out.push(']');
-        }
-        RecordBody::CollectiveSync { t_ns } => {
-            out.push_str(&format!(",\"t_ns\":{t_ns}"));
-        }
-        RecordBody::Barrier | RecordBody::StreamSync => {}
-        RecordBody::BlockingAllReduce { bytes } => {
-            out.push_str(&format!(",\"bytes\":{bytes}"));
-        }
-        RecordBody::P2p { src, dst, bytes } => {
-            out.push_str(&format!(",\"src\":{src},\"dst\":{dst},\"bytes\":{bytes}"));
-        }
-    }
-    out.push('}');
-}
-
-fn write_trace(t: &TraceV1) -> String {
-    let mut out = String::with_capacity(256 + t.records.len() * 96);
-    out.push_str(&format!(
-        "{{\n  \"version\": {TRACE_VERSION},\n  \"workload\": "
-    ));
-    push_str_lit(&mut out, &t.workload);
-    out.push_str(&format!(
-        ",\n  \"comm_channels\": {},\n  \"topology\": ",
-        t.comm_channels
-    ));
-    write_topology(&mut out, &t.topology);
-    out.push_str(&format!(
-        ",\n  \"sim_time_ns\": {},\n  \"kernel_launches\": {},\n  \"devices\": [",
-        t.sim_time_ns, t.kernel_launches
-    ));
-    for (i, d) in t.devices.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"ordinal\":{},\"streams\":{},\"spec\":",
-            d.ordinal, d.streams
-        ));
-        write_spec(&mut out, &d.spec);
-        out.push('}');
-    }
-    out.push_str("\n  ],\n  \"records\": [");
-    for (i, r) in t.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        write_record(&mut out, r);
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------
-// JSON reader
-// ---------------------------------------------------------------------
-
 fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, TraceError> {
     v.get(key)
         .ok_or_else(|| schema(format!("missing field '{key}'")))
@@ -1207,9 +970,40 @@ fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, TraceError> {
         .ok_or_else(|| schema(format!("field '{key}' must be a string")))
 }
 
+/// `v[key]` as an array, each entry read by `entry` (`None` rejects it).
+fn req_array<T>(
+    v: &Value,
+    key: &str,
+    entry: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, TraceError> {
+    req(v, key)?
+        .as_array()
+        .ok_or_else(|| schema(format!("field '{key}' must be an array")))?
+        .iter()
+        .map(|x| entry(x).ok_or_else(|| schema(format!("field '{key}' has an invalid entry"))))
+        .collect()
+}
+
 fn parse_link(v: &Value, key: &str) -> Result<LinkKind, TraceError> {
     let tag = req_str(v, key)?;
     link_from_tag(tag).ok_or_else(|| schema(format!("unknown link kind '{tag}'")))
+}
+
+fn topology_to_value(t: &Option<Topology>) -> Value {
+    match t {
+        None => Value::Null,
+        Some(Topology::Flat(link)) => json!({ "kind": "flat", "link": link_tag(*link) }),
+        Some(Topology::TwoTier {
+            island,
+            intra,
+            inter,
+        }) => json!({
+            "kind": "two_tier",
+            "island": *island,
+            "intra": link_tag(*intra),
+            "inter": link_tag(*inter),
+        }),
+    }
 }
 
 fn parse_topology(v: &Value) -> Result<Option<Topology>, TraceError> {
@@ -1227,23 +1021,37 @@ fn parse_topology(v: &Value) -> Result<Option<Topology>, TraceError> {
     }
 }
 
+fn dim_to_value(d: Dim3) -> Value {
+    json!(vec![d.x, d.y, d.z])
+}
+
 fn parse_dim(v: &Value, key: &str) -> Result<Dim3, TraceError> {
-    let arr = req(v, key)?
-        .as_array()
-        .ok_or_else(|| schema(format!("field '{key}' must be a [x,y,z] array")))?;
-    if arr.len() != 3 {
-        return Err(schema(format!("field '{key}' must have three components")));
+    match req_array(v, key, |x| x.as_u64().map(|x| x as u32))?[..] {
+        [x, y, z] => Ok(Dim3 { x, y, z }),
+        _ => Err(schema(format!("field '{key}' must be a [x,y,z] array"))),
     }
-    let comp = |i: usize| -> Result<u32, TraceError> {
-        arr[i]
-            .as_u64()
-            .map(|x| x as u32)
-            .ok_or_else(|| schema(format!("'{key}[{i}]' must be a non-negative integer")))
-    };
-    Ok(Dim3 {
-        x: comp(0)?,
-        y: comp(1)?,
-        z: comp(2)?,
+}
+
+fn spec_to_value(s: &DeviceSpec) -> Value {
+    json!({
+        "name": s.name.as_str(),
+        "sm_count": s.sm_count,
+        "cores_per_sm": s.cores_per_sm,
+        "warp_size": s.warp_size,
+        "clock_ghz": s.clock_ghz,
+        "max_threads_per_sm": s.max_threads_per_sm,
+        "max_blocks_per_sm": s.max_blocks_per_sm,
+        "max_threads_per_block": s.max_threads_per_block,
+        "shared_mem_per_sm": s.shared_mem_per_sm,
+        "registers_per_sm": s.registers_per_sm,
+        "memory": json!({
+            "capacity_bytes": s.memory.capacity_bytes,
+            "bandwidth_bytes_per_sec": s.memory.bandwidth_bytes_per_sec,
+            "latency_ns": s.memory.latency_ns,
+        }),
+        "pcie_bandwidth_bytes_per_sec": s.pcie_bandwidth_bytes_per_sec,
+        "pcie_latency_ns": s.pcie_latency_ns,
+        "launch_overhead_ns": s.launch_overhead_ns,
     })
 }
 
@@ -1271,6 +1079,18 @@ fn parse_spec(v: &Value) -> Result<DeviceSpec, TraceError> {
     })
 }
 
+fn pricing_to_value(p: &KernelPricing) -> Value {
+    json!({
+        "grid": dim_to_value(p.cfg.grid),
+        "block": dim_to_value(p.cfg.block),
+        "shared_mem_bytes": p.cfg.shared_mem_bytes,
+        "flops": p.profile.flops,
+        "bytes": p.profile.bytes,
+        "access": access_tag(p.profile.access),
+        "registers_per_thread": p.profile.registers_per_thread,
+    })
+}
+
 fn parse_pricing(v: &Value) -> Result<KernelPricing, TraceError> {
     let access_tag = req_str(v, "access")?;
     Ok(KernelPricing {
@@ -1287,6 +1107,84 @@ fn parse_pricing(v: &Value) -> Result<KernelPricing, TraceError> {
             registers_per_thread: req_u32(v, "registers_per_thread")?,
         },
     })
+}
+
+/// The body's members plus `op`, `device` and `stream`; a kernel without
+/// pricing omits the `pricing` key.
+fn record_to_value(r: &TraceRecord) -> Value {
+    let body = match &r.body {
+        RecordBody::Kernel {
+            name,
+            dur_ns,
+            bytes,
+            flops,
+            occupancy,
+            pricing,
+        } => {
+            let mut kernel = json!({
+                "name": name.as_str(),
+                "dur_ns": *dur_ns,
+                "bytes": *bytes,
+                "flops": *flops,
+                "occupancy": *occupancy,
+            });
+            if let (Value::Object(members), Some(p)) = (&mut kernel, pricing) {
+                members.insert("pricing".into(), pricing_to_value(p));
+            }
+            kernel
+        }
+        RecordBody::Copy {
+            name,
+            kind,
+            dur_ns,
+            bytes,
+        } => json!({
+            "name": name.as_str(),
+            "kind": kind.tag(),
+            "dur_ns": *dur_ns,
+            "bytes": *bytes,
+        }),
+        RecordBody::EventRecord { slot } | RecordBody::EventWait { slot } => {
+            json!({ "slot": *slot })
+        }
+        RecordBody::CollectiveStep {
+            name,
+            dur_ns,
+            bytes,
+            not_before_ns,
+        } => json!({
+            "name": name.as_str(),
+            "dur_ns": *dur_ns,
+            "bytes": *bytes,
+            "not_before_ns": *not_before_ns,
+        }),
+        RecordBody::Collective {
+            name,
+            bytes,
+            channel,
+            ready_ns,
+            gates,
+        } => json!({
+            "name": name.as_str(),
+            "bytes": *bytes,
+            "channel": *channel,
+            "ready_ns": ready_ns.clone(),
+            "gates": gates.clone(),
+        }),
+        RecordBody::CollectiveSync { t_ns } => json!({ "t_ns": *t_ns }),
+        RecordBody::Barrier | RecordBody::StreamSync => json!({}),
+        RecordBody::BlockingAllReduce { bytes } => json!({ "bytes": *bytes }),
+        RecordBody::P2p { src, dst, bytes } => {
+            json!({ "src": *src, "dst": *dst, "bytes": *bytes })
+        }
+    };
+    let Value::Object(mut members) = body else {
+        unreachable!("every record body is a JSON object")
+    };
+    members.insert("op".into(), json!(r.body.op()));
+    members.insert("device".into(), json!(r.device));
+    members.insert("stream".into(), json!(r.stream));
+    Value::Object(members)
 }
 
 fn parse_record(v: &Value) -> Result<TraceRecord, TraceError> {
@@ -1327,38 +1225,16 @@ fn parse_record(v: &Value) -> Result<TraceRecord, TraceError> {
             bytes: req_u64(v, "bytes")?,
             not_before_ns: req_u64(v, "not_before_ns")?,
         },
-        "collective" => {
-            let ready = req(v, "ready_ns")?
-                .as_array()
-                .ok_or_else(|| schema("'ready_ns' must be an array"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .ok_or_else(|| schema("'ready_ns' entries must be integers"))
-                })
-                .collect::<Result<Vec<u64>, _>>()?;
-            let gates = req(v, "gates")?
-                .as_array()
-                .ok_or_else(|| schema("'gates' must be an array"))?
-                .iter()
-                .map(|x| {
-                    if x.is_null() {
-                        Ok(None)
-                    } else {
-                        x.as_u64()
-                            .map(|s| Some(s as u32))
-                            .ok_or_else(|| schema("'gates' entries must be integers or null"))
-                    }
-                })
-                .collect::<Result<Vec<Option<u32>>, _>>()?;
-            RecordBody::Collective {
-                name: req_str(v, "name")?.to_owned(),
-                bytes: req_u64(v, "bytes")?,
-                channel: req_u32(v, "channel")?,
-                ready_ns: ready,
-                gates,
-            }
-        }
+        "collective" => RecordBody::Collective {
+            name: req_str(v, "name")?.to_owned(),
+            bytes: req_u64(v, "bytes")?,
+            channel: req_u32(v, "channel")?,
+            ready_ns: req_array(v, "ready_ns", Value::as_u64)?,
+            gates: req_array(v, "gates", |x| match x {
+                Value::Null => Some(None),
+                x => x.as_u64().map(|slot| Some(slot as u32)),
+            })?,
+        },
         "collective_sync" => RecordBody::CollectiveSync {
             t_ns: req_u64(v, "t_ns")?,
         },
@@ -1378,6 +1254,30 @@ fn parse_record(v: &Value) -> Result<TraceRecord, TraceError> {
         device,
         stream,
         body,
+    })
+}
+
+fn trace_to_value(t: &TraceV1) -> Value {
+    let devices: Vec<Value> = t
+        .devices
+        .iter()
+        .map(|d| {
+            json!({
+                "ordinal": d.ordinal,
+                "streams": d.streams,
+                "spec": spec_to_value(&d.spec),
+            })
+        })
+        .collect();
+    json!({
+        "version": TRACE_VERSION,
+        "workload": t.workload.as_str(),
+        "comm_channels": t.comm_channels,
+        "topology": topology_to_value(&t.topology),
+        "sim_time_ns": t.sim_time_ns,
+        "kernel_launches": t.kernel_launches,
+        "devices": devices,
+        "records": t.records.iter().map(record_to_value).collect::<Vec<_>>(),
     })
 }
 
@@ -1458,6 +1358,80 @@ mod tests {
         let json = trace.to_json();
         let back = TraceV1::from_json(&json).unwrap();
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn every_record_body_round_trips_and_unpriced_kernels_omit_pricing() {
+        let record = |body| TraceRecord {
+            device: 1,
+            stream: 2,
+            body,
+        };
+        let trace = TraceV1 {
+            workload: "every \"op\"".into(),
+            comm_channels: 1,
+            topology: Some(Topology::TwoTier {
+                island: 2,
+                intra: LinkKind::NvLink,
+                inter: LinkKind::Ethernet,
+            }),
+            sim_time_ns: 9,
+            kernel_launches: 1,
+            devices: vec![TraceDevice {
+                ordinal: 0,
+                streams: 3,
+                spec: DeviceSpec::t4(),
+            }],
+            records: vec![
+                record(RecordBody::Kernel {
+                    name: "k".into(),
+                    dur_ns: 5,
+                    bytes: 6,
+                    flops: 7,
+                    occupancy: 0.375,
+                    pricing: None,
+                }),
+                record(RecordBody::Copy {
+                    name: "htod".into(),
+                    kind: CopyKind::H2d,
+                    dur_ns: 1,
+                    bytes: 2,
+                }),
+                record(RecordBody::EventRecord { slot: 3 }),
+                record(RecordBody::EventWait { slot: 3 }),
+                record(RecordBody::CollectiveStep {
+                    name: "step".into(),
+                    dur_ns: 4,
+                    bytes: 5,
+                    not_before_ns: 6,
+                }),
+                record(RecordBody::Collective {
+                    name: "ar".into(),
+                    bytes: 8,
+                    channel: 1,
+                    ready_ns: vec![1, 2],
+                    gates: vec![Some(3), None],
+                }),
+                record(RecordBody::CollectiveSync { t_ns: 7 }),
+                record(RecordBody::Barrier),
+                record(RecordBody::StreamSync),
+                record(RecordBody::BlockingAllReduce { bytes: 9 }),
+                record(RecordBody::P2p {
+                    src: 0,
+                    dst: 1,
+                    bytes: 10,
+                }),
+            ],
+        };
+        let json = trace.to_json();
+        assert_eq!(TraceV1::from_json(&json).unwrap(), trace);
+        let kernel = &serde_json::from_str(&json).unwrap()["records"][0];
+        assert_eq!(kernel["op"], "kernel");
+        assert_eq!(
+            kernel.get("pricing"),
+            None,
+            "an unpriced kernel omits the key"
+        );
     }
 
     #[test]

@@ -16,16 +16,16 @@
 //!   transfer-bound, or idle-bound, with per-kernel roofline verdicts and
 //!   the textual recommendations the labs ask students to derive.
 //! - [`chrome_trace`] — Chrome `about:tracing` JSON export, the
-//!   interchange format both real profilers speak.
+//!   interchange format both real profilers speak: one
+//!   [`ChromeTrace`](chrome_trace::ChromeTrace) document that takes GPU
+//!   kernel/copy lanes (sim clock), the taskflow scheduler's per-attempt
+//!   worker lanes (wall clock; retries, injected faults and steals all
+//!   visible) and online-serving request lifecycles (queue wait →
+//!   retrieve → generate, cache hits categorized), alone or merged, with
+//!   every slice naming its clock.
 //! - [`ingest`] — offline ingestion of recorded `gpu_sim::trace` artifacts:
 //!   identity-replay a `TraceV1` file and run the same bottleneck analysis
 //!   with no access to the originating workload.
-//! - [`sched_trace`] — the taskflow scheduler's per-attempt task spans as
-//!   chrome-trace worker lanes (retries, injected faults, and steals all
-//!   visible), standalone or merged with the GPU kernel timeline.
-//! - [`serve_trace`] — online-serving request lifecycles (queue wait →
-//!   retrieve → generate, cache hits categorized) as chrome-trace stage
-//!   lanes, merge-friendly with the scheduler and GPU exporters.
 //! - [`histogram`] — fixed-footprint log2-bucketed latency histograms for
 //!   per-stage p50/p99 reporting under sustained serving load.
 //! - [`roofline`] — roofline-model plot data: per-kernel (intensity,
@@ -36,11 +36,8 @@ pub mod bottleneck;
 pub mod chrome_trace;
 pub mod histogram;
 pub mod ingest;
-mod json;
 pub mod opstats;
 pub mod roofline;
-pub mod sched_trace;
-pub mod serve_trace;
 pub mod timeline;
 
 /// Convenient glob-import of the crate's primary types.
@@ -49,12 +46,10 @@ pub mod prelude {
         analyze, analyze_serving, analyze_with_residency, BottleneckClass, BottleneckReport,
         PoolSummary,
     };
-    pub use crate::chrome_trace::to_chrome_trace;
+    pub use crate::chrome_trace::{ChromeTrace, RequestSpan};
     pub use crate::histogram::Histogram;
     pub use crate::ingest::{ingest_trace, ingest_trace_file, TraceAnalysis};
     pub use crate::opstats::{OpStats, OpStatsTable};
     pub use crate::roofline::{roofline, Roofline, RooflinePoint};
-    pub use crate::sched_trace::{merged_chrome_trace, scheduler_to_chrome_trace};
-    pub use crate::serve_trace::{serving_to_chrome_trace, RequestSpan};
     pub use crate::timeline::Timeline;
 }

@@ -468,7 +468,8 @@ pub(crate) struct Quantizer {
 impl Quantizer {
     /// Trains the coarse quantizer on `data`, then (Pq codec) the codebook
     /// on the coarse residuals, priced on `exec` when one is given.
-    /// Returns the quantizer and every training vector's list.
+    /// Callers route rows by [`Self::assign`], never by the k-means
+    /// assignments, which predate the last centroid update.
     pub(crate) fn train(
         dim: usize,
         nlist: usize,
@@ -476,7 +477,7 @@ impl Quantizer {
         data: &[(usize, Vec<f32>)],
         seed: u64,
         exec: Option<&GpuExecutor>,
-    ) -> Result<(Self, Vec<usize>), IndexError> {
+    ) -> Result<Self, IndexError> {
         let (centroids, assignments) = train_coarse(dim, nlist, data, seed)?;
         let codebook = match codec {
             Codec::Full => None,
@@ -489,14 +490,11 @@ impl Quantizer {
                 Some(PqCodebook::train(dim, cfg, &residuals, seed, exec)?)
             }
         };
-        Ok((
-            Self {
-                dim,
-                centroids,
-                codebook,
-            },
-            assignments,
-        ))
+        Ok(Self {
+            dim,
+            centroids,
+            codebook,
+        })
     }
 
     pub(crate) fn nlist(&self) -> usize {
@@ -968,11 +966,10 @@ impl IvfIndex {
         data: &[(usize, Vec<f32>)],
         seed: u64,
     ) -> Result<Self, IndexError> {
-        let (quant, assignments) = Quantizer::train(dim, nlist, codec, data, seed, None)?;
+        let quant = Quantizer::train(dim, nlist, codec, data, seed, None)?;
         let entries = data
             .iter()
-            .zip(&assignments)
-            .map(|((doc, v), &list)| (*doc, v.as_slice(), list))
+            .map(|(doc, v)| (*doc, v.as_slice(), quant.assign(v)))
             .collect();
         Ok(Self::assemble(quant, nprobe, vec![entries]))
     }
@@ -1400,6 +1397,25 @@ mod tests {
             "every list must own at least one vector: {:?}",
             lists.iter().map(|l| l.len()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn trained_rows_sit_in_the_list_their_vector_routes_to() {
+        // Queries probe by the final centroids, so a row filed by an
+        // assignment from before the last k-means update is unreachable
+        // from its own list. This corpus stops k-means at the iteration
+        // cap with 6 such rows when routing follows `train_coarse`.
+        let (_, _, data) = indexed_corpus(1_000);
+        let ivf = IvfIndex::train(96, 16, 1, Codec::Full, &data, 1).expect("trains");
+        let misfiled: Vec<(usize, usize)> = ivf.shards()[0]
+            .ids
+            .iter()
+            .enumerate()
+            .flat_map(|(list, docs)| docs.iter().map(move |&doc| (doc, list)))
+            .filter(|&(doc, list)| ivf.quant.assign(&data[doc].1) != list)
+            .collect();
+        assert!(misfiled.is_empty(), "rows outside their list: {misfiled:?}");
+        assert_eq!(ivf.len(), data.len());
     }
 
     #[test]

@@ -34,8 +34,8 @@
 
 use crate::index::{RetrievalIndex, SearchHit};
 use crate::pipeline::{split_exact, RagPipeline, RagResponse};
+use sagegpu_profiler::chrome_trace::RequestSpan;
 use sagegpu_profiler::histogram::Histogram;
-use sagegpu_profiler::serve_trace::{serving_to_chrome_trace, RequestSpan};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -871,20 +871,13 @@ pub struct ServerReport {
     pub pools: Vec<gpu_sim::pool::PoolStats>,
 }
 
-impl ServerReport {
-    /// Chrome-trace JSON of the per-request serving lanes
-    /// (merge-friendly with the scheduler and GPU exporters).
-    pub fn chrome_trace(&self) -> String {
-        serving_to_chrome_trace(&self.spans)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
     use crate::pipeline::build_flat_pipeline;
     use gpu_sim::{DeviceSpec, Gpu};
+    use sagegpu_profiler::chrome_trace::ChromeTrace;
     use sagegpu_tensor::gpu_exec::GpuExecutor;
     use taskflow::ClusterBuilder;
 
@@ -989,10 +982,11 @@ mod tests {
         assert_eq!(report.queue_wait.count(), 10);
         assert_eq!(report.spans.len(), 10);
         assert!(report.throughput_qps > 0.0);
-        // The trace is valid JSON with 3 lanes + 3 slices per request.
-        let trace = report.chrome_trace();
+        // The trace is valid JSON with a process name, 3 lanes and 3
+        // slices per request.
+        let trace = ChromeTrace::new().serving(&report.spans).to_json();
         let parsed: serde_json::Value = serde_json::from_str(&trace).unwrap();
-        assert_eq!(parsed["traceEvents"].as_array().unwrap().len(), 3 + 30);
+        assert_eq!(parsed["traceEvents"].as_array().unwrap().len(), 1 + 3 + 30);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use sagemaker_gpu_workflows::sagegpu::gpu::prelude::*;
 use sagemaker_gpu_workflows::sagegpu::profiler::bottleneck::analyze;
-use sagemaker_gpu_workflows::sagegpu::profiler::chrome_trace::to_chrome_trace;
+use sagemaker_gpu_workflows::sagegpu::profiler::chrome_trace::ChromeTrace;
 use sagemaker_gpu_workflows::sagegpu::profiler::opstats::OpStatsTable;
 use sagemaker_gpu_workflows::sagegpu::profiler::roofline::roofline;
 use sagemaker_gpu_workflows::sagegpu::profiler::timeline::Timeline;
@@ -128,7 +128,7 @@ fn main() {
         roofline(gpu.spec(), &gpu.recorder().snapshot()).render()
     );
 
-    let trace = to_chrome_trace(&gpu.recorder().snapshot());
+    let trace = ChromeTrace::new().gpu(&gpu.recorder().snapshot()).to_json();
     let path = std::env::temp_dir().join("sagegpu_trace.json");
     std::fs::write(&path, trace).expect("writable temp dir");
     println!("chrome trace written to {}", path.display());

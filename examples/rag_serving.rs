@@ -11,6 +11,7 @@
 //! ```
 
 use sagemaker_gpu_workflows::sagegpu::gpu::{DeviceSpec, Gpu};
+use sagemaker_gpu_workflows::sagegpu::profiler::chrome_trace::ChromeTrace;
 use sagemaker_gpu_workflows::sagegpu::rag::corpus::Corpus;
 use sagemaker_gpu_workflows::sagegpu::rag::pipeline::build_flat_pipeline;
 use sagemaker_gpu_workflows::sagegpu::rag::serve::{RagServer, ServeError, ServerConfig};
@@ -100,7 +101,11 @@ fn main() {
         );
         println!(
             "chrome trace: {} events over {} request spans\n",
-            report.chrome_trace().matches("\"ph\"").count(),
+            ChromeTrace::new()
+                .serving(&report.spans)
+                .to_json()
+                .matches("\"ph\"")
+                .count(),
             report.spans.len()
         );
     }

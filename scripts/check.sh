@@ -9,8 +9,12 @@
 # 2. cargo clippy -D warnings — lints, workspace-wide incl. tests/benches
 # 3. cargo doc -D warnings    — rustdoc builds clean (broken intra-doc
 #                               links, private-item leaks, bad HTML)
-# 4. tier-1: release build (all targets: lib, bins, tests, benches) +
-#    full test suite, then the tensor crate's tests again in release mode:
+# 4. tier-1: release build (all targets: lib, bins, tests, benches,
+#    examples), then every example binary under examples/ must exit 0
+#    (the examples are the only non-test callers of the chrome-trace
+#    export, and `rag_pipeline` of `IvfIndex::train` outside the
+#    benches), then the full test suite, then the tensor crate's tests
+#    again in release mode:
 #    its host kernels hold the workspace's SIMD intrinsics (`unsafe`), and
 #    release codegen is what every benchmark and experiment runs. Then the
 #    taskflow tests in release mode pinned to one core (`taskset -c 0`):
@@ -57,6 +61,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "==> tier-1: cargo build --release --all-targets && cargo test -q --workspace"
 cargo build --release --all-targets
+example_tmp=$(mktemp -d)  # profiling_lab writes its chrome trace to the temp dir
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "    example $name"
+  TMPDIR="$example_tmp" "./target/release/examples/$name" > /dev/null
+done
+rm -rf "$example_tmp"
 cargo test -q --workspace
 cargo test --release -q -p sagegpu-tensor
 taskset -c 0 cargo test --release -q -p taskflow
