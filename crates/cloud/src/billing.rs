@@ -103,17 +103,6 @@ impl BillingLedger {
         self.remaining_budget(principal) > 0.0
     }
 
-    /// All records for a principal.
-    pub fn records_for(&self, principal: &str) -> Vec<UsageRecord> {
-        self.inner
-            .read()
-            .records
-            .iter()
-            .filter(|r| r.principal == principal)
-            .cloned()
-            .collect()
-    }
-
     /// Total spend across all principals.
     pub fn total_cost(&self) -> f64 {
         self.inner.read().records.iter().map(|r| r.usd).sum()

@@ -156,11 +156,6 @@ impl CloudProvider {
         &self.catalog
     }
 
-    /// Overrides the per-principal concurrent-GPU quota.
-    pub fn set_gpu_quota(&mut self, quota: u32) {
-        self.gpu_quota = quota;
-    }
-
     fn fresh_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -474,15 +469,6 @@ impl CloudProvider {
             activity: "notebook".to_owned(),
         });
         Ok(())
-    }
-
-    /// Snapshot of a notebook.
-    pub fn describe_notebook(&self, id: u64) -> Result<NotebookInstance, CloudError> {
-        self.notebooks
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| CloudError::NotFound(format!("notebook {id}")))
     }
 }
 

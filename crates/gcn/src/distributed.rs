@@ -12,7 +12,7 @@ use gpu_sim::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sagegpu_graph::csr::{Graph, WeightedEdge};
+use sagegpu_graph::csr::Graph;
 use sagegpu_graph::generators::GraphDataset;
 use sagegpu_graph::normalize::normalized_adjacency;
 use sagegpu_graph::partition::{edge_cut, metis_partition, partition_balance, random_partition};
@@ -244,13 +244,12 @@ impl Default for DistOptions {
 }
 
 /// One worker's share of the dataset, gathered on the driver because a
-/// task cannot borrow the dataset: the partition's induced edges (local
-/// ids) and its rows of X, Y and the train mask.
+/// task cannot borrow the dataset: the partition's induced subgraph
+/// (local ids) and its rows of X, Y and the train mask.
 struct PartitionInput {
     /// Original node ids, local index order.
     nodes: Vec<usize>,
-    edges: Vec<WeightedEdge>,
-    node_weights: Vec<u64>,
+    subgraph: Graph,
     x: Tensor,
     labels: Vec<usize>,
     train_mask: Vec<bool>,
@@ -259,7 +258,7 @@ struct PartitionInput {
 
 impl PartitionInput {
     fn gather(ds: &GraphDataset, nodes: Vec<usize>) -> Result<Self, GraphError> {
-        let (edges, node_weights) = ds.graph.induced_edges(&nodes)?;
+        let (subgraph, _) = ds.graph.subgraph(&nodes)?;
         let mut feats = Vec::with_capacity(nodes.len() * ds.feature_dim);
         for &u in &nodes {
             feats.extend_from_slice(ds.feature_row(u));
@@ -269,8 +268,7 @@ impl PartitionInput {
             labels: nodes.iter().map(|&u| ds.labels[u]).collect(),
             train_mask: nodes.iter().map(|&u| ds.train_mask[u]).collect(),
             nodes,
-            edges,
-            node_weights,
+            subgraph,
             x,
             num_classes: ds.num_classes,
         })
@@ -278,10 +276,10 @@ impl PartitionInput {
 
     /// Builds the partition on its worker (Algorithm 1 lines 5–6: Gᵢ as a
     /// normalized adjacency, Yᵢ).
-    fn build(&self, hidden: usize) -> Result<PartitionData, GraphError> {
+    fn build(&self, hidden: usize) -> PartitionData {
         let n = self.nodes.len();
-        let subgraph = Graph::from_weighted_edges(n, &self.edges, self.node_weights.clone())?;
-        let (indptr, indices, values) = normalized_adjacency(&subgraph);
+        let subgraph = &self.subgraph;
+        let (indptr, indices, values) = normalized_adjacency(subgraph);
         let adj = Arc::new(
             CsrMatrix::new(n, n, indptr, indices, values)
                 .expect("normalized subgraph CSR is valid"),
@@ -293,13 +291,13 @@ impl PartitionInput {
             h: hidden as u64,
             c: self.num_classes as u64,
         };
-        Ok(PartitionData {
+        PartitionData {
             nodes: self.nodes.clone(),
             adj,
             labels: self.labels.clone(),
             train_mask: self.train_mask.clone(),
             dims,
-        })
+        }
     }
 }
 
@@ -397,7 +395,7 @@ pub fn train_distributed_with_opts(
         let key = taskflow::store::DataKey::fresh();
         let fut = cluster
             .submit_to(part, move |ctx| {
-                let data = Arc::new(input.build(hidden)?);
+                let data = Arc::new(input.build(hidden));
                 let x = &input.x;
                 let gpu = ctx.gpu();
                 let stream = if overlap_upload {
@@ -1413,7 +1411,7 @@ mod tests {
             for worker in 0..2 {
                 let nodes = (0..d.num_nodes()).filter(|&u| parts[u] == worker).collect();
                 let input = PartitionInput::gather(&d, nodes).unwrap();
-                let part = input.build(cfg.hidden).unwrap();
+                let part = input.build(cfg.hidden);
                 let x = &input.x;
                 let tally = |tape: &Tape| {
                     let mut macs = [0u64; 4];

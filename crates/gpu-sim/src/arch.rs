@@ -88,30 +88,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA A10G (AWS `g5` family).
-    pub fn a10g() -> Self {
-        Self {
-            name: "NVIDIA A10G (sim)".to_owned(),
-            sm_count: 80,
-            cores_per_sm: 128,
-            warp_size: 32,
-            clock_ghz: 1.71,
-            max_threads_per_sm: 1536,
-            max_blocks_per_sm: 16,
-            max_threads_per_block: 1024,
-            shared_mem_per_sm: 100 * 1024,
-            registers_per_sm: 65536,
-            memory: MemorySpec {
-                capacity_bytes: 24 * (1 << 30),
-                bandwidth_bytes_per_sec: 600e9,
-                latency_ns: 350.0,
-            },
-            pcie_bandwidth_bytes_per_sec: 14e9,
-            pcie_latency_ns: 7_000.0,
-            launch_overhead_ns: 3_500.0,
-        }
-    }
-
     /// NVIDIA V100 (AWS `p3` family) — used for multi-GPU labs.
     pub fn v100() -> Self {
         Self {

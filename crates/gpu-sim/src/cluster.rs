@@ -524,11 +524,6 @@ impl GpuCluster {
         dur
     }
 
-    /// The first dedicated comm stream (channel 0) of device `i`.
-    pub fn comm_stream(&self, i: usize) -> Result<StreamId, GpuError> {
-        self.comm_channel(i, 0)
-    }
-
     /// Comm stream of device `i` on channel `ch` (`ch < COMM_CHANNELS`).
     pub fn comm_channel(&self, i: usize, ch: usize) -> Result<StreamId, GpuError> {
         self.comm_streams

@@ -78,11 +78,6 @@ impl GpuEvent {
         self.t_ns
     }
 
-    /// The driver-side event slot backing this event.
-    pub fn cmd_event(&self) -> crate::command::CmdEvent {
-        self.cmd
-    }
-
     /// Ordinal of the stream the event was recorded on.
     pub fn stream_ordinal(&self) -> u32 {
         self.stream
@@ -203,11 +198,6 @@ impl Gpu {
     /// Bytes of device memory currently allocated.
     pub fn mem_used(&self) -> u64 {
         self.accounting.used()
-    }
-
-    /// Bytes of device memory still free.
-    pub fn mem_free(&self) -> u64 {
-        self.accounting.free()
     }
 
     /// Number of kernels launched so far.

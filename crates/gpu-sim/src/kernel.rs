@@ -194,12 +194,6 @@ impl KernelProfile {
         self
     }
 
-    /// Overrides register usage per thread.
-    pub fn with_registers(mut self, regs: u32) -> Self {
-        self.registers_per_thread = regs;
-        self
-    }
-
     /// Arithmetic intensity in FLOPs per byte.
     pub fn arithmetic_intensity(&self) -> f64 {
         if self.bytes == 0 {

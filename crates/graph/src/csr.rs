@@ -3,9 +3,6 @@
 use crate::GraphError;
 use serde::{Deserialize, Serialize};
 
-/// An undirected edge `(u, v, weight)`.
-pub type WeightedEdge = (usize, usize, f64);
-
 /// An undirected graph stored as symmetric CSR with integer node weights
 /// and f64 edge weights (weights matter during multilevel coarsening).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,22 +156,15 @@ impl Graph {
         out
     }
 
-    /// Extracts the induced subgraph on `nodes`, returning it plus the
-    /// mapping from new local ids to the original ids.
+    /// Extracts the induced subgraph on `nodes` (local id `i` is
+    /// `nodes[i]`), returning it plus the mapping from new local ids to the
+    /// original ids. The CSR is built row by row from this graph's rows:
+    /// each induced edge `{i, j}`, `i < j`, is read once from row
+    /// `nodes[i]` and written to rows `i` and `j`. Rows are visited in
+    /// ascending `i`, so a row's lower neighbours arrive sorted; its upper
+    /// neighbours follow the parent row's order, which is ascending when
+    /// `nodes` ascends and is sorted otherwise.
     pub fn subgraph(&self, nodes: &[usize]) -> Result<(Graph, Vec<usize>), GraphError> {
-        let (edges, weights) = self.induced_edges(nodes)?;
-        let g = Graph::from_weighted_edges(nodes.len(), &edges, weights)?;
-        Ok((g, nodes.to_vec()))
-    }
-
-    /// The raw parts of [`subgraph`](Self::subgraph): the induced edges on
-    /// `nodes` in local ids (each once, `i < j`) and the node weights.
-    /// `Graph::from_weighted_edges(nodes.len(), &edges, weights)` builds
-    /// the subgraph from them, so the sort-and-merge can run elsewhere.
-    pub fn induced_edges(
-        &self,
-        nodes: &[usize],
-    ) -> Result<(Vec<WeightedEdge>, Vec<u64>), GraphError> {
         let mut local = vec![usize::MAX; self.n];
         for (i, &u) in nodes.iter().enumerate() {
             if u >= self.n {
@@ -182,17 +172,46 @@ impl Graph {
             }
             local[u] = i;
         }
-        let mut edges = Vec::new();
+        let ascending = nodes.windows(2).all(|w| w[0] < w[1]);
+        let n = nodes.len();
+        let mut degree = vec![0usize; n];
+        let mut upper: Vec<(usize, f64)> = Vec::new();
+        let mut upper_ptr = Vec::with_capacity(n + 1);
+        upper_ptr.push(0);
         for (i, &u) in nodes.iter().enumerate() {
+            let start = upper.len();
             for (v, w) in self.neighbors(u) {
                 let j = local[v];
                 if j != usize::MAX && i < j {
-                    edges.push((i, j, w));
+                    upper.push((j, w));
+                    degree[i] += 1;
+                    degree[j] += 1;
+                }
+            }
+            if !ascending {
+                upper[start..].sort_unstable_by_key(|&(j, _)| j);
+            }
+            upper_ptr.push(upper.len());
+        }
+        let mut indptr = vec![0usize; n + 1];
+        for i in 0..n {
+            indptr[i + 1] = indptr[i] + degree[i];
+        }
+        let mut indices = vec![0usize; upper.len() * 2];
+        let mut edge_weights = vec![0.0f64; upper.len() * 2];
+        let mut next = indptr[..n].to_vec();
+        for i in 0..n {
+            for &(j, w) in &upper[upper_ptr[i]..upper_ptr[i + 1]] {
+                for (row, col) in [(i, j), (j, i)] {
+                    indices[next[row]] = col;
+                    edge_weights[next[row]] = w;
+                    next[row] += 1;
                 }
             }
         }
-        let weights = nodes.iter().map(|&u| self.node_weights[u]).collect();
-        Ok((edges, weights))
+        let node_weights = nodes.iter().map(|&u| self.node_weights[u]).collect();
+        let g = Self::from_csr(indptr, indices, edge_weights, node_weights);
+        Ok((g, nodes.to_vec()))
     }
 }
 

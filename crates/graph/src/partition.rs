@@ -395,6 +395,27 @@ mod tests {
         Graph::from_weighted_edges(coarse_n, &edges, node_weights).unwrap()
     }
 
+    /// The sort-based builder `Graph::subgraph` replaced: every induced
+    /// edge once in local ids (`i < j`), then `from_weighted_edges`
+    /// symmetrises, sorts and merges the list.
+    fn subgraph_by_sorting(g: &Graph, nodes: &[usize]) -> Graph {
+        let mut local = vec![usize::MAX; g.num_nodes()];
+        for (i, &u) in nodes.iter().enumerate() {
+            local[u] = i;
+        }
+        let mut edges = Vec::new();
+        for (i, &u) in nodes.iter().enumerate() {
+            for (v, w) in g.neighbors(u) {
+                let j = local[v];
+                if j != usize::MAX && i < j {
+                    edges.push((i, j, w));
+                }
+            }
+        }
+        let node_weights = nodes.iter().map(|&u| g.node_weight(u)).collect();
+        Graph::from_weighted_edges(nodes.len(), &edges, node_weights).unwrap()
+    }
+
     /// Node weights and every CSR row, with edge weights as bits.
     fn csr_bits(g: &Graph) -> (Vec<u64>, Vec<Vec<(usize, u64)>>) {
         let rows = (0..g.num_nodes())
@@ -445,6 +466,47 @@ mod tests {
                 let reference = coarsen_by_sorting(&g, &fine_to_coarse, coarse.num_nodes());
                 prop_assert_eq!(csr_bits(&coarse), csr_bits(&reference));
                 g = coarse;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The row-by-row induced CSR matches the sort-based builder bit
+        /// for bit on random weighted graphs, for a random node list
+        /// (any order, repeats allowed) and for its sorted, deduplicated
+        /// copy.
+        #[test]
+        fn subgraph_matches_the_sort_based_builder(n in 1usize..120, seed in 0u64..u64::MAX) {
+            let g = random_graph(n, seed);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5ab);
+            let mut nodes: Vec<usize> = (0..rng.gen_range(0..=n)).map(|_| rng.gen_range(0..n)).collect();
+            for _ in 0..2 {
+                let (sub, mapping) = g.subgraph(&nodes).unwrap();
+                prop_assert_eq!(&mapping, &nodes);
+                prop_assert_eq!(csr_bits(&sub), csr_bits(&subgraph_by_sorting(&g, &nodes)));
+                nodes.sort_unstable();
+                nodes.dedup();
+            }
+        }
+    }
+
+    /// Every METIS partition of the A10 graph, with its nodes ascending
+    /// (as the Algorithm 1 scatter gathers them) and shuffled: the
+    /// row-by-row induced CSR matches the sort-based builder bit for bit.
+    #[test]
+    fn subgraph_matches_the_sort_based_builder_on_a10_partitions() {
+        let g = a10_graph(7);
+        let parts = metis_partition(&g, 8).unwrap();
+        let mut rng = SmallRng::seed_from_u64(7);
+        for part in 0..8 {
+            let mut nodes: Vec<usize> = (0..g.num_nodes()).filter(|&u| parts[u] == part).collect();
+            for _ in 0..2 {
+                let (sub, _) = g.subgraph(&nodes).unwrap();
+                assert!(sub.num_edges() > 0);
+                assert_eq!(csr_bits(&sub), csr_bits(&subgraph_by_sorting(&g, &nodes)));
+                nodes.shuffle(&mut rng);
             }
         }
     }

@@ -8,9 +8,15 @@
 //! sharing vocabulary genuinely embed closer together, which is all the
 //! retrieval experiments need.
 
-use crate::tokenize::tokenize;
+use crate::tokenize::tokens;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+
+/// Texts per thread below which [`Embedder::embed_batch`] does not fan
+/// out: a corpus splits across the cores, a query micro-batch starts no
+/// thread.
+pub const PAR_MIN_TEXTS: usize = 256;
 
 /// A deterministic text embedder.
 #[derive(Debug, Clone)]
@@ -31,7 +37,8 @@ impl Embedder {
         self.dim
     }
 
-    /// Pseudo-random unit-ish direction for one token (hash-seeded signs).
+    /// Adds one token's pseudo-random ±1 direction (hash-seeded signs) to
+    /// `out` — the only place a direction is derived.
     fn token_direction(&self, token: &str, out: &mut [f32]) {
         let mut h = DefaultHasher::new();
         (self.seed, token).hash(&mut h);
@@ -47,32 +54,81 @@ impl Embedder {
         }
     }
 
-    /// Embeds text into an L2-normalized vector. Empty text embeds to the
-    /// zero vector (no direction is honest for no content).
-    pub fn embed(&self, text: &str) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.dim];
-        let tokens = tokenize(text);
-        if tokens.is_empty() {
-            return v;
-        }
-        let mut dir = vec![0.0f32; self.dim];
-        for token in &tokens {
-            dir.iter_mut().for_each(|x| *x = 0.0);
-            self.token_direction(token, &mut dir);
-            for (acc, d) in v.iter_mut().zip(&dir) {
-                *acc += d;
-            }
+    /// Sums `add_direction` over `text`'s tokens in token order into the
+    /// zeroed `v`, then L2-normalizes. Empty text leaves the zero vector
+    /// (no direction is honest for no content).
+    fn embed_into(
+        &self,
+        text: &str,
+        v: &mut [f32],
+        mut add_direction: impl FnMut(&str, &mut [f32]),
+    ) {
+        for token in tokens(&text.to_lowercase()) {
+            add_direction(token, v);
         }
         let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
         if norm > 0.0 {
             v.iter_mut().for_each(|x| *x /= norm);
         }
+    }
+
+    /// Embeds text into an L2-normalized vector. Empty text embeds to the
+    /// zero vector.
+    pub fn embed(&self, text: &str) -> Vec<f32> {
+        let mut v = vec![0.0f32; self.dim];
+        self.embed_into(text, &mut v, |token, v| self.token_direction(token, v));
         v
     }
 
-    /// Embeds a batch of texts.
+    /// Embeds a batch of texts, bit-identical to [`embed`](Self::embed) on
+    /// each. Each distinct token's direction is derived once per block of
+    /// texts and added from a table: the directions are exactly ±1.0 and
+    /// are added in token order, so every sum rounds as it does in
+    /// `embed`. Batches of at least [`PAR_MIN_TEXTS`] texts per thread
+    /// split into one contiguous block per thread of the caller's
+    /// `rayon` width, each with its own table; smaller batches (a serving
+    /// micro-batch) run on the calling thread. The vectors are allocated
+    /// on the calling thread either way, so a corpus's embeddings do not
+    /// outlive the workers in their allocator arenas.
     pub fn embed_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
-        texts.iter().map(|t| self.embed(t)).collect()
+        let mut out = vec![vec![0.0f32; self.dim]; texts.len()];
+        let width = rayon::current_num_threads().min(texts.len() / PAR_MIN_TEXTS);
+        if width <= 1 {
+            self.embed_block(texts, &mut out);
+            return out;
+        }
+        let block = texts.len().div_ceil(width);
+        std::thread::scope(|s| {
+            for (texts, out) in texts.chunks(block).zip(out.chunks_mut(block)) {
+                s.spawn(move || self.embed_block(texts, out));
+            }
+        });
+        out
+    }
+
+    /// [`embed_batch`](Self::embed_batch) of `texts` into the zeroed `out`
+    /// on the calling thread, with one direction table for the block.
+    fn embed_block(&self, texts: &[&str], out: &mut [Vec<f32>]) {
+        let dim = self.dim;
+        let mut slots: HashMap<String, usize> = HashMap::new();
+        let mut directions: Vec<f32> = Vec::new();
+        for (text, v) in texts.iter().zip(out) {
+            self.embed_into(text, v, |token, v| {
+                let slot = match slots.get(token) {
+                    Some(&slot) => slot,
+                    None => {
+                        let slot = slots.len();
+                        directions.resize((slot + 1) * dim, 0.0);
+                        self.token_direction(token, &mut directions[slot * dim..(slot + 1) * dim]);
+                        slots.insert(token.to_owned(), slot);
+                        slot
+                    }
+                };
+                for (acc, d) in v.iter_mut().zip(&directions[slot * dim..(slot + 1) * dim]) {
+                    *acc += d;
+                }
+            });
+        }
     }
 }
 

@@ -566,15 +566,20 @@ enum Rows {
 }
 
 /// Groups `(doc, vector, list)` entries into per-list row buffers, each
-/// entry stored as `row(vector, list)`.
-fn group_rows<T>(
+/// entry stored as `row(vector, list)`: the rows are computed in parallel,
+/// then appended in entry order.
+fn group_rows<T: Send>(
     entries: &[(usize, &[f32], usize)],
     nlist: usize,
-    row: impl Fn(&[f32], usize) -> Vec<T>,
+    row: impl Fn(&[f32], usize) -> Vec<T> + Sync,
 ) -> Vec<Vec<T>> {
+    let rows: Vec<Vec<T>> = entries
+        .par_iter()
+        .map(|&(_, v, list)| row(v, list))
+        .collect();
     let mut lists: Vec<Vec<T>> = (0..nlist).map(|_| Vec::new()).collect();
-    for &(_, v, list) in entries {
-        lists[list].extend(row(v, list));
+    for (&(_, _, list), r) in entries.iter().zip(rows) {
+        lists[list].extend(r);
     }
     lists
 }
@@ -968,14 +973,14 @@ impl IvfIndex {
     ) -> Result<Self, IndexError> {
         let quant = Quantizer::train(dim, nlist, codec, data, seed, None)?;
         let entries = data
-            .iter()
+            .par_iter()
             .map(|(doc, v)| (*doc, v.as_slice(), quant.assign(v)))
             .collect();
         Ok(Self::assemble(quant, nprobe, vec![entries]))
     }
 
     /// Stores `per_shard[s]`'s `(doc, vector, list)` entries on shard `s`,
-    /// encoding the shards in parallel.
+    /// each shard encoding its rows in parallel.
     pub(crate) fn assemble(
         quant: Quantizer,
         nprobe: usize,
@@ -984,7 +989,7 @@ impl IvfIndex {
         let quant = Arc::new(quant);
         let nprobe = nprobe.clamp(1, quant.nlist());
         let shards = per_shard
-            .par_iter()
+            .iter()
             .map(|entries| IvfShard::new(Arc::clone(&quant), nprobe, entries))
             .collect();
         Self {
@@ -1177,12 +1182,68 @@ mod tests {
     fn indexed_corpus(n: usize) -> (Corpus, Embedder, Vec<(usize, Vec<f32>)>) {
         let corpus = Corpus::synthetic(n, 80, 3);
         let embedder = Embedder::new(96, 11);
+        let texts: Vec<&str> = corpus.docs().iter().map(|d| d.text.as_str()).collect();
         let data: Vec<(usize, Vec<f32>)> = corpus
             .docs()
             .iter()
-            .map(|d| (d.id, embedder.embed(&d.text)))
+            .map(|d| d.id)
+            .zip(embedder.embed_batch(&texts))
             .collect();
         (corpus, embedder, data)
+    }
+
+    /// Ingest does not depend on the core count: a sharded pipeline built
+    /// at thread width 1 (every stage serial) and at width 2 (embedding,
+    /// codebook training, routing and encoding fan out) has the same
+    /// coarse centroids, codebook, per-list doc ids and served hits, bit
+    /// for bit.
+    #[test]
+    fn sharded_ingest_does_not_depend_on_the_thread_width() {
+        use crate::pipeline::build_sharded_pipeline;
+        use crate::shard::{Placement, ShardPlan};
+        use gpu_sim::{DeviceSpec, GpuCluster, LinkKind};
+        let plan = ShardPlan {
+            nlist: 32,
+            nprobe: 8,
+            pq: PqConfig::new(16, 6),
+            sample: 512,
+            shards: 4,
+            refine: 16,
+            placement: Placement::SizeBalanced,
+            budget_bytes: None,
+        };
+        let queries: Vec<String> = (0..16)
+            .map(|i| Corpus::topic_query(i % 5, 6, i as u64))
+            .collect();
+        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
+        let build = |width: usize| {
+            rayon::set_thread_width(width);
+            let gpus = Arc::new(GpuCluster::homogeneous(4, DeviceSpec::t4(), LinkKind::Pcie));
+            let p = build_sharded_pipeline(1_200, 96, plan, gpus, 5).expect("builds");
+            let quant = &p.index.quant;
+            let codebook = quant.codebook.as_ref().expect("Pq codec");
+            let lists: Vec<Vec<Vec<usize>>> =
+                p.index.shards.iter().map(|s| s.ids.clone()).collect();
+            let hits: Vec<Vec<(usize, u32)>> = p
+                .retrieve_batch(&refs)
+                .iter()
+                .map(|(hits, _)| hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect())
+                .collect();
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                bits(&quant.centroids),
+                bits(codebook.centroids()),
+                lists,
+                hits,
+            )
+        };
+        let serial = build(1);
+        let parallel = build(2);
+        assert_eq!(serial.0, parallel.0, "coarse centroids");
+        assert_eq!(serial.1, parallel.1, "PQ codebook");
+        assert_eq!(serial.2, parallel.2, "per-list doc ids");
+        assert_eq!(serial.3, parallel.3, "served hits");
+        assert!(serial.3.iter().all(|hits| hits.len() == 3));
     }
 
     #[test]

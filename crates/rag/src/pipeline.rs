@@ -302,6 +302,12 @@ fn summarize(
     }
 }
 
+/// Every document's embedding, in corpus order, through the bulk path.
+fn embed_corpus(embedder: &Embedder, corpus: &Corpus) -> Vec<Vec<f32>> {
+    let texts: Vec<&str> = corpus.docs().iter().map(|d| d.text.as_str()).collect();
+    embedder.embed_batch(&texts)
+}
+
 /// Builds the standard demo pipeline: synthetic corpus, flat GPU index,
 /// Markov generator — the Lab 12 configuration.
 pub fn build_flat_pipeline(
@@ -313,8 +319,8 @@ pub fn build_flat_pipeline(
     let corpus = Corpus::synthetic(corpus_size, 80, seed);
     let embedder = Embedder::new(embed_dim, seed.wrapping_add(1));
     let mut index = crate::index::FlatIndex::with_gpu(embed_dim, gpu.clone());
-    for d in corpus.docs() {
-        index.add(d.id, embedder.embed(&d.text));
+    for (d, v) in corpus.docs().iter().zip(embed_corpus(&embedder, &corpus)) {
+        index.add(d.id, v);
     }
     let generator = MarkovGenerator::train(&corpus.full_text(), 512);
     RagPipeline::new(embedder, index, generator, corpus, gpu)
@@ -337,7 +343,8 @@ pub fn build_sharded_pipeline(
     let data: Vec<(usize, Vec<f32>)> = corpus
         .docs()
         .iter()
-        .map(|d| (d.id, embedder.embed(&d.text)))
+        .map(|d| d.id)
+        .zip(embed_corpus(&embedder, &corpus))
         .collect();
     let index = crate::shard::ShardedIndex::build(embed_dim, plan, &data, gpus.clone(), seed)?;
     let generator = MarkovGenerator::train(&corpus.full_text(), 512);

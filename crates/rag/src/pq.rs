@@ -21,6 +21,7 @@ use crate::error::IndexError;
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
+use rayon::prelude::*;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::TensorError;
 
@@ -91,7 +92,8 @@ fn l2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 impl PqCodebook {
-    /// Trains one k-means codebook per subspace on the corpus vectors.
+    /// Trains one k-means codebook per subspace on the corpus vectors,
+    /// the subspaces in parallel.
     ///
     /// When a subspace has no more distinct subvectors than `ksub`, the
     /// distinct values *are* the codebook (padded with duplicates) — the
@@ -129,21 +131,19 @@ impl PqCodebook {
         let (m, ksub) = (cfg.m, cfg.ksub());
         let dsub = dim / m;
         let mut centroids = vec![0.0f32; m * ksub * dsub];
-        let mut iterations = Vec::with_capacity(m);
-        for s in 0..m {
-            let subs: Vec<&[f32]> = data
-                .iter()
-                .map(|(_, v)| &v[s * dsub..(s + 1) * dsub])
-                .collect();
-            let book = &mut centroids[s * ksub * dsub..(s + 1) * ksub * dsub];
-            iterations.push(train_subspace(
-                &subs,
-                ksub,
-                dsub,
-                seed.wrapping_add(s as u64),
-                book,
-            ));
-        }
+        // Subspaces are independent (own seed, own codebook slice), so
+        // they train in parallel with the bits of a serial run.
+        let iterations: Vec<usize> = centroids
+            .par_chunks_mut(ksub * dsub)
+            .enumerate()
+            .map(|(s, book)| {
+                let subs: Vec<&[f32]> = data
+                    .iter()
+                    .map(|(_, v)| &v[s * dsub..(s + 1) * dsub])
+                    .collect();
+                train_subspace(&subs, ksub, dsub, seed.wrapping_add(s as u64), book)
+            })
+            .collect();
         if let Some(exec) = exec {
             price_training(exec, data.len() as u64, dim as u64, cfg, &iterations)?;
         }

@@ -29,8 +29,9 @@
 //! grouped.
 //!
 //! The quantizers train once on a sample (the codebook's k-means priced on
-//! device 0), then the shards encode in parallel and each attaches to its
-//! own device.
+//! device 0, its subspaces trained in parallel), then every vector routes
+//! to its list in parallel, each shard encodes its rows in parallel, and
+//! each attaches to its own device.
 
 use crate::error::IndexError;
 use crate::index::{Codec, IvfIndex, Quantizer};
@@ -38,6 +39,7 @@ use crate::pq::PqConfig;
 use gpu_sim::GpuCluster;
 use rand::prelude::*;
 use rand::rngs::SmallRng;
+use rayon::prelude::*;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::TensorError;
 use std::sync::Arc;
@@ -155,25 +157,23 @@ impl IvfIndex {
         };
         let quant = Quantizer::train(dim, plan.nlist, codec, &sample, seed, Some(&device(0)?))?;
 
-        // Partition: route every vector to its list, then place the lists
-        // on shards.
-        let mut entries = Vec::with_capacity(data.len());
+        // Partition: route every vector to its list (in parallel), count
+        // the lists in data order, then place the lists on shards.
+        if let Some((_, v)) = data.iter().find(|(_, v)| v.len() != dim) {
+            return Err(IndexError::DimMismatch {
+                expected: dim,
+                got: v.len(),
+            });
+        }
+        let lists: Vec<usize> = data.par_iter().map(|(_, v)| quant.assign(v)).collect();
         let mut list_sizes = vec![0usize; plan.nlist];
-        for (doc, v) in data {
-            if v.len() != dim {
-                return Err(IndexError::DimMismatch {
-                    expected: dim,
-                    got: v.len(),
-                });
-            }
-            let list = quant.assign(v);
+        for &list in &lists {
             list_sizes[list] += 1;
-            entries.push((*doc, v.as_slice(), list));
         }
         let shard_of = place_lists(&list_sizes, plan.shards);
         let mut per_shard = vec![Vec::new(); plan.shards];
-        for entry in entries {
-            per_shard[shard_of[entry.2]].push(entry);
+        for ((doc, v), &list) in data.iter().zip(&lists) {
+            per_shard[shard_of[list]].push((*doc, v.as_slice(), list));
         }
 
         let mut index = Self::assemble(quant, plan.nprobe, per_shard);
@@ -196,10 +196,12 @@ mod tests {
     fn corpus_data(n: usize) -> (Embedder, Vec<(usize, Vec<f32>)>) {
         let corpus = Corpus::synthetic(n, 80, 3);
         let embedder = Embedder::new(96, 11);
+        let texts: Vec<&str> = corpus.docs().iter().map(|d| d.text.as_str()).collect();
         let data = corpus
             .docs()
             .iter()
-            .map(|d| (d.id, embedder.embed(&d.text)))
+            .map(|d| d.id)
+            .zip(embedder.embed_batch(&texts))
             .collect();
         (embedder, data)
     }

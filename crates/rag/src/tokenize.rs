@@ -2,19 +2,20 @@
 
 /// Lowercases and splits on non-alphanumeric boundaries, dropping empties.
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.to_lowercase()
-        .split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_owned())
-        .collect()
+    tokens(&text.to_lowercase()).map(str::to_owned).collect()
 }
 
 /// Token count without allocating the tokens.
 pub fn token_count(text: &str) -> usize {
-    text.to_lowercase()
+    tokens(&text.to_lowercase()).count()
+}
+
+/// The tokens of already-lowercased text, borrowed from it: what
+/// [`tokenize`] returns for the original text, without a `String` per token.
+pub(crate) fn tokens(lower: &str) -> impl Iterator<Item = &str> {
+    lower
         .split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
-        .count()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based invariants of the RAG stack.
 
 use proptest::prelude::*;
-use sagegpu_rag::embed::{cosine, Embedder};
+use sagegpu_rag::embed::{cosine, Embedder, PAR_MIN_TEXTS};
 use sagegpu_rag::index::{recall_at_k, Codec, FlatIndex, IvfIndex, RetrievalIndex, SearchHit};
 use sagegpu_rag::pq::PqConfig;
 use sagegpu_rag::shard::{Placement, ShardPlan, ShardedIndex};
@@ -25,8 +25,61 @@ fn embedded_docs(n: usize, dim: usize, seed: u64) -> (Embedder, Vec<(usize, Vec<
     (e, data)
 }
 
+/// Words covering the tokenizer's edge cases: case variants that share a
+/// direction, non-ASCII alphanumerics (with their own case rules), and
+/// punctuation-only and empty pieces that yield no token.
+const WORDS: [&str; 16] = [
+    "gpu",
+    "GPU",
+    "Gpu",
+    "kernel",
+    "KERNEL",
+    "warp",
+    "naïve",
+    "NAÏVE",
+    "straße",
+    "日本語",
+    "ΣΊΣΥΦΟΣ",
+    "σίσυφος",
+    "x86_64",
+    "!!!",
+    "--",
+    "",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `embed_batch` equals per-text `embed` bit for bit: on a batch of
+    /// texts drawn from [`WORDS`] (repeats, case variants, non-ASCII,
+    /// empty and punctuation-only texts) plus a free-form text, and on the
+    /// same texts tiled into a batch large enough to fan out across three
+    /// threads.
+    #[test]
+    fn embed_batch_matches_embed(
+        picks in prop::collection::vec(prop::collection::vec(0usize..WORDS.len(), 0..10), 0..24),
+        free in "[a-cA-CéÉßΣσ日 .,!-]{0,16}",
+        dim in 1usize..100,
+        seed in 0u64..1000,
+    ) {
+        let e = Embedder::new(dim, seed);
+        let mut texts: Vec<String> = picks
+            .iter()
+            .map(|words| words.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" "))
+            .collect();
+        texts.push(free);
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let singles: Vec<Vec<u32>> = refs.iter().map(|t| bits(&e.embed(t))).collect();
+        let batch: Vec<Vec<u32>> = e.embed_batch(&refs).iter().map(|v| bits(v)).collect();
+        prop_assert_eq!(&batch, &singles);
+
+        let big: Vec<&str> = refs.iter().copied().cycle().take(3 * PAR_MIN_TEXTS + 7).collect();
+        rayon::set_thread_width(3);
+        let fanned: Vec<Vec<u32>> = e.embed_batch(&big).iter().map(|v| bits(v)).collect();
+        let want: Vec<Vec<u32>> = singles.iter().cycle().take(big.len()).cloned().collect();
+        prop_assert_eq!(fanned, want);
+    }
 
     /// Embeddings of non-empty token sets are unit vectors; empty are zero.
     #[test]

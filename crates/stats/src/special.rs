@@ -76,11 +76,6 @@ pub fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal PDF.
-pub fn normal_pdf(z: f64) -> f64 {
-    (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Standard normal quantile (inverse CDF) for `p ∈ (0, 1)`.
 ///
 /// Acklam's rational approximation (|ε| < 1.15e-9) refined with one Halley

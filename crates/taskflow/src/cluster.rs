@@ -375,14 +375,6 @@ impl LocalCluster {
         futures.into_iter().map(|f| f.wait()).collect()
     }
 
-    /// Direct read of a worker's store (client-side "persist" inspection).
-    pub fn store_of(&self, worker: usize) -> Result<&Arc<ObjectStore>, TaskError> {
-        self.stores.get(worker).ok_or(TaskError::UnknownWorker {
-            worker,
-            pool: self.len(),
-        })
-    }
-
     /// Nanoseconds elapsed on the scheduler's wall clock — the same axis
     /// task spans are stamped on, so layered services (batch deadlines,
     /// queue-wait accounting) can timestamp events that line up with the

@@ -26,7 +26,7 @@
 //! classification.
 
 use crate::dense::Tensor;
-use crate::residency::{CsrRef, DeviceCsr, DeviceTensor, TensorRef};
+use crate::residency::{csr_size_bytes, DeviceTensor, TensorRef};
 use crate::sparse::CsrMatrix;
 use crate::TensorError;
 use gpu_sim::pool::{MemoryPool, ResidencySnapshot, ResidencyStats};
@@ -143,14 +143,6 @@ impl GpuExecutor {
         Ok(DeviceTensor::new(t.clone(), lease))
     }
 
-    /// Moves a CSR matrix onto the device, charging one H2D transfer.
-    pub fn upload_csr(&self, m: &CsrMatrix) -> Result<DeviceCsr, TensorError> {
-        let bytes = DeviceCsr::csr_size_bytes(m);
-        let lease = self.gpu.htod_pooled(&self.pool, bytes)?;
-        self.residency.add_h2d(bytes);
-        Ok(DeviceCsr::new(m.clone(), lease))
-    }
-
     /// Reads a device tensor back to the host, charging exactly one D2H
     /// transfer. The tensor stays resident — downloading does not evict.
     pub fn download(&self, t: &DeviceTensor) -> Result<Tensor, TensorError> {
@@ -195,25 +187,14 @@ impl GpuExecutor {
         }
     }
 
-    /// [`Self::stage`] for sparse operands.
-    fn stage_csr<'a>(
-        &self,
-        r: CsrRef<'a>,
-    ) -> Result<(&'a CsrMatrix, Option<gpu_sim::pool::PoolLease>), TensorError> {
-        match r {
-            CsrRef::Host(m) => {
-                self.residency.record_miss();
-                let bytes = DeviceCsr::csr_size_bytes(m);
-                let lease = self.gpu.htod_pooled(&self.pool, bytes)?;
-                self.residency.add_h2d(bytes);
-                Ok((m, Some(lease)))
-            }
-            CsrRef::Device(dm) => {
-                self.expect_local(dm.device())?;
-                self.residency.record_hit();
-                Ok((dm.matrix(), None))
-            }
-        }
+    /// [`Self::stage`] for a sparse operand, which is always on the host:
+    /// a residency miss and one H2D transfer.
+    fn stage_csr(&self, m: &CsrMatrix) -> Result<gpu_sim::pool::PoolLease, TensorError> {
+        self.residency.record_miss();
+        let bytes = csr_size_bytes(m);
+        let lease = self.gpu.htod_pooled(&self.pool, bytes)?;
+        self.residency.add_h2d(bytes);
+        Ok(lease)
     }
 
     /// Wraps a freshly computed kernel output as device-resident.
@@ -346,12 +327,12 @@ impl GpuExecutor {
 
     /// Fused sparse aggregation + ReLU: the epilogue applies in registers
     /// before the store, charging one launch and allocating once.
-    pub fn spmm_relu<'a, 'b>(
+    pub fn spmm_relu<'b>(
         &self,
-        a: impl Into<CsrRef<'a>>,
+        a: &CsrMatrix,
         x: impl Into<TensorRef<'b>>,
     ) -> Result<DeviceTensor, TensorError> {
-        let (a, _ga) = self.stage_csr(a.into())?;
+        let _ga = self.stage_csr(a)?;
         let (x, _gx) = self.stage(x.into())?;
         let nnz = a.nnz() as u64;
         let d = x.cols() as u64;
@@ -381,12 +362,12 @@ impl GpuExecutor {
 
     /// Sparse-dense product (GCN aggregation) on the device: random access,
     /// so the cost model uses the gather profile.
-    pub fn spmm<'a, 'b>(
+    pub fn spmm<'b>(
         &self,
-        a: impl Into<CsrRef<'a>>,
+        a: &CsrMatrix,
         x: impl Into<TensorRef<'b>>,
     ) -> Result<DeviceTensor, TensorError> {
-        let (a, _ga) = self.stage_csr(a.into())?;
+        let _ga = self.stage_csr(a)?;
         let (x, _gx) = self.stage(x.into())?;
         let nnz = a.nnz() as u64;
         let d = x.cols() as u64;

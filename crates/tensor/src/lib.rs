@@ -38,7 +38,7 @@ pub mod sparse;
 pub mod prelude {
     pub use crate::dense::Tensor;
     pub use crate::gpu_exec::GpuExecutor;
-    pub use crate::residency::{CsrRef, DeviceCsr, DeviceTensor, Placement, TensorRef};
+    pub use crate::residency::{DeviceTensor, Placement, TensorRef};
     pub use crate::sparse::CsrMatrix;
     pub use crate::TensorError;
 }

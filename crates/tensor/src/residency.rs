@@ -156,88 +156,11 @@ impl<'a> From<&'a mut DeviceTensor> for TensorRef<'a> {
     }
 }
 
-/// A CSR sparse matrix resident in device memory (adjacency structure for
-/// GCN aggregation). Like [`DeviceTensor`] but immutable: graph structure
-/// does not change during training.
-#[derive(Debug)]
-pub struct DeviceCsr {
-    mat: CsrMatrix,
-    lease: PoolLease,
-}
-
-impl DeviceCsr {
-    pub(crate) fn new(mat: CsrMatrix, lease: PoolLease) -> Self {
-        Self { mat, lease }
-    }
-
-    /// Device-side view of the matrix.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.mat
-    }
-
-    /// Bytes of device memory for a CSR matrix: values (f32) + column
-    /// indices (u32) per nonzero, plus the `rows + 1` row-pointer array.
-    pub fn csr_size_bytes(mat: &CsrMatrix) -> u64 {
-        let (rows, _) = mat.shape();
-        (8 * mat.nnz() + 4 * (rows + 1)) as u64
-    }
-
-    /// Bytes this matrix occupies on the device.
-    pub fn size_bytes(&self) -> u64 {
-        Self::csr_size_bytes(&self.mat)
-    }
-
-    /// Ordinal of the owning device.
-    pub fn device(&self) -> u32 {
-        self.lease.device()
-    }
-
-    /// Unique identity of the backing allocation.
-    pub fn id(&self) -> BufferId {
-        self.lease.id()
-    }
-}
-
-/// Borrowed sparse operand: host- or device-resident.
-#[derive(Debug, Clone, Copy)]
-pub enum CsrRef<'a> {
-    Host(&'a CsrMatrix),
-    Device(&'a DeviceCsr),
-}
-
-impl<'a> CsrRef<'a> {
-    /// The underlying matrix, wherever it lives.
-    pub fn matrix(&self) -> &'a CsrMatrix {
-        match self {
-            CsrRef::Host(m) => m,
-            CsrRef::Device(dm) => dm.matrix(),
-        }
-    }
-
-    /// The operand's placement.
-    pub fn placement(&self) -> Placement {
-        match self {
-            CsrRef::Host(_) => Placement::Host,
-            CsrRef::Device(dm) => Placement::Device(dm.device()),
-        }
-    }
-
-    /// Bytes the operand occupies.
-    pub fn size_bytes(&self) -> u64 {
-        DeviceCsr::csr_size_bytes(self.matrix())
-    }
-}
-
-impl<'a> From<&'a CsrMatrix> for CsrRef<'a> {
-    fn from(m: &'a CsrMatrix) -> Self {
-        CsrRef::Host(m)
-    }
-}
-
-impl<'a> From<&'a DeviceCsr> for CsrRef<'a> {
-    fn from(dm: &'a DeviceCsr) -> Self {
-        CsrRef::Device(dm)
-    }
+/// Bytes of device memory for a CSR matrix: values (f32) + column
+/// indices (u32) per nonzero, plus the `rows + 1` row-pointer array.
+pub(crate) fn csr_size_bytes(mat: &CsrMatrix) -> u64 {
+    let (rows, _) = mat.shape();
+    (8 * mat.nnz() + 4 * (rows + 1)) as u64
 }
 
 #[cfg(test)]
@@ -257,9 +180,6 @@ mod tests {
     fn csr_size_accounts_values_indices_and_indptr() {
         let m = CsrMatrix::from_triplets(3, 3, &[(0, 1, 2.0), (2, 0, 1.0)]).unwrap();
         // 2 nnz * 8 bytes + 4 indptr entries * 4 bytes
-        assert_eq!(DeviceCsr::csr_size_bytes(&m), 2 * 8 + 4 * 4);
-        let r = CsrRef::from(&m);
-        assert_eq!(r.placement(), Placement::Host);
-        assert_eq!(r.size_bytes(), 32);
+        assert_eq!(csr_size_bytes(&m), 2 * 8 + 4 * 4);
     }
 }

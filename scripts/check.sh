@@ -42,6 +42,12 @@
 #    layer pass replays the recorded trace and fails on any sim-time or
 #    submission mismatch, which covers the one-time ÂX aggregation each
 #    worker charges at scatter time.
+# 8. clean tree: the working tree's diff (`git diff --binary`) and its list
+#    of untracked files must be the same at the end as at the start, so a
+#    BENCH artifact, golden trace or transcript that drifted during the
+#    gate fails it. sagebench/Cargo.lock is left out (every sagebench build
+#    rewrites it until a benchmark change commits the refreshed lock), and
+#    the check is skipped under --bless, which rewrites goldens on purpose.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +55,14 @@ BLESS=""
 if [[ "${1:-}" == "--bless" ]]; then
   BLESS="--bless"
 fi
+
+tree_state() {
+  {
+    git diff --binary -- . ':(exclude)sagebench/Cargo.lock'
+    git ls-files --others --exclude-standard
+  } | sha256sum
+}
+tree_before=$(tree_state)
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -110,5 +124,14 @@ for workload in rag-cold gcn-train; do
     exit 1
   fi
 done
+
+if [[ -z "$BLESS" ]]; then
+  echo "==> clean tree: the gate rewrote no tracked file and left no new file"
+  if [[ "$(tree_state)" != "$tree_before" ]]; then
+    echo "the gate changed the working tree (a BENCH artifact, golden or transcript drifted):" >&2
+    git status --short >&2
+    exit 1
+  fi
+fi
 
 echo "OK: all checks passed"
