@@ -17,6 +17,7 @@
 //! footprint and residency — everything a serving layer needs.
 
 use crate::error::IndexError;
+use crate::panel::Panels;
 use crate::pq::{adc_score_rows, residual, PqCodebook, PqConfig};
 use crate::residency::{ListResidency, TierStats};
 use gpu_sim::pool::{PoolLease, PoolStats};
@@ -165,29 +166,14 @@ pub(crate) fn top_k(scores: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
     best.into_sorted()
 }
 
-/// Inner-product of one row against a query, in index order — the single
-/// scoring expression shared by the flat scan, the coarse quantizer, and
-/// the GPU executor's `dot_scores`, which is what keeps CPU, GPU, and
-/// batched paths bit-identical.
+/// Inner-product of one row against a query, in index order — the
+/// scoring expression shared by the flat scan, the full-row list scan,
+/// refine, and the GPU executor's `dot_scores`, which is what keeps CPU,
+/// GPU, and batched paths bit-identical. Centroid searches compute the
+/// same sum through [`Panels`].
 #[inline]
 pub(crate) fn dot(row: &[f32], query: &[f32]) -> f32 {
     row.iter().zip(query).map(|(a, b)| a * b).sum()
-}
-
-/// Index of the centroid with the highest inner product (first wins on
-/// ties) — the coarse-assignment rule shared by training and shard
-/// construction, so every path buckets a vector identically.
-pub(crate) fn nearest_centroid(centroids: &[f32], dim: usize, v: &[f32]) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f32::NEG_INFINITY;
-    for c in 0..centroids.len() / dim {
-        let score = dot(&centroids[c * dim..(c + 1) * dim], v);
-        if score > best_score {
-            best_score = score;
-            best = c;
-        }
-    }
-    best
 }
 
 /// Exact dot-product index.
@@ -357,13 +343,15 @@ pub(crate) fn train_coarse(
         .flat_map(|&i| data[i].1.iter().copied())
         .collect();
 
+    // Assignment: the centroid with the highest inner product, lowest
+    // list on ties — the rule `Quantizer::assign` routes by.
+    let assign = |centroids: &[f32]| -> Vec<usize> {
+        let panels = Panels::new(centroids, dim);
+        data.par_iter().map(|(_, v)| panels.argmax_dot(v)).collect()
+    };
     let mut assignments = vec![0usize; data.len()];
     for _ in 0..10 {
-        // Assignment step.
-        let new_assignments: Vec<usize> = data
-            .par_iter()
-            .map(|(_, v)| nearest_centroid(&centroids, dim, v))
-            .collect();
+        let new_assignments = assign(&centroids);
         let changed = new_assignments != assignments;
         assignments = new_assignments;
         // Update step (mean, renormalized — vectors are unit length).
@@ -433,10 +421,7 @@ pub(crate) fn train_coarse(
             counts[c] += 1;
             assignments[row] = c;
         }
-        assignments = data
-            .par_iter()
-            .map(|(_, v)| nearest_centroid(&centroids, dim, v))
-            .collect();
+        assignments = assign(&centroids);
     }
 
     Ok((centroids, assignments))
@@ -461,6 +446,9 @@ pub(crate) struct Quantizer {
     dim: usize,
     /// Row-major `nlist × dim` coarse centroids.
     centroids: Vec<f32>,
+    /// The same centroids as [`Panels`], which routing and probe planning
+    /// search.
+    panels: Panels,
     /// The residual codebook; `None` for [`Codec::Full`].
     codebook: Option<PqCodebook>,
 }
@@ -490,20 +478,26 @@ impl Quantizer {
                 Some(PqCodebook::train(dim, cfg, &residuals, seed, exec)?)
             }
         };
-        Ok(Self {
+        Ok(Self::new(dim, centroids, codebook))
+    }
+
+    fn new(dim: usize, centroids: Vec<f32>, codebook: Option<PqCodebook>) -> Self {
+        Self {
             dim,
+            panels: Panels::new(&centroids, dim),
             centroids,
             codebook,
-        })
+        }
     }
 
     pub(crate) fn nlist(&self) -> usize {
-        self.centroids.len() / self.dim
+        self.panels.rows()
     }
 
-    /// The list a vector routes to.
+    /// The list a vector routes to: the centroid with the highest inner
+    /// product, lowest list on ties.
     pub(crate) fn assign(&self, v: &[f32]) -> usize {
-        nearest_centroid(&self.centroids, self.dim, v)
+        self.panels.argmax_dot(v)
     }
 
     fn centroid(&self, list: usize) -> &[f32] {
@@ -517,20 +511,21 @@ impl Quantizer {
     /// one plan, and the shards together cover exactly the lists an
     /// unsharded scan probes.
     fn plan<'q>(&self, queries: &'q [Vec<f32>], nprobe: usize) -> BatchPlan<'q> {
-        let coarse: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|q| {
-                (0..self.nlist())
-                    .map(|c| dot(self.centroid(c), q))
-                    .collect()
-            })
-            .collect();
+        let coarse: Vec<Vec<f32>> = queries.iter().map(|q| self.panels.dots(q)).collect();
         let probes = coarse
             .iter()
             .map(|scores| {
-                let mut ranked: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
-                ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                ranked.into_iter().take(nprobe).map(|(c, _)| c).collect()
+                // Probe order is total (`total_cmp`, then the list id), so
+                // selecting the top `nprobe` before sorting them gives the
+                // prefix a full sort would.
+                let order = |a: &usize, b: &usize| scores[*b].total_cmp(&scores[*a]).then(a.cmp(b));
+                let mut lists: Vec<usize> = (0..scores.len()).collect();
+                if nprobe < lists.len() {
+                    lists.select_nth_unstable_by(nprobe, order);
+                    lists.truncate(nprobe);
+                }
+                lists.sort_unstable_by(order);
+                lists
             })
             .collect();
         let tables = match &self.codebook {
@@ -565,22 +560,30 @@ enum Rows {
     Pq(Vec<Vec<u8>>),
 }
 
-/// Groups `(doc, vector, list)` entries into per-list row buffers, each
-/// entry stored as `row(vector, list)`: the rows are computed in parallel,
-/// then appended in entry order.
-fn group_rows<T: Send>(
+/// Groups `(doc, vector, list)` entries into per-list row buffers of
+/// `width` elements a row, entry order within each list: every entry's
+/// row slot is cut from its list's buffer first, then
+/// `fill(vector, list, slot)` writes the slots in parallel.
+fn group_rows<T: Copy + Default + Send>(
     entries: &[(usize, &[f32], usize)],
-    nlist: usize,
-    row: impl Fn(&[f32], usize) -> Vec<T> + Sync,
+    ids: &[Vec<usize>],
+    width: usize,
+    fill: impl Fn(&[f32], usize, &mut [T]) + Sync,
 ) -> Vec<Vec<T>> {
-    let rows: Vec<Vec<T>> = entries
-        .par_iter()
-        .map(|&(_, v, list)| row(v, list))
+    let mut lists: Vec<Vec<T>> = ids
+        .iter()
+        .map(|docs| vec![T::default(); docs.len() * width])
         .collect();
-    let mut lists: Vec<Vec<T>> = (0..nlist).map(|_| Vec::new()).collect();
-    for (&(_, _, list), r) in entries.iter().zip(rows) {
-        lists[list].extend(r);
-    }
+    let mut slots: Vec<_> = lists
+        .iter_mut()
+        .map(|l| l.chunks_exact_mut(width))
+        .collect();
+    let jobs: Vec<(&[f32], usize, &mut [T])> = entries
+        .iter()
+        .map(|&(_, v, list)| (v, list, slots[list].next().expect("one slot per member")))
+        .collect();
+    jobs.into_par_iter()
+        .for_each(|(v, list, slot)| fill(v, list, slot));
     lists
 }
 
@@ -712,17 +715,18 @@ pub struct IvfShard {
 impl IvfShard {
     /// Stores `(doc, vector, list)` entries in the codec's row format.
     fn new(quant: Arc<Quantizer>, nprobe: usize, entries: &[(usize, &[f32], usize)]) -> Self {
-        let nlist = quant.nlist();
-        let rows = match &quant.codebook {
-            None => Rows::Full(group_rows(entries, nlist, |v, _| v.to_vec())),
-            Some(cb) => Rows::Pq(group_rows(entries, nlist, |v, list| {
-                cb.encode(&residual(v, quant.centroid(list)))
-            })),
-        };
-        let mut ids = vec![Vec::new(); nlist];
+        let mut ids = vec![Vec::new(); quant.nlist()];
         for &(doc, _, list) in entries {
             ids[list].push(doc);
         }
+        let rows = match &quant.codebook {
+            None => Rows::Full(group_rows(entries, &ids, quant.dim, |v, _, row| {
+                row.copy_from_slice(v)
+            })),
+            Some(cb) => Rows::Pq(group_rows(entries, &ids, cb.m(), |v, list, codes| {
+                cb.encode(v, quant.centroid(list), codes)
+            })),
+        };
         Self {
             quant,
             nprobe,
@@ -1556,6 +1560,96 @@ mod tests {
             .sum();
         assert!(scanned < 5 * 60, "three of eight lists scan fewer rows");
         assert_eq!(scan_flops(&ivf), vec![2 * scanned * 96]);
+    }
+
+    #[test]
+    fn probe_lists_are_the_prefix_of_a_full_sort_under_ties() {
+        // Lists 1, 4 and 6 share a centroid, as do 2 and 5, and several
+        // lists score a signed zero against the zero query: scores tie.
+        let rows: [[f32; 3]; 8] = [
+            [0.5, 0.0, 0.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 2.0],
+            [-1.0, 0.5, 0.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 2.0],
+            [1.0, 1.0, 0.0],
+            [0.0, -0.0, 0.0],
+        ];
+        let quant = Quantizer::new(3, rows.concat(), None);
+        let queries = vec![
+            vec![1.0, 1.0, 1.0],
+            vec![0.0, 0.0, 0.0],
+            vec![-1.0, -1.0, 1.0],
+            vec![0.0, 0.0, -1.0],
+        ];
+        for nprobe in [1, 2, 3, 4, 8] {
+            let plan = quant.plan(&queries, nprobe);
+            for (q, query) in queries.iter().enumerate() {
+                let scores = &plan.coarse[q];
+                for (row, score) in rows.iter().zip(scores) {
+                    let want: f32 = row.iter().zip(query).map(|(a, b)| a * b).sum();
+                    assert_eq!(score.to_bits(), want.to_bits(), "coarse score");
+                }
+                let mut ranked: Vec<usize> = (0..8).collect();
+                ranked.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+                ranked.truncate(nprobe);
+                assert_eq!(plan.probes[q], ranked, "query {q} nprobe {nprobe}");
+            }
+        }
+        let top = quant.plan(&queries, 1).probes;
+        assert_eq!(top, vec![vec![1], vec![0], vec![2], vec![0]]);
+    }
+
+    /// The row-at-a-time PQ encoder: for every subspace, the lowest code
+    /// at the least squared L2 distance from the residual's slice.
+    fn scalar_encode(cb: &PqCodebook, residual: &[f32]) -> Vec<u8> {
+        use crate::panel::tests::scalar_argmin;
+        let (ksub, dsub) = (cb.ksub(), cb.dsub());
+        residual
+            .chunks_exact(dsub)
+            .zip(cb.centroids().chunks_exact(ksub * dsub))
+            .map(|(sub, book)| scalar_argmin(book, dsub, sub) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn built_codes_are_the_scalar_encode_of_each_residual() {
+        use crate::shard::{Placement, ShardPlan};
+        use gpu_sim::{DeviceSpec, GpuCluster, LinkKind};
+        let (_, _, data) = indexed_corpus(1_000);
+        // The serving layout (16 × 6 bits) and A12's (32 × 8 bits).
+        for pq in [PqConfig::new(16, 6), PqConfig::new(32, 8)] {
+            let plan = ShardPlan {
+                nlist: 16,
+                nprobe: 4,
+                pq,
+                sample: 600,
+                shards: 2,
+                refine: 0,
+                placement: Placement::SizeBalanced,
+                budget_bytes: None,
+            };
+            let gpus = Arc::new(GpuCluster::homogeneous(2, DeviceSpec::t4(), LinkKind::Pcie));
+            let index = IvfIndex::build(96, plan, &data, gpus, 9).expect("builds");
+            let quant = &index.quant;
+            let cb = quant.codebook.as_ref().expect("Pq codec");
+            let mut coded = 0;
+            for shard in index.shards() {
+                let Rows::Pq(lists) = &shard.rows else {
+                    panic!("Pq codec stores codes");
+                };
+                for (list, docs) in shard.ids.iter().enumerate() {
+                    for (&doc, codes) in docs.iter().zip(lists[list].chunks_exact(pq.m)) {
+                        assert_eq!(data[doc].0, doc);
+                        let r = residual(&data[doc].1, quant.centroid(list));
+                        assert_eq!(codes, scalar_encode(cb, &r), "doc {doc} under {pq:?}");
+                        coded += 1;
+                    }
+                }
+            }
+            assert_eq!(coded, data.len());
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! the probe stage for free.
 
 use crate::error::IndexError;
+use crate::panel::Panels;
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
 use rand::prelude::*;
 use rand::rngs::SmallRng;
@@ -75,20 +76,10 @@ pub struct PqCodebook {
     /// Subspace-major: `centroids[s * ksub * dsub ..]` is subspace `s`'s
     /// `ksub × dsub` codebook.
     centroids: Vec<f32>,
-}
-
-/// Squared L2 distance between a subvector and a codebook entry — the
-/// quantizer's assignment metric (codes minimize reconstruction error;
-/// the *search* metric stays inner product via the ADC table).
-#[inline]
-fn l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
+    /// Subspace `s`'s codebook as [`Panels`]: encode searches it under
+    /// squared L2 (codes minimize reconstruction error), the ADC table
+    /// scores it by inner product (the *search* metric).
+    panels: Vec<Panels>,
 }
 
 impl PqCodebook {
@@ -132,9 +123,11 @@ impl PqCodebook {
         let dsub = dim / m;
         let mut centroids = vec![0.0f32; m * ksub * dsub];
         // Subspaces are independent (own seed, own codebook slice), so
-        // they train in parallel with the bits of a serial run.
+        // they train in parallel with the bits of a serial run, one
+        // subspace per item however few there are.
         let iterations: Vec<usize> = centroids
             .par_chunks_mut(ksub * dsub)
+            .with_min_len(1)
             .enumerate()
             .map(|(s, book)| {
                 let subs: Vec<&[f32]> = data
@@ -147,12 +140,17 @@ impl PqCodebook {
         if let Some(exec) = exec {
             price_training(exec, data.len() as u64, dim as u64, cfg, &iterations)?;
         }
+        let panels = centroids
+            .chunks_exact(ksub * dsub)
+            .map(|book| Panels::new(book, dsub))
+            .collect();
         Ok(Self {
             dim,
             m,
             ksub,
             dsub,
             centroids,
+            panels,
         })
     }
 
@@ -178,25 +176,20 @@ impl PqCodebook {
         &self.centroids[base..base + self.dsub]
     }
 
-    /// Quantizes a vector to `m` one-byte codes (nearest centroid per
-    /// subspace under L2; ties break to the lowest code).
-    pub fn encode(&self, v: &[f32]) -> Vec<u8> {
+    /// Quantizes the residual `v − centroid` into `codes`, one byte per
+    /// subspace: the nearest codebook entry under squared L2, lowest code
+    /// on ties. Each residual element is the `v[d] − centroid[d]` an IVF
+    /// list stores, formed on the fly; a zero `centroid` codes `v` itself.
+    pub fn encode(&self, v: &[f32], centroid: &[f32], codes: &mut [u8]) {
         assert_eq!(v.len(), self.dim, "vector dim mismatch");
-        (0..self.m)
-            .map(|s| {
-                let sub = &v[s * self.dsub..(s + 1) * self.dsub];
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for c in 0..self.ksub {
-                    let d = l2(sub, self.entry(s, c));
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                best as u8
-            })
-            .collect()
+        assert_eq!(centroid.len(), self.dim, "centroid dim mismatch");
+        assert_eq!(codes.len(), self.m, "code length mismatch");
+        let subspaces = v
+            .chunks_exact(self.dsub)
+            .zip(centroid.chunks_exact(self.dsub));
+        for ((code, panels), (sub, base)) in codes.iter_mut().zip(&self.panels).zip(subspaces) {
+            *code = panels.argmin_l2(sub.iter().zip(base).map(|(a, b)| a - b)) as u8;
+        }
     }
 
     /// Reconstructs the full-precision vector a code represents.
@@ -213,25 +206,23 @@ impl PqCodebook {
     /// product of the query's subspace-`s` slice with centroid `c`, so a
     /// coded vector scores in `m` lookups.
     pub fn adc_table(&self, query: &[f32]) -> Vec<f32> {
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
-        let mut table = Vec::with_capacity(self.m * self.ksub);
-        for s in 0..self.m {
-            let qsub = &query[s * self.dsub..(s + 1) * self.dsub];
-            for c in 0..self.ksub {
-                table.push(qsub.iter().zip(self.entry(s, c)).map(|(a, b)| a * b).sum());
-            }
-        }
-        table
+        self.adc_rows(query)
+            .iter()
+            .flat_map(|row| &row[..self.ksub])
+            .copied()
+            .collect()
     }
 
     /// [`Self::adc_table`] as one `[f32; 256]` row per subspace, zero past
     /// `ksub` — the layout [`adc_score_rows`] scans.
     pub(crate) fn adc_rows(&self, query: &[f32]) -> Vec<[f32; 256]> {
-        self.adc_table(query)
-            .chunks(self.ksub)
-            .map(|sub| {
+        assert_eq!(query.len(), self.dim, "query dim mismatch");
+        query
+            .chunks_exact(self.dsub)
+            .zip(&self.panels)
+            .map(|(qsub, panels)| {
                 let mut row = [0.0f32; 256];
-                row[..self.ksub].copy_from_slice(sub);
+                panels.dots_into(qsub, &mut row);
                 row
             })
             .collect()
@@ -343,16 +334,9 @@ fn train_subspace(subs: &[&[f32]], ksub: usize, dsub: usize, seed: u64, book: &m
     for _ in 0..10 {
         iterations += 1;
         let mut changed = false;
+        let panels = Panels::new(book, dsub);
         for (i, sub) in subs.iter().enumerate() {
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for c in 0..ksub {
-                let d = l2(sub, &book[c * dsub..(c + 1) * dsub]);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
+            let best = panels.argmin_l2(sub.iter().copied());
             if assignments[i] != best {
                 assignments[i] = best;
                 changed = true;
@@ -417,6 +401,13 @@ mod tests {
     use sagegpu_tensor::gpu_exec::GpuExecutor;
     use std::sync::Arc;
 
+    /// `v`'s own codes (a zero centroid).
+    fn codes_of(cb: &PqCodebook, v: &[f32]) -> Vec<u8> {
+        let mut codes = vec![0u8; cb.m()];
+        cb.encode(v, &vec![0.0; v.len()], &mut codes);
+        codes
+    }
+
     fn corpus_data(n: usize) -> (Embedder, Vec<(usize, Vec<f32>)>) {
         let corpus = Corpus::synthetic(n, 80, 3);
         let embedder = Embedder::new(96, 11);
@@ -473,7 +464,7 @@ mod tests {
         let (_, data) = corpus_data(12);
         let cb = PqCodebook::train(96, PqConfig::new(16, 8), &data, 1, None).expect("trains");
         for (_, v) in &data {
-            assert_eq!(&cb.decode(&cb.encode(v)), v, "lossless roundtrip");
+            assert_eq!(&cb.decode(&codes_of(&cb, v)), v, "lossless roundtrip");
         }
     }
 
@@ -484,7 +475,7 @@ mod tests {
         let q = embedder.embed(&Corpus::topic_query(1, 6, 9));
         let table = cb.adc_table(&q);
         for (_, v) in data.iter().take(20) {
-            let codes = cb.encode(v);
+            let codes = codes_of(&cb, v);
             let adc = PqCodebook::adc_score(&table, cb.ksub(), &codes);
             let decoded = cb.decode(&codes);
             let direct: f32 = decoded.iter().zip(&q).map(|(a, b)| a * b).sum();
@@ -514,8 +505,14 @@ mod tests {
             let cb = PqCodebook::train(dim, PqConfig::new(m, nbits), &data, seed, None).expect("trains");
             let rows = cb.adc_rows(&query);
             let table = cb.adc_table(&query);
+            // The table is the row-at-a-time `query · entry` sum.
+            for (i, entry) in cb.centroids().chunks_exact(dsub).enumerate() {
+                let qsub = &query[i / cb.ksub() * dsub..][..dsub];
+                let want: f32 = qsub.iter().zip(entry).map(|(a, b)| a * b).sum();
+                proptest::prop_assert_eq!(table[i].to_bits(), want.to_bits());
+            }
             for (_, v) in &data {
-                let codes = cb.encode(v);
+                let codes = codes_of(&cb, v);
                 proptest::prop_assert_eq!(
                     adc_score_rows(&rows, &codes).to_bits(),
                     PqCodebook::adc_score(&table, cb.ksub(), &codes).to_bits()
