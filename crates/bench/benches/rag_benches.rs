@@ -1,16 +1,13 @@
 //! E20 — RAG retrieval (flat vs IVF) and batched serving — plus the A05
-//! online server (micro-batching and retrieval cache), and the host cost
-//! of building the sharded IVF-PQ index.
+//! online server (micro-batching and retrieval cache).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sagegpu_core::gpu::{DeviceSpec, Gpu, GpuCluster, LinkKind};
+use sagegpu_core::gpu::{DeviceSpec, Gpu};
 use sagegpu_core::rag::corpus::Corpus;
 use sagegpu_core::rag::embed::Embedder;
 use sagegpu_core::rag::index::{Codec, FlatIndex, IvfIndex, RetrievalIndex};
 use sagegpu_core::rag::pipeline::build_flat_pipeline;
-use sagegpu_core::rag::pq::PqConfig;
 use sagegpu_core::rag::serve::{RagServer, ServerConfig};
-use sagegpu_core::rag::shard::{Placement, ShardPlan};
 use sagegpu_core::taskflow::cluster::ClusterBuilder;
 use sagegpu_core::tensor::gpu_exec::GpuExecutor;
 use std::sync::Arc;
@@ -97,46 +94,5 @@ fn bench_online_server(c: &mut Criterion) {
     group.finish();
 }
 
-/// `IvfIndex::build` on 20 000 embedded docs with the sharded serving
-/// plan (4 shards, nlist 64, PQ 16×6, a 2 048-vector training sample):
-/// coarse k-means, PQ training, routing, encode and attach. Corpus and
-/// embeddings are made once, outside the timed body.
-fn bench_build(c: &mut Criterion) {
-    let corpus = Corpus::synthetic(20_000, 80, 7);
-    let embedder = Embedder::new(96, 8);
-    let texts: Vec<&str> = corpus.docs().iter().map(|d| d.text.as_str()).collect();
-    let data: Vec<(usize, Vec<f32>)> = corpus
-        .docs()
-        .iter()
-        .map(|d| d.id)
-        .zip(embedder.embed_batch(&texts))
-        .collect();
-    let plan = ShardPlan {
-        nlist: 64,
-        nprobe: 8,
-        pq: PqConfig::new(16, 6),
-        sample: 2048,
-        shards: 4,
-        refine: 16,
-        placement: Placement::SizeBalanced,
-        budget_bytes: None,
-    };
-    let mut group = c.benchmark_group("rag-build");
-    group.sample_size(10);
-    group.bench_function("ivfpq-20000-docs-4-shards", |b| {
-        b.iter(|| {
-            let gpus = Arc::new(GpuCluster::homogeneous(4, DeviceSpec::t4(), LinkKind::Pcie));
-            IvfIndex::build(96, plan, &data, gpus, 7).expect("index builds")
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_retrieval,
-    bench_serving,
-    bench_online_server,
-    bench_build
-);
+criterion_group!(benches, bench_retrieval, bench_serving, bench_online_server);
 criterion_main!(benches);

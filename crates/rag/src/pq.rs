@@ -123,11 +123,9 @@ impl PqCodebook {
         let dsub = dim / m;
         let mut centroids = vec![0.0f32; m * ksub * dsub];
         // Subspaces are independent (own seed, own codebook slice), so
-        // they train in parallel with the bits of a serial run, one
-        // subspace per item however few there are.
+        // they train in parallel with the bits of a serial run.
         let iterations: Vec<usize> = centroids
             .par_chunks_mut(ksub * dsub)
-            .with_min_len(1)
             .enumerate()
             .map(|(s, book)| {
                 let subs: Vec<&[f32]> = data
