@@ -310,8 +310,9 @@ impl RetrievalIndex for FlatIndex {
 }
 
 /// Seeded Lloyd k-means over unit vectors under inner-product assignment:
-/// the coarse-quantizer trainer of [`IvfIndex`]. Returns `(centroids, assignments)` or a
-/// typed error: an empty corpus, `nlist` larger than the corpus, and
+/// the coarse-quantizer trainer of [`IvfIndex`]. Returns the centroids and
+/// every row's list under them (the list [`Quantizer::assign`] routes it
+/// to), or a typed error: an empty corpus, `nlist` larger than the corpus, and
 /// clusters that stay empty even after deterministic re-seeding (fewer
 /// distinct vectors than lists) are all [`IndexError`]s, never panics or
 /// silently degenerate centroids.
@@ -378,6 +379,9 @@ pub(crate) fn train_coarse(
             break;
         }
     }
+    // A loop stopped at the cap moved the centroids after its last
+    // assignment pass: file every row under the final centroids.
+    assignments = assign(&centroids);
 
     // Deterministic empty-cluster repair: re-seed each empty centroid from
     // the worst-fitting member of the largest cluster, then re-assign. A
@@ -455,9 +459,9 @@ pub(crate) struct Quantizer {
 
 impl Quantizer {
     /// Trains the coarse quantizer on `data`, then (Pq codec) the codebook
-    /// on the coarse residuals, priced on `exec` when one is given.
-    /// Callers route rows by [`Self::assign`], never by the k-means
-    /// assignments, which predate the last centroid update.
+    /// on the coarse residuals, priced on `exec` when one is given. Each
+    /// residual is taken against the list [`Self::assign`] routes its row
+    /// to, so the codebook trains on the residuals the index stores.
     pub(crate) fn train(
         dim: usize,
         nlist: usize,
@@ -1469,7 +1473,8 @@ mod tests {
         // Queries probe by the final centroids, so a row filed by an
         // assignment from before the last k-means update is unreachable
         // from its own list. This corpus stops k-means at the iteration
-        // cap with 6 such rows when routing follows `train_coarse`.
+        // cap with 6 such rows when routing follows the last pass's
+        // assignments.
         let (_, _, data) = indexed_corpus(1_000);
         let ivf = IvfIndex::train(96, 16, 1, Codec::Full, &data, 1).expect("trains");
         let misfiled: Vec<(usize, usize)> = ivf.shards()[0]
@@ -1481,6 +1486,36 @@ mod tests {
             .collect();
         assert!(misfiled.is_empty(), "rows outside their list: {misfiled:?}");
         assert_eq!(ivf.len(), data.len());
+    }
+
+    #[test]
+    fn codebook_trains_on_the_residuals_the_index_stores() {
+        // The corpus of the test above: its coarse k-means stops at the
+        // iteration cap, so the last pass's assignments are stale for 6
+        // rows, whose residuals the codebook would otherwise train on.
+        let (_, _, data) = indexed_corpus(1_000);
+        let cfg = PqConfig::new(16, 6);
+        let (centroids, lists) = train_coarse(96, 16, &data, 1).expect("trains");
+        let ivf = IvfIndex::train(96, 16, 1, Codec::Pq(cfg), &data, 1).expect("trains");
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut stored = vec![None; data.len()];
+        for (list, docs) in ivf.shards()[0].ids.iter().enumerate() {
+            for &doc in docs {
+                stored[doc] = Some(residual(&data[doc].1, ivf.quant.centroid(list)));
+            }
+        }
+        let training: Vec<(usize, Vec<f32>)> = data
+            .iter()
+            .zip(&lists)
+            .map(|((doc, v), &list)| (*doc, residual(v, &centroids[list * 96..(list + 1) * 96])))
+            .collect();
+        for ((doc, trained), stored) in training.iter().zip(&stored) {
+            let stored = stored.as_ref().expect("every row is stored");
+            assert_eq!(bits(trained), bits(stored), "doc {doc}'s residual");
+        }
+        let want = PqCodebook::train(96, cfg, &training, 1, None).expect("trains");
+        let codebook = ivf.quant.codebook.as_ref().expect("Pq codec");
+        assert_eq!(bits(codebook.centroids()), bits(want.centroids()));
     }
 
     #[test]
