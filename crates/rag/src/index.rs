@@ -17,13 +17,13 @@
 //! footprint and residency — everything a serving layer needs.
 
 use crate::error::IndexError;
-use crate::panel::Panels;
-use crate::pq::{adc_score_rows, residual, PqCodebook, PqConfig};
+pub use crate::lloyd::LloydRun;
+use crate::lloyd::{assign, lloyd, seeds};
+use crate::panel::{Metric, Panels};
+use crate::pq::{adc_score_rows, PqCodebook, PqConfig};
 use crate::residency::{ListResidency, TierStats};
 use gpu_sim::pool::{PoolLease, PoolStats};
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
-use rand::prelude::*;
-use rand::rngs::SmallRng;
 use rayon::prelude::*;
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
@@ -309,19 +309,18 @@ impl RetrievalIndex for FlatIndex {
     }
 }
 
-/// Seeded Lloyd k-means over unit vectors under inner-product assignment:
-/// the coarse-quantizer trainer of [`IvfIndex`]. Returns the centroids and
-/// every row's list under them (the list [`Quantizer::assign`] routes it
-/// to), or a typed error: an empty corpus, `nlist` larger than the corpus, and
-/// clusters that stay empty even after deterministic re-seeding (fewer
-/// distinct vectors than lists) are all [`IndexError`]s, never panics or
-/// silently degenerate centroids.
+/// Trains the coarse quantizer of [`IvfIndex`]: [`lloyd`] under the inner
+/// product from `nlist` seeded rows. Returns the centroids, every row's
+/// list under them (the list [`Quantizer::assign`] routes it to) and how
+/// the loop ended, or a typed error: an empty corpus, `nlist` larger than
+/// the corpus, and clusters that stay empty even after deterministic
+/// re-seeding (fewer distinct vectors than lists).
 pub(crate) fn train_coarse(
     dim: usize,
     nlist: usize,
     data: &[(usize, Vec<f32>)],
     seed: u64,
-) -> Result<(Vec<f32>, Vec<usize>), IndexError> {
+) -> Result<(Vec<f32>, Vec<usize>, LloydRun), IndexError> {
     if data.is_empty() {
         return Err(IndexError::EmptyTrainingSet);
     }
@@ -334,54 +333,9 @@ pub(crate) fn train_coarse(
             corpus: data.len(),
         });
     }
-
-    // Seeded init from distinct data points.
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut pick: Vec<usize> = (0..data.len()).collect();
-    pick.shuffle(&mut rng);
-    let mut centroids: Vec<f32> = pick[..nlist]
-        .iter()
-        .flat_map(|&i| data[i].1.iter().copied())
-        .collect();
-
-    // Assignment: the centroid with the highest inner product, lowest
-    // list on ties — the rule `Quantizer::assign` routes by.
-    let assign = |centroids: &[f32]| -> Vec<usize> {
-        let panels = Panels::new(centroids, dim);
-        data.par_iter().map(|(_, v)| panels.argmax_dot(v)).collect()
-    };
-    let mut assignments = vec![0usize; data.len()];
-    for _ in 0..10 {
-        let new_assignments = assign(&centroids);
-        let changed = new_assignments != assignments;
-        assignments = new_assignments;
-        // Update step (mean, renormalized — vectors are unit length).
-        let mut sums = vec![0.0f32; nlist * dim];
-        let mut counts = vec![0usize; nlist];
-        for ((_, v), &a) in data.iter().zip(&assignments) {
-            counts[a] += 1;
-            for (s, x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(v) {
-                *s += x;
-            }
-        }
-        for c in 0..nlist {
-            if counts[c] == 0 {
-                continue; // re-seeded after the loop if still empty
-            }
-            let slice = &mut sums[c * dim..(c + 1) * dim];
-            let norm = slice.iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 0.0 {
-                slice.iter_mut().for_each(|x| *x /= norm);
-            }
-            centroids[c * dim..(c + 1) * dim].copy_from_slice(slice);
-        }
-        if !changed {
-            break;
-        }
-    }
-    // A loop stopped at the cap moved the centroids after its last
-    // assignment pass: file every row under the final centroids.
-    assignments = assign(&centroids);
+    let rows: Vec<&[f32]> = data.iter().map(|(_, v)| v.as_slice()).collect();
+    let seeds = seeds(&rows, nlist, seed);
+    let (mut centroids, mut assignments, run) = lloyd(&rows, dim, seeds, Metric::Dot);
 
     // Deterministic empty-cluster repair: re-seed each empty centroid from
     // the worst-fitting member of the largest cluster, then re-assign. A
@@ -401,34 +355,26 @@ pub(crate) fn train_coarse(
             return Err(IndexError::EmptyCluster { list: empty[0] });
         }
         for c in empty {
+            // Worst-fitting member of the largest list: lowest similarity
+            // to its centroid, lowest row on ties. It has a row to spare,
+            // since `c` is empty and there are at least `nlist` rows.
             let donor = (0..nlist).max_by_key(|&d| counts[d]).expect("nlist >= 1");
-            if counts[donor] <= 1 {
-                return Err(IndexError::EmptyCluster { list: c });
-            }
-            // Worst-fitting member: lowest similarity to the donor centroid,
-            // lowest row on ties.
-            let row = assignments
-                .iter()
-                .enumerate()
-                .filter(|(_, &a)| a == donor)
-                .map(|(row, _)| {
-                    (
-                        row,
-                        dot(&centroids[donor * dim..(donor + 1) * dim], &data[row].1),
-                    )
-                })
+            let centroid = &centroids[donor * dim..(donor + 1) * dim];
+            let row = (0..rows.len())
+                .filter(|&row| assignments[row] == donor)
+                .map(|row| (row, dot(centroid, rows[row])))
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .map(|(row, _)| row)
                 .expect("donor is non-empty");
-            centroids[c * dim..(c + 1) * dim].copy_from_slice(&data[row].1);
+            centroids[c * dim..(c + 1) * dim].copy_from_slice(rows[row]);
             counts[donor] -= 1;
             counts[c] += 1;
             assignments[row] = c;
         }
-        assignments = assign(&centroids);
+        assignments = assign(&rows, dim, &centroids, Metric::Dot);
     }
 
-    Ok((centroids, assignments))
+    Ok((centroids, assignments, run))
 }
 
 /// How an inverted list stores and scores its rows — FAISS's
@@ -455,6 +401,8 @@ pub(crate) struct Quantizer {
     panels: Panels,
     /// The residual codebook; `None` for [`Codec::Full`].
     codebook: Option<PqCodebook>,
+    /// How the coarse k-means ended.
+    coarse: LloydRun,
 }
 
 impl Quantizer {
@@ -470,28 +418,29 @@ impl Quantizer {
         seed: u64,
         exec: Option<&GpuExecutor>,
     ) -> Result<Self, IndexError> {
-        let (centroids, assignments) = train_coarse(dim, nlist, data, seed)?;
+        let (centroids, lists, coarse) = train_coarse(dim, nlist, data, seed)?;
         let codebook = match codec {
             Codec::Full => None,
             Codec::Pq(cfg) => {
+                // PQ codes each row's residual `v − centroid[list]`.
                 let residuals: Vec<(usize, Vec<f32>)> = data
                     .iter()
-                    .zip(&assignments)
-                    .map(|((doc, v), &a)| (*doc, residual(v, &centroids[a * dim..(a + 1) * dim])))
+                    .zip(&lists)
+                    .map(|((doc, v), &l)| {
+                        let centroid = &centroids[l * dim..(l + 1) * dim];
+                        (*doc, v.iter().zip(centroid).map(|(a, b)| a - b).collect())
+                    })
                     .collect();
                 Some(PqCodebook::train(dim, cfg, &residuals, seed, exec)?)
             }
         };
-        Ok(Self::new(dim, centroids, codebook))
-    }
-
-    fn new(dim: usize, centroids: Vec<f32>, codebook: Option<PqCodebook>) -> Self {
-        Self {
+        Ok(Self {
             dim,
             panels: Panels::new(&centroids, dim),
             centroids,
             codebook,
-        }
+            coarse,
+        })
     }
 
     pub(crate) fn nlist(&self) -> usize {
@@ -501,7 +450,7 @@ impl Quantizer {
     /// The list a vector routes to: the centroid with the highest inner
     /// product, lowest list on ties.
     pub(crate) fn assign(&self, v: &[f32]) -> usize {
-        self.panels.argmax_dot(v)
+        self.panels.best(v.iter().copied(), Metric::Dot)
     }
 
     fn centroid(&self, list: usize) -> &[f32] {
@@ -1064,6 +1013,13 @@ impl IvfIndex {
         (total * self.nprobe / self.nlist()) as f64 / total as f64
     }
 
+    /// How training's Lloyd loops ended: the coarse quantizer's, then each
+    /// PQ subspace's in subspace order (none for [`Codec::Full`]).
+    pub fn lloyd_runs(&self) -> (LloydRun, &[LloydRun]) {
+        let pq = self.quant.codebook.as_ref().map(|cb| &cb.runs[..]);
+        (self.quant.coarse, pq.unwrap_or_default())
+    }
+
     /// The shards, in device order (an unsharded index has one).
     pub fn shards(&self) -> &[IvfShard] {
         &self.shards
@@ -1186,6 +1142,11 @@ mod tests {
     use super::*;
     use crate::corpus::Corpus;
     use crate::embed::Embedder;
+
+    /// The residual a list member quantizes to: `v − centroid[list]`.
+    fn residual(v: &[f32], centroid: &[f32]) -> Vec<f32> {
+        v.iter().zip(centroid).map(|(a, b)| a - b).collect()
+    }
 
     fn indexed_corpus(n: usize) -> (Corpus, Embedder, Vec<(usize, Vec<f32>)>) {
         let corpus = Corpus::synthetic(n, 80, 3);
@@ -1495,7 +1456,7 @@ mod tests {
         // rows, whose residuals the codebook would otherwise train on.
         let (_, _, data) = indexed_corpus(1_000);
         let cfg = PqConfig::new(16, 6);
-        let (centroids, lists) = train_coarse(96, 16, &data, 1).expect("trains");
+        let (centroids, lists, _) = train_coarse(96, 16, &data, 1).expect("trains");
         let ivf = IvfIndex::train(96, 16, 1, Codec::Pq(cfg), &data, 1).expect("trains");
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut stored = vec![None; data.len()];
@@ -1611,7 +1572,14 @@ mod tests {
             [1.0, 1.0, 0.0],
             [0.0, -0.0, 0.0],
         ];
-        let quant = Quantizer::new(3, rows.concat(), None);
+        let centroids = rows.concat();
+        let quant = Quantizer {
+            dim: 3,
+            panels: Panels::new(&centroids, 3),
+            centroids,
+            codebook: None,
+            coarse: LloydRun::default(),
+        };
         let queries = vec![
             vec![1.0, 1.0, 1.0],
             vec![0.0, 0.0, 0.0],

@@ -52,6 +52,7 @@ pub mod embed;
 pub mod error;
 pub mod generate;
 pub mod index;
+mod lloyd;
 mod panel;
 pub mod pipeline;
 pub mod pq;

@@ -27,6 +27,15 @@
 /// Rows per panel: 16 f32 lanes are four SSE or two AVX registers.
 pub(crate) const WIDTH: usize = 16;
 
+/// The rule a centroid search ranks rows by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Metric {
+    /// Highest inner product (coarse routing and k-means).
+    Dot,
+    /// Smallest squared L2 distance (PQ encoding and k-means).
+    L2,
+}
+
 /// The inner-product term of row element `c` and vector element `x`.
 #[inline(always)]
 fn dot_term(c: f32, x: f32) -> f32 {
@@ -136,18 +145,18 @@ impl Panels {
         out
     }
 
-    /// The row with the highest inner product with `x`, lowest row on
-    /// ties.
-    pub(crate) fn argmax_dot(&self, x: &[f32]) -> usize {
-        assert_eq!(x.len(), self.dim, "vector dim mismatch");
-        self.select(x.iter().copied(), dot_term, |s, b| s > b, f32::NEG_INFINITY)
-    }
-
-    /// The row nearest `x` under squared L2, lowest row on ties. `x`
+    /// The best row for `x` under `metric`, lowest row on ties. `x`
     /// yields the vector's `dim` elements; it is walked once per panel.
-    pub(crate) fn argmin_l2(&self, x: impl ExactSizeIterator<Item = f32> + Clone) -> usize {
+    pub(crate) fn best(
+        &self,
+        x: impl ExactSizeIterator<Item = f32> + Clone,
+        metric: Metric,
+    ) -> usize {
         assert_eq!(x.len(), self.dim, "vector dim mismatch");
-        self.select(x, l2_term, |s, b| s < b, f32::INFINITY)
+        match metric {
+            Metric::Dot => self.select(x, dot_term, |s, b| s > b, f32::NEG_INFINITY),
+            Metric::L2 => self.select(x, l2_term, |s, b| s < b, f32::INFINITY),
+        }
     }
 }
 
@@ -255,12 +264,12 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(
-            panels.argmax_dot(x),
+            panels.best(x.iter().copied(), Metric::Dot),
             scalar_argmax(rows, dim, x),
             "argmax dim {dim}"
         );
         assert_eq!(
-            panels.argmin_l2(x.iter().copied()),
+            panels.best(x.iter().copied(), Metric::L2),
             scalar_argmin(rows, dim, x),
             "argmin dim {dim}"
         );
@@ -300,14 +309,14 @@ pub(crate) mod tests {
             rows[r * dim..(r + 1) * dim].copy_from_slice(&[1.0, 1.0, 0.0, -0.0]);
         }
         let x = [1.0, 1.0, 0.0, 0.0];
-        assert_eq!(Panels::new(&rows, dim).argmax_dot(&x), 3);
+        assert_eq!(Panels::new(&rows, dim).best(x.into_iter(), Metric::Dot), 3);
         assert_eq!(scalar_argmax(&rows, dim, &x), 3);
         let mut rows = vec![0.5f32; 48 * dim];
         for r in [22, 21, 6] {
             rows[r * dim..(r + 1) * dim].copy_from_slice(&x);
         }
         let panels = Panels::new(&rows, dim);
-        assert_eq!(panels.argmin_l2(x.iter().copied()), 6);
+        assert_eq!(panels.best(x.iter().copied(), Metric::L2), 6);
         assert_eq!(scalar_argmin(&rows, dim, &x), 6);
         // Signed zeros tie: +0.0 at row 17 does not beat −0.0 at row 2.
         let rows = [
@@ -317,7 +326,10 @@ pub(crate) mod tests {
             vec![0.0],
         ]
         .concat();
-        assert_eq!(Panels::new(&rows, 1).argmax_dot(&[1.0]), 2);
+        assert_eq!(
+            Panels::new(&rows, 1).best([1.0].into_iter(), Metric::Dot),
+            2
+        );
         assert_eq!(scalar_argmax(&rows, 1, &[1.0]), 2);
     }
 
@@ -326,13 +338,17 @@ pub(crate) mod tests {
         // All-NaN scores and scores equal to the start value never win.
         let rows = vec![f32::NAN; 17 * 3];
         let panels = Panels::new(&rows, 3);
-        assert_eq!(panels.argmax_dot(&[1.0, 2.0, 3.0]), 0);
-        assert_eq!(panels.argmin_l2([1.0f32, 2.0, 3.0].into_iter()), 0);
+        assert_eq!(panels.best([1.0, 2.0, 3.0].into_iter(), Metric::Dot), 0);
+        assert_eq!(panels.best([1.0f32, 2.0, 3.0].into_iter(), Metric::L2), 0);
         let rows = vec![f32::INFINITY; 17];
         let panels = Panels::new(&rows, 1);
-        assert_eq!(panels.argmax_dot(&[-1.0]), 0, "every score is −∞");
         assert_eq!(
-            panels.argmin_l2([0.0f32].into_iter()),
+            panels.best([-1.0].into_iter(), Metric::Dot),
+            0,
+            "every score is −∞"
+        );
+        assert_eq!(
+            panels.best([0.0f32].into_iter(), Metric::L2),
             0,
             "every distance is +∞"
         );
@@ -343,9 +359,9 @@ pub(crate) mod tests {
         // One row in a 16-lane panel: the 15 zero padding rows would beat
         // it on both rules if they were scored.
         let panels = Panels::new(&[-1.0, -1.0], 2);
-        assert_eq!(panels.argmax_dot(&[1.0, 1.0]), 0);
+        assert_eq!(panels.best([1.0, 1.0].into_iter(), Metric::Dot), 0);
         let panels = Panels::new(&[-1.0, -1.0, 5.0, 5.0], 2);
-        assert_eq!(panels.argmin_l2([0.0f32, 0.0].into_iter()), 0);
+        assert_eq!(panels.best([0.0f32, 0.0].into_iter(), Metric::L2), 0);
         assert_eq!(panels.dots(&[1.0, 1.0]), vec![-2.0, 10.0]);
     }
 }

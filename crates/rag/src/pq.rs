@@ -18,10 +18,9 @@
 //! the probe stage for free.
 
 use crate::error::IndexError;
-use crate::panel::Panels;
+use crate::lloyd::{lloyd, seeds, LloydRun};
+use crate::panel::{Metric, Panels};
 use gpu_sim::{AccessPattern, KernelProfile, LaunchConfig, LaunchSpec};
-use rand::prelude::*;
-use rand::rngs::SmallRng;
 use rayon::prelude::*;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::TensorError;
@@ -80,6 +79,8 @@ pub struct PqCodebook {
     /// squared L2 (codes minimize reconstruction error), the ADC table
     /// scores it by inner product (the *search* metric).
     panels: Vec<Panels>,
+    /// How each subspace's k-means ended.
+    pub(crate) runs: Vec<LloydRun>,
 }
 
 impl PqCodebook {
@@ -89,17 +90,15 @@ impl PqCodebook {
     /// When a subspace has no more distinct subvectors than `ksub`, the
     /// distinct values *are* the codebook (padded with duplicates) — the
     /// lossless configuration a tiny corpus hits, where
-    /// `decode(encode(v)) == v` exactly. Otherwise seeded Lloyd k-means
-    /// runs per subspace; empty PQ clusters are harmless unused codes.
+    /// `decode(encode(v)) == v` exactly. Otherwise Lloyd's k-means runs
+    /// under squared L2 per subspace, seeded from `ksub` distinct
+    /// subvectors; empty PQ clusters are harmless unused codes.
     ///
-    /// With an `exec`, the k-means work is also **priced on that GPU**: the
-    /// host arithmetic is unchanged (so the codebook is bit-identical to an
-    /// unpriced train), and the cost is charged as the batch-shaped kernel
-    /// sequence a CUDA implementation would launch — one training-set
-    /// upload, then per Lloyd iteration a fused `pq_kmeans_assign` over
-    /// every still-converging subspace and a `pq_kmeans_update` centroid
-    /// reduction. Subspaces that converged early drop out of later
-    /// launches, exactly as the host loop stopped iterating them.
+    /// With an `exec`, the k-means work is also **priced on that GPU** as
+    /// the batch-shaped kernels a CUDA implementation would launch: one
+    /// training-set upload, then per Lloyd iteration a fused
+    /// `pq_kmeans_assign` and a `pq_kmeans_update` over the subspaces still
+    /// iterating. The codebook is bit-identical to an unpriced train.
     pub fn train(
         dim: usize,
         cfg: PqConfig,
@@ -124,7 +123,7 @@ impl PqCodebook {
         let mut centroids = vec![0.0f32; m * ksub * dsub];
         // Subspaces are independent (own seed, own codebook slice), so
         // they train in parallel with the bits of a serial run.
-        let iterations: Vec<usize> = centroids
+        let runs: Vec<LloydRun> = centroids
             .par_chunks_mut(ksub * dsub)
             .enumerate()
             .map(|(s, book)| {
@@ -132,11 +131,11 @@ impl PqCodebook {
                     .iter()
                     .map(|(_, v)| &v[s * dsub..(s + 1) * dsub])
                     .collect();
-                train_subspace(&subs, ksub, dsub, seed.wrapping_add(s as u64), book)
+                train_subspace(&subs, ksub, seed.wrapping_add(s as u64), book)
             })
             .collect();
         if let Some(exec) = exec {
-            price_training(exec, data.len() as u64, dim as u64, cfg, &iterations)?;
+            price_training(exec, data.len() as u64, dim as u64, cfg, &runs)?;
         }
         let panels = centroids
             .chunks_exact(ksub * dsub)
@@ -149,6 +148,7 @@ impl PqCodebook {
             dsub,
             centroids,
             panels,
+            runs,
         })
     }
 
@@ -186,7 +186,7 @@ impl PqCodebook {
             .chunks_exact(self.dsub)
             .zip(centroid.chunks_exact(self.dsub));
         for ((code, panels), (sub, base)) in codes.iter_mut().zip(&self.panels).zip(subspaces) {
-            *code = panels.argmin_l2(sub.iter().zip(base).map(|(a, b)| a - b)) as u8;
+            *code = panels.best(sub.iter().zip(base).map(|(a, b)| a - b), Metric::L2) as u8;
         }
     }
 
@@ -241,14 +241,14 @@ impl PqCodebook {
 
 /// Charges one codebook training run to `exec`: the training-set upload,
 /// then an assign and an update launch per Lloyd iteration over the
-/// subspaces still iterating (`iterations[s]` is subspace `s`'s count, 0
-/// for a lossless direct codebook).
+/// subspaces still iterating (`runs[s]` is subspace `s`'s loop, 0
+/// iterations for a lossless direct codebook).
 fn price_training(
     exec: &GpuExecutor,
     n: u64,
     dim: u64,
     cfg: PqConfig,
-    iterations: &[usize],
+    runs: &[LloydRun],
 ) -> Result<(), IndexError> {
     let (ksub, dsub) = (cfg.ksub() as u64, dim / cfg.m as u64);
     // Training vectors cross the host link once, up front.
@@ -258,9 +258,9 @@ fn price_training(
         .htod_pooled(exec.pool(), train_bytes)
         .map_err(TensorError::from)?;
     exec.residency().add_h2d(train_bytes);
-    let max_iters = iterations.iter().copied().max().unwrap_or(0);
+    let max_iters = runs.iter().map(|r| r.iterations).max().unwrap_or(0);
     for it in 0..max_iters {
-        let active = iterations.iter().filter(|&&i| i > it).count() as u64;
+        let active = runs.iter().filter(|r| r.iterations > it).count() as u64;
         // Assignment: every point against every centroid in each active
         // subspace (sub, mul, add per element + compare).
         let assign = KernelProfile {
@@ -269,13 +269,6 @@ fn price_training(
             access: AccessPattern::Coalesced,
             registers_per_thread: 32,
         };
-        LaunchSpec::new(
-            "pq_kmeans_assign",
-            LaunchConfig::for_elements(active * n, 256),
-            assign,
-        )
-        .run(exec.gpu(), || ())
-        .map_err(TensorError::from)?;
         // Update: scatter-add points into centroid sums + normalize.
         let update = KernelProfile {
             flops: active * (n * dsub + ksub * dsub),
@@ -283,13 +276,14 @@ fn price_training(
             access: AccessPattern::Random,
             registers_per_thread: 32,
         };
-        LaunchSpec::new(
-            "pq_kmeans_update",
-            LaunchConfig::for_elements(active * ksub, 256),
-            update,
-        )
-        .run(exec.gpu(), || ())
-        .map_err(TensorError::from)?;
+        for (name, elements, profile) in [
+            ("pq_kmeans_assign", active * n, assign),
+            ("pq_kmeans_update", active * ksub, update),
+        ] {
+            LaunchSpec::new(name, LaunchConfig::for_elements(elements, 256), profile)
+                .run(exec.gpu(), || ())
+                .map_err(TensorError::from)?;
+        }
     }
     // Training set does not stay resident: release the slab and the
     // reservation (the pool would otherwise cache it indefinitely).
@@ -299,82 +293,31 @@ fn price_training(
 }
 
 /// Per-subspace trainer: direct codebook when distinct subvectors fit in
-/// `ksub`, seeded Lloyd k-means otherwise. Writes into `book`
-/// (`ksub × dsub`) and returns the number of Lloyd iterations executed.
-fn train_subspace(subs: &[&[f32]], ksub: usize, dsub: usize, seed: u64, book: &mut [f32]) -> usize {
-    // Distinct subvectors by bit pattern, first-occurrence order.
-    let mut seen = std::collections::HashSet::new();
-    let mut distinct: Vec<&[f32]> = Vec::new();
-    for &sub in subs {
-        let key: Vec<u32> = sub.iter().map(|x| x.to_bits()).collect();
-        if seen.insert(key) {
-            distinct.push(sub);
-        }
-    }
+/// `ksub`, [`lloyd`] under squared L2 otherwise. Writes into `book`
+/// (`ksub × dsub`) and returns how the loop ended.
+fn train_subspace(subs: &[&[f32]], ksub: usize, seed: u64, book: &mut [f32]) -> LloydRun {
+    let dsub = book.len() / ksub;
+    // Distinct subvectors by bit pattern, first-occurrence order: sort the
+    // rows by (bits, row), keep the first row of each run of equal bits,
+    // then put the survivors back in row order.
+    let bits = |row: usize| subs[row].iter().map(|x| x.to_bits());
+    let mut rows: Vec<usize> = (0..subs.len()).collect();
+    rows.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
+    rows.dedup_by(|later, first| bits(*later).eq(bits(*first)));
+    rows.sort_unstable();
+    let distinct: Vec<&[f32]> = rows.iter().map(|&row| subs[row]).collect();
     if distinct.len() <= ksub {
         // Lossless configuration: the distinct values are the codebook.
         // Pad unused codes with the last value; ties encode to the lowest
         // code, so duplicates are never emitted.
-        for c in 0..ksub {
-            let src = distinct[c.min(distinct.len() - 1)];
-            book[c * dsub..(c + 1) * dsub].copy_from_slice(src);
+        for (c, code) in book.chunks_exact_mut(dsub).enumerate() {
+            code.copy_from_slice(distinct[c.min(distinct.len() - 1)]);
         }
-        return 0;
+        return LloydRun::default();
     }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut pick: Vec<usize> = (0..distinct.len()).collect();
-    pick.shuffle(&mut rng);
-    for (c, &i) in pick[..ksub].iter().enumerate() {
-        book[c * dsub..(c + 1) * dsub].copy_from_slice(distinct[i]);
-    }
-    let mut assignments = vec![0usize; subs.len()];
-    let mut iterations = 0usize;
-    for _ in 0..10 {
-        iterations += 1;
-        let mut changed = false;
-        let panels = Panels::new(book, dsub);
-        for (i, sub) in subs.iter().enumerate() {
-            let best = panels.argmin_l2(sub.iter().copied());
-            if assignments[i] != best {
-                assignments[i] = best;
-                changed = true;
-            }
-        }
-        let mut sums = vec![0.0f32; ksub * dsub];
-        let mut counts = vec![0usize; ksub];
-        for (sub, &a) in subs.iter().zip(&assignments) {
-            counts[a] += 1;
-            for (acc, x) in sums[a * dsub..(a + 1) * dsub].iter_mut().zip(*sub) {
-                *acc += x;
-            }
-        }
-        for c in 0..ksub {
-            // Empty PQ clusters keep their old centroid: they are unused
-            // codes, not a correctness hazard like empty inverted lists.
-            if counts[c] == 0 {
-                continue;
-            }
-            for (slot, s) in book[c * dsub..(c + 1) * dsub]
-                .iter_mut()
-                .zip(&sums[c * dsub..(c + 1) * dsub])
-            {
-                *slot = s / counts[c] as f32;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    iterations
-}
-
-/// The residual a list member quantizes to: `v − centroid[list]`. PQ
-/// codes residuals, not raw vectors (the FAISS `IndexIVFPQ` design):
-/// within a list the residuals are small and tightly clustered, so the
-/// shared codebook spends its codes on fine structure instead of
-/// re-describing the coarse centroid every vector already routed through.
-pub(crate) fn residual(v: &[f32], centroid: &[f32]) -> Vec<f32> {
-    v.iter().zip(centroid).map(|(a, b)| a - b).collect()
+    let (centroids, _, run) = lloyd(subs, dsub, seeds(&distinct, ksub, seed), Metric::L2);
+    book.copy_from_slice(&centroids);
+    run
 }
 
 /// [`PqCodebook::adc_score`] over a table stored as `[f32; 256]` rows
@@ -396,6 +339,8 @@ mod tests {
     use crate::corpus::Corpus;
     use crate::embed::Embedder;
     use crate::index::{recall_at_k, Codec, FlatIndex, IvfIndex, RetrievalIndex, SearchHit};
+    use rand::prelude::*;
+    use rand::rngs::SmallRng;
     use sagegpu_tensor::gpu_exec::GpuExecutor;
     use std::sync::Arc;
 
