@@ -2124,6 +2124,22 @@ artifact_schema! {
         pub search_ms: f64,
     }
 
+    /// How one IVF-PQ index's Lloyd k-means loops ended (the cap is 10
+    /// iterations).
+    pub struct LloydLoops {
+        /// "ivfpq" (trained on every row, as the "ivf" arm's identical
+        /// coarse loop is) or "sharded" (trained on the seeded sample, the
+        /// same at every shard count).
+        pub index: &'static str,
+        pub training_rows: usize,
+        pub coarse_iterations: usize,
+        pub coarse_capped: bool,
+        /// The most iterations any PQ subspace ran.
+        pub pq_max_iterations: usize,
+        /// PQ subspaces stopped at the cap with assignments still changing.
+        pub pq_capped_subspaces: usize,
+    }
+
     /// The A12 study: Flat vs IVF vs IVF-PQ accuracy/latency/memory on one
     /// device, then the same IVF-PQ index scattered across 1/2/4 shards.
     pub struct RetrievalScaleAblation {
@@ -2148,6 +2164,22 @@ artifact_schema! {
         pub sharded_speedup_4x: f64,
         /// True when 4-shard scatter-gather hits equal 1-shard hits bitwise.
         pub sharded_identical: bool,
+        /// How the IVF-PQ and sharded indexes' k-means loops ended.
+        pub lloyd: Vec<LloydLoops>,
+    }
+}
+
+impl LloydLoops {
+    fn of(index: &'static str, training_rows: usize, ivf: &IvfIndex) -> Self {
+        let (coarse, pq) = ivf.lloyd_runs();
+        LloydLoops {
+            index,
+            training_rows,
+            coarse_iterations: coarse.iterations,
+            coarse_capped: coarse.capped,
+            pq_max_iterations: pq.iter().map(|r| r.iterations).max().unwrap_or(0),
+            pq_capped_subspaces: pq.iter().filter(|r| r.capped).count(),
+        }
     }
 }
 
@@ -2248,6 +2280,7 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
         .expect("uploads")
         .with_refine(REFINE, &data);
     let pq_bytes = ivfpq.device_bytes();
+    let mut lloyd = vec![LloydLoops::of("ivfpq", CORPUS, &ivfpq)];
     let mut best_pq_recall = 0.0f64;
     for &nprobe in &NPROBES {
         ivfpq.set_nprobe(nprobe);
@@ -2282,6 +2315,9 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
         let gpus = cluster(shards);
         let idx = ShardedIndex::build(DIM, plan(shards), &data, gpus.clone(), SEED)
             .expect("sharded index builds");
+        if shards == 1 {
+            lloyd.push(LloydLoops::of("sharded", SAMPLE, &idx));
+        }
         let t0 = gpus.makespan_ns();
         let hits = idx.search_batch(&queries, K);
         let ms = (gpus.makespan_ns() - t0) as f64 / 1e6;
@@ -2315,6 +2351,7 @@ pub fn retrieval_scale_ablation() -> RetrievalScaleAblation {
         best_pq_recall,
         sharded_speedup_4x,
         sharded_identical,
+        lloyd,
     }
 }
 

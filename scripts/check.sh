@@ -19,9 +19,11 @@
 #    release codegen is what every benchmark and experiment runs. Then the
 #    taskflow tests in release mode pinned to one core (`taskset -c 0`):
 #    a cluster runs its workers on min(workers, cores) threads, so this is
-#    the path where one thread serves every worker. Then the RAG pinned
-#    fingerprint and property suites on one core: shard builds encode in
-#    parallel, and no hit, clock or counter may depend on the core count
+#    the path where one thread serves every worker. Then the RAG library
+#    tests and the pinned fingerprint and property suites on one core:
+#    shard builds train, route and encode in parallel (k-means rows fan
+#    out across cores, PQ subspaces across block threads), and no
+#    centroid, hit, clock or counter may depend on the core count
 # 5. BENCH_A*.json: for every artifact row of `repro --list`, regenerate
 #    it with `repro --exp <id>`, which exits nonzero on a failed write or a
 #    violated bound, and require repro_output.txt to mention it (catches the
@@ -85,7 +87,7 @@ rm -rf "$example_tmp"
 cargo test -q --workspace
 cargo test --release -q -p sagegpu-tensor
 taskset -c 0 cargo test --release -q -p taskflow
-taskset -c 0 cargo test --release -q -p sagegpu-rag --test pinned --test properties
+taskset -c 0 cargo test --release -q -p sagegpu-rag --lib --test pinned --test properties
 
 echo "==> BENCH_A*.json: regenerate + check every artifact of \`repro --list\`"
 rows=$(cargo run --release -q -p sagegpu-bench --bin repro -- --list)
