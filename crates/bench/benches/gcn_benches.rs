@@ -9,15 +9,12 @@ use sagegpu_core::gcn::sequential::{
     dataset_adjacency, dataset_features, train_sequential, train_step,
 };
 use sagegpu_core::gcn::TrainConfig;
-use sagegpu_core::gpu::{DeviceSpec, Gpu};
 use sagegpu_core::graph::generators::{sbm, SbmParams};
 use sagegpu_core::nn::layers::Gcn;
 use sagegpu_core::nn::optim::{Adam, Optimizer};
 use sagegpu_core::nn::parallel::weighted_average_gradients;
-use sagegpu_core::nn::resident::{ResidentAdam, ResidentParams};
 use sagegpu_core::nn::tape::Tape;
 use sagegpu_core::tensor::dense::Tensor;
-use sagegpu_core::tensor::gpu_exec::GpuExecutor;
 use std::sync::Arc;
 
 fn dataset() -> sagegpu_core::graph::generators::GraphDataset {
@@ -62,9 +59,8 @@ fn bench_training(c: &mut Criterion) {
 ///   aggregation, the loss and `Tape::backward`;
 /// - `adam_step`: one host `Adam` step over the four parameter gradients;
 /// - `train_step`: both, as `sequential::train_step` runs them;
-/// - `average_and_step_8`: the driver's serial phase — the weighted average
-///   of eight workers' gradients, then one resident Adam step per replica
-///   and the host model's step.
+/// - `average_8`: the driver's serial phase — the weighted average of
+///   eight workers' gradients (each worker then steps its own replica).
 fn bench_worker_epoch(c: &mut Criterion) {
     let ds = sbm(
         &SbmParams {
@@ -111,23 +107,8 @@ fn bench_worker_epoch(c: &mut Criterion) {
         .map(|w| g.iter().map(|t| t.scale(1.0 + w as f32 / 8.0)).collect())
         .collect();
     let weights: Vec<f64> = (0..8).map(|w| 100.0 + w as f64).collect();
-    let init = model.get_parameters();
-    let mut replicas: Vec<_> = (0..8u32)
-        .map(|d| {
-            let exec = GpuExecutor::new(Arc::new(Gpu::new(d, DeviceSpec::t4())));
-            let params = ResidentParams::upload(&exec, &init).unwrap();
-            (exec, params, ResidentAdam::new(0.01))
-        })
-        .collect();
-    let (mut m, mut opt) = (model.clone(), Adam::new(0.01));
-    group.bench_function("average_and_step_8", |b| {
-        b.iter(|| {
-            let avg = weighted_average_gradients(&per_worker, &weights);
-            for (exec, params, ropt) in replicas.iter_mut() {
-                ropt.step_all(exec, params, &avg).unwrap();
-            }
-            opt.step_all(m.parameters_mut(), &avg);
-        })
+    group.bench_function("average_8", |b| {
+        b.iter(|| weighted_average_gradients(&per_worker, &weights))
     });
     group.finish();
 }

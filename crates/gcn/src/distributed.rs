@@ -1,4 +1,6 @@
-//! Algorithm 1: distributed GCN training over partitioned subgraphs.
+//! Algorithm 1: distributed GCN training over partitioned subgraphs. In
+//! [`ResidencyMode::Naive`] the driver holds the global model θ; in
+//! [`ResidencyMode::Resident`] each worker owns a device replica of it.
 
 use crate::exec::{
     capture_epoch, charge_aggregate, charge_epoch_tracked, EpochDims, EpochGraph, ExecMode,
@@ -31,10 +33,12 @@ use sagegpu_profiler::timeline::Timeline;
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::sparse::CsrMatrix;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use taskflow::cluster::ClusterBuilder;
 use taskflow::metrics::SchedulerMetrics;
 use taskflow::policy::{FaultPlan, RetryPolicy};
+use taskflow::store::DataKey;
+use taskflow::worker::WorkerCtx;
 
 /// How the graph is split across workers (line 3 of Algorithm 1 uses
 /// METIS; the course had students also try random splits).
@@ -63,10 +67,11 @@ pub enum ResidencyMode {
     /// (D2H) before the network exchange — how a first, unoptimized
     /// student implementation moves data.
     Naive,
-    /// Device-resident: θ and the optimizer moments are uploaded once and
-    /// live in each worker's memory pool across epochs; gradients move
-    /// over the peer links only, and the trained parameters come back to
-    /// the host at a single explicit sync point after the last epoch.
+    /// Device-resident: each worker uploads θ once and owns that replica,
+    /// with its optimizer moments, in its memory pool. It applies each
+    /// epoch's averaged gradients itself, once, at the start of its next
+    /// task. Gradients move over the peer links only, and worker 0's replica
+    /// comes back to the host at a single explicit sync point.
     Resident,
 }
 
@@ -301,6 +306,37 @@ impl PartitionInput {
     }
 }
 
+/// A worker's resident replica of the global model: θ and Adam moments in its pool, with the
+/// executor owning their leases (a `Mutex`, as the worker store hands out `Arc`s).
+type Replica = Mutex<(GpuExecutor, ResidentParams, ResidentAdam)>;
+/// Parameter-shaped tensors shared by every worker's task: θ or a gradient.
+type Shared = Arc<Vec<Tensor>>;
+
+/// The model a worker task runs: the broadcast host θ (naive), or the worker's replica once line
+/// 13 has run for every epoch before `epoch` (resident). `last_avg`, the previous epoch's
+/// average, is applied unless a dropped attempt of this task already applied it, so a replica
+/// steps once per epoch however often its task is retried. `sync` also reads the replica back
+/// to the host (one D2H).
+fn local_model(
+    ctx: &WorkerCtx,
+    key: DataKey,
+    (theta, last_avg): &(Option<Shared>, Option<Shared>),
+    epoch: usize,
+    sync: bool,
+) -> (Gcn, Option<Vec<Tensor>>) {
+    if let Some(params) = theta {
+        return (Gcn::from_parameters(params), None);
+    }
+    let replica = ctx.store.get::<Replica>(key).expect("replica uploaded");
+    let mut replica = replica.lock().expect("no replica step panicked");
+    let (exec, params, opt) = &mut *replica;
+    if let Some(avg) = last_avg.as_ref().filter(|_| (opt.steps() as usize) < epoch) {
+        opt.step_all(exec, params, avg).expect("resident step");
+    }
+    let synced = sync.then(|| params.to_host(exec).expect("final sync"));
+    (Gcn::from_parameters(&params.device_views()), synced)
+}
+
 /// Trains a GCN distributed over `k` simulated GPUs per Algorithm 1,
 /// with the course's default interconnect (VPC Ethernet between separate
 /// instances — see [`train_distributed_with_link`] to ablate it).
@@ -376,6 +412,20 @@ pub fn train_distributed_with_opts(
         .retry_policy(opts.retry)
         .build();
 
+    // Line 7: the global model. Naive keeps it on the host beside the
+    // driver's optimizer. Resident hands θ to the workers: each uploads it
+    // at the end of its scatter task, the run's only parameter H2D, and
+    // owns that replica from then on.
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let init = Gcn::new(ds.feature_dim, cfg.hidden, ds.num_classes, &mut rng);
+    let param_bytes = init.parameter_bytes();
+    let naive = opts.residency == ResidencyMode::Naive;
+    let theta0 = (!naive).then(|| Arc::new(init.get_parameters()));
+    let mut host = naive.then(|| (init, Adam::new(cfg.lr)));
+    // Every worker's store keeps its partition, and in resident mode its
+    // replica, under a key shared by all the stores.
+    let (part_key, replica_key) = (DataKey::fresh(), DataKey::fresh());
+
     // Lines 5–6: distribute the partitions. Each worker builds its
     // partition, uploads its features X (charged as H2D) and computes
     // layer 1's aggregate ÂX once, on the same stream: Â and X are fixed,
@@ -384,15 +434,13 @@ pub fn train_distributed_with_opts(
     // staging (and anything else the default stream does before epoch 0)
     // overlaps the copy and the aggregation; epoch 0 waits on the stream's
     // event before its first kernel, like a `cudaStreamWaitEvent`.
-    let overlap_upload =
-        opts.exec == ExecMode::FusedOverlapped && opts.residency == ResidencyMode::Resident;
-    let hidden = cfg.hidden;
-    let mut partition_keys = Vec::with_capacity(k);
+    let overlap_upload = opts.exec == ExecMode::FusedOverlapped && !naive;
+    let (hidden, lr) = (cfg.hidden, cfg.lr);
     let mut scatter = Vec::with_capacity(k);
     for part in 0..k {
         let nodes: Vec<usize> = (0..ds.num_nodes()).filter(|&u| parts[u] == part).collect();
         let input = PartitionInput::gather(ds, nodes)?;
-        let key = taskflow::store::DataKey::fresh();
+        let theta0 = theta0.clone();
         let fut = cluster
             .submit_to(part, move |ctx| {
                 let data = Arc::new(input.build(hidden));
@@ -405,11 +453,17 @@ pub fn train_distributed_with_opts(
                 };
                 let _ = gpu.htod_on(stream, x.data()).expect("features fit");
                 let ax = charge_aggregate(gpu, stream, data.dims, || Gcn::aggregate(&data.adj, x));
-                ctx.store.put(key, (data, ax));
-                Ok(overlap_upload.then(|| gpu.record_event(stream)))
+                ctx.store.put(part_key, (data, ax));
+                let ready = overlap_upload.then(|| gpu.record_event(stream));
+                if let Some(theta) = &theta0 {
+                    let exec = GpuExecutor::new(Arc::clone(gpu));
+                    let params = ResidentParams::upload(&exec, theta).expect("θ fits on device");
+                    let replica: Replica = Mutex::new((exec, params, ResidentAdam::new(lr)));
+                    ctx.store.put(replica_key, replica);
+                }
+                Ok(ready)
             })
             .expect("worker exists");
-        partition_keys.push(key);
         scatter.push(fut);
     }
     let aggregate_ready = cluster
@@ -418,39 +472,10 @@ pub fn train_distributed_with_opts(
         .into_iter()
         .collect::<Result<Vec<Option<GpuEvent>>, GraphError>>()?;
 
-    // Line 7: global model.
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut model = Gcn::new(ds.feature_dim, cfg.hidden, ds.num_classes, &mut rng);
-    let mut opt = Adam::new(cfg.lr);
-    let param_bytes = model.parameter_bytes();
-    let naive = opts.residency == ResidencyMode::Naive;
-
-    // Resident mode: upload θ once per worker (the only per-worker H2D for
-    // parameters in the whole run) and pin replicated optimizer state in
-    // each device's memory pool. Every replica steps on the same averaged
-    // gradients, so replicas stay bit-identical across epochs — standard
-    // synchronous DDP. The driver-side host model mirrors the same math
-    // for broadcasting current values into epoch tasks.
-    let mut resident_workers: Option<Vec<(GpuExecutor, ResidentParams, ResidentAdam)>> =
-        match opts.residency {
-            ResidencyMode::Naive => None,
-            ResidencyMode::Resident => {
-                let init = model.get_parameters();
-                let mut workers = Vec::with_capacity(k);
-                for w in 0..k {
-                    let exec = GpuExecutor::new(Arc::clone(gpus.device(w).expect("worker device")));
-                    let params = ResidentParams::upload(&exec, &init).expect("θ fits on device");
-                    workers.push((exec, params, ResidentAdam::new(cfg.lr)));
-                }
-                Some(workers)
-            }
-        };
-
     // Captured submission: one graph per worker (partitions differ in
     // shape), captured lazily inside the worker's first epoch task and
     // cached in the scheduler store for every later epoch to replay.
-    let graph_keys: Vec<taskflow::store::DataKey> =
-        (0..k).map(|_| taskflow::store::DataKey::fresh()).collect();
+    let graph_key = DataKey::fresh();
 
     // fp16 wire format: each worker carries an error-feedback residual
     // across epochs, so what enters the average is exactly the payload
@@ -463,37 +488,26 @@ pub fn train_distributed_with_opts(
 
     // Lines 9–14: epochs.
     let mut epoch_stats = Vec::with_capacity(cfg.epochs);
-    let (mut theta_hits, mut theta_misses) = (0u64, 0u64);
-    let (mut exposed_comm_ns, mut overlapped_comm_ns) = (0u64, 0u64);
-    let mut comm_buckets_per_epoch = 0u64;
+    let (mut exposed_comm_ns, mut overlapped_comm_ns, mut comm_buckets_per_epoch) = (0, 0, 0);
+    // Resident: the last epoch's averaged gradients, which each worker
+    // applies to its replica (line 13) at the start of its next task.
+    let mut last_avg: Option<Shared> = None;
     for epoch in 0..cfg.epochs {
-        // One θ residency lookup per worker per epoch.
-        if naive {
-            theta_misses += k as u64;
-        } else {
-            theta_hits += k as u64;
-        }
-        // Line 8 (per epoch): broadcast current θ, one copy shared by
-        // every worker's task.
-        let params = Arc::new(model.get_parameters());
-        let exec_mode = opts.exec;
+        // Line 8 (per epoch): naive broadcasts the host θ, one copy shared
+        // by every worker's task; a resident worker reads its replica.
+        let theta = host.as_ref().map(|(m, _)| Arc::new(m.get_parameters()));
+        let (exec_mode, submit) = (opts.exec, opts.submit);
         let mut futures = Vec::with_capacity(k);
-        for (worker, &key) in partition_keys.iter().enumerate() {
-            let params = Arc::clone(&params);
-            let graph_key = graph_keys[worker];
-            let submit = opts.submit;
+        for (worker, &ready) in aggregate_ready.iter().enumerate() {
+            let theta = (theta.clone(), last_avg.clone());
             // Epoch 0 must not start its first kernel until the copy
             // stream has uploaded X and aggregated ÂX.
-            let ready = if epoch == 0 {
-                aggregate_ready[worker]
-            } else {
-                None
-            };
+            let ready = ready.filter(|_| epoch == 0);
             let fut = cluster
                 .submit_to(worker, move |ctx| {
                     let worker_state = ctx
                         .store
-                        .get::<(Arc<PartitionData>, Tensor)>(key)
+                        .get::<(Arc<PartitionData>, Tensor)>(part_key)
                         .expect("partition scattered");
                     let (data, ax) = &*worker_state;
                     let gpu = ctx.gpu();
@@ -503,19 +517,15 @@ pub fn train_distributed_with_opts(
                     // Naive residency: re-stage θ onto the device every
                     // epoch. Resident mode skips this — the parameters are
                     // already in the worker's pool.
-                    let staged_theta = if naive {
-                        let flat: Vec<f32> = params
-                            .iter()
-                            .flat_map(|t| t.data().iter().copied())
-                            .collect();
-                        Some(gpu.htod(&flat).expect("θ fits"))
-                    } else {
-                        None
-                    };
+                    let staged_theta = theta.0.as_ref().map(|params| {
+                        let flat: Vec<f32> =
+                            params.iter().flat_map(Tensor::data).copied().collect();
+                        gpu.htod(&flat).expect("θ fits")
+                    });
+                    let (local, _) = local_model(ctx, replica_key, &theta, epoch, false);
                     let dims = data.dims;
                     let body = || {
                         // Lines 10–11: local loss and gradients.
-                        let local = Gcn::from_parameters(&params);
                         let tape = Tape::new();
                         let fwd = local.forward(&tape, Arc::clone(&data.adj), ax);
                         let loss = tape.cross_entropy(fwd.logits, &data.labels, &data.train_mask);
@@ -610,15 +620,12 @@ pub fn train_distributed_with_opts(
         let total_train: f64 = weights.iter().sum();
         if total_train > 0.0 {
             let avg = weighted_average_gradients(&per_worker, &weights);
-            // Line 13: global update. In resident mode every device replica
-            // applies the same averaged gradients in place — no transfer;
-            // the host model mirrors the identical arithmetic.
-            if let Some(workers) = resident_workers.as_mut() {
-                for (exec, params, ropt) in workers.iter_mut() {
-                    ropt.step_all(exec, params, &avg).expect("resident step");
-                }
+            // Line 13: global update — of the host model, or of every
+            // device replica, in place, at the start of its next task.
+            match host.as_mut() {
+                Some((model, opt)) => opt.step_all(model.parameters_mut(), &avg),
+                None => last_avg = Some(Arc::new(avg)),
             }
-            opt.step_all(model.parameters_mut(), &avg);
         }
         // Line 14: report epoch loss (train-count-weighted).
         let loss = if total_train > 0.0 {
@@ -633,55 +640,44 @@ pub fn train_distributed_with_opts(
         epoch_stats.push(EpochStats { epoch, loss });
     }
 
-    // Resident mode: the single explicit sync point — read the trained θ
-    // back from one replica (they are bit-identical) and make it the
-    // model the evaluations run with.
-    if let Some(workers) = resident_workers.as_ref() {
-        let (exec, params, _) = &workers[0];
-        let synced = params.to_host(exec).expect("final sync");
-        model.set_parameters(&synced);
-    }
-
-    // Evaluation 1: partitioned inference (students' setup).
+    // Evaluation 1: partitioned inference (students' setup). A resident
+    // worker first takes the last epoch's step; worker 0's replica is then
+    // read back to the host, the run's single explicit sync point.
     let mut preds = vec![0usize; ds.num_nodes()];
-    let final_params = model.get_parameters();
+    let theta = host.as_ref().map(|(m, _)| Arc::new(m.get_parameters()));
+    let epochs = cfg.epochs;
     let mut eval_futures = Vec::with_capacity(k);
-    for (worker, &key) in partition_keys.iter().enumerate() {
-        let params = final_params.clone();
+    for worker in 0..k {
+        let theta = (theta.clone(), last_avg.clone());
         let fut = cluster
             .submit_to(worker, move |ctx| {
                 let worker_state = ctx
                     .store
-                    .get::<(Arc<PartitionData>, Tensor)>(key)
+                    .get::<(Arc<PartitionData>, Tensor)>(part_key)
                     .expect("partition scattered");
                 let (data, ax) = &*worker_state;
-                let logits = infer(&Gcn::from_parameters(&params), &data.adj, ax);
-                (data.nodes.clone(), logits.argmax_rows())
+                let (local, synced) = local_model(ctx, replica_key, &theta, epochs, worker == 0);
+                let logits = infer(&local, &data.adj, ax);
+                (data.nodes.clone(), logits.argmax_rows(), synced)
             })
             .expect("worker exists");
         eval_futures.push(fut);
     }
-    for (nodes, local_preds) in cluster.gather(eval_futures).expect("eval succeeds") {
+    let mut synced = None;
+    for (nodes, local_preds, theta) in cluster.gather(eval_futures).expect("eval succeeds") {
+        synced = synced.or(theta);
         for (local, &orig) in nodes.iter().enumerate() {
             preds[orig] = local_preds[local];
         }
     }
-    let test_mask: Vec<bool> = ds.train_mask.iter().map(|&m| !m).collect();
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for u in 0..ds.num_nodes() {
-        if test_mask[u] {
-            total += 1;
-            if preds[u] == ds.labels[u] {
-                correct += 1;
-            }
-        }
-    }
-    let test_accuracy = if total == 0 {
-        0.0
-    } else {
-        correct as f64 / total as f64
+    let model = match host {
+        Some((model, _)) => model,
+        None => Gcn::from_parameters(&synced.expect("worker 0 syncs θ")),
     };
+    let test_mask: Vec<bool> = ds.train_mask.iter().map(|&m| !m).collect();
+    let test: Vec<usize> = (0..ds.num_nodes()).filter(|&u| test_mask[u]).collect();
+    let correct = test.iter().filter(|&&u| preds[u] == ds.labels[u]).count();
+    let test_accuracy = correct as f64 / test.len().max(1) as f64;
 
     // Evaluation 2: full-graph inference with the same trained weights.
     let full_adj = dataset_adjacency(ds);
@@ -702,9 +698,12 @@ pub fn train_distributed_with_opts(
             _ => {}
         }
     }
+    // One θ residency lookup per worker per epoch.
+    let lookups = (k * cfg.epochs) as u64;
+    let (hits, misses) = if naive { (0, lookups) } else { (lookups, 0) };
     let residency_lookups = ResidencySnapshot {
-        hits: theta_hits,
-        misses: theta_misses,
+        hits,
+        misses,
         h2d_bytes,
         d2h_bytes,
     };
@@ -756,6 +755,8 @@ mod tests {
     use gpu_sim::trace::RecordBody;
     use sagegpu_graph::generators::{sbm, SbmParams};
     use sagegpu_nn::tape::NodeWork;
+    use taskflow::metrics::SpanOutcome;
+    use taskflow::policy::FaultKind;
 
     fn ds() -> GraphDataset {
         sbm(
@@ -963,38 +964,55 @@ mod tests {
 
     #[test]
     fn resident_training_survives_fault_injection() {
-        // Resident optimizer steps happen once per epoch on the driver
-        // side of the gather barrier, so injected worker crashes (and
-        // their retries) cannot double-apply an update.
+        // Each worker steps its own replica at the start of its next task.
+        // A crash fires before the task body, so its retry steps from the
+        // same replica state. A dropped result runs the body, step
+        // included, and is then retried: the steps-applied guard must keep
+        // the retry from stepping again. So a run with crashes and drops
+        // ends bit-identical to the fault-free run.
         let d = ds();
-        let clean = train_distributed_with_opts(
-            &d,
-            2,
-            &cfg(),
-            PartitionStrategy::Metis,
-            DistOptions {
+        let run = |fault_plan| {
+            let opts = DistOptions {
                 residency: ResidencyMode::Resident,
+                comm: CommMode::BucketedOverlap { bucket_bytes: 2560 },
+                fault_plan,
+                retry: RetryPolicy::fixed(8, std::time::Duration::ZERO),
                 ..DistOptions::default()
-            },
-        )
-        .unwrap();
-        let faulty = train_distributed_with_opts(
-            &d,
-            2,
-            &cfg(),
-            PartitionStrategy::Metis,
-            DistOptions {
-                residency: ResidencyMode::Resident,
-                fault_plan: FaultPlan::crashes(17, 0.15),
-                retry: RetryPolicy::fixed(5, std::time::Duration::ZERO),
-                ..DistOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(faulty.sched_metrics.total_retries() > 0);
-        for (c, f) in clean.epoch_stats.iter().zip(&faulty.epoch_stats) {
-            assert_eq!(c.loss, f.loss, "epoch {} diverged under faults", c.epoch);
-        }
+            };
+            train_distributed_with_opts(&d, 2, &cfg(), PartitionStrategy::Metis, opts).unwrap()
+        };
+        // Task ids: 2 scatter tasks, then 2 per epoch, then 2 evaluations.
+        // Epoch 1's first task applies epoch 0's step; worker 0's
+        // evaluation applies the last epoch's step and syncs θ.
+        let (epoch1, eval0) = (4, 2 + 2 * cfg().epochs as u64);
+        let plan = (0..)
+            .map(|seed| FaultPlan {
+                seed,
+                crash_rate: 0.1,
+                drop_rate: 0.2,
+                ..FaultPlan::none()
+            })
+            .find(|p| {
+                let dropped = |task| p.fault_for(task, 0) == Some(FaultKind::DropResult);
+                dropped(epoch1) && dropped(eval0)
+            })
+            .unwrap();
+        let clean = run(FaultPlan::none());
+        let faulty = run(plan);
+        let outcomes: Vec<SpanOutcome> = faulty
+            .sched_metrics
+            .spans
+            .iter()
+            .map(|s| s.outcome)
+            .collect();
+        assert!(outcomes.contains(&SpanOutcome::InjectedDrop));
+        assert!(outcomes.contains(&SpanOutcome::InjectedCrash));
+        assert_eq!(clean.epoch_stats, faulty.epoch_stats, "losses diverged");
+        assert_eq!(
+            parameter_fingerprint(&clean.model),
+            parameter_fingerprint(&faulty.model),
+            "a replica stepped twice in one epoch"
+        );
         assert_eq!(clean.test_accuracy, faulty.test_accuracy);
     }
 

@@ -4,6 +4,7 @@ use crate::tape::{Tape, Var};
 use rand::Rng;
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::sparse::CsrMatrix;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A dense affine layer `y = x · W + b`.
@@ -104,15 +105,16 @@ impl Gcn {
     }
 
     /// A GCN holding exactly `params`, in the order of
-    /// [`GcnForward::params`] (a broadcast receive).
-    pub fn from_parameters(params: &[Tensor]) -> Self {
+    /// [`GcnForward::params`] (a broadcast receive, or a read of a
+    /// device-resident replica's values).
+    pub fn from_parameters<T: Borrow<Tensor>>(params: &[T]) -> Self {
         let [w1, b1, w2, b2] = params else {
             panic!("a GCN has 4 parameter tensors, got {}", params.len());
         };
-        let layer = |weight: &Tensor, bias: &Tensor| GcnLayer {
+        let layer = |weight: &T, bias: &T| GcnLayer {
             linear: Linear {
-                weight: weight.clone(),
-                bias: bias.clone(),
+                weight: weight.borrow().clone(),
+                bias: bias.borrow().clone(),
             },
         };
         Self {
@@ -170,13 +172,6 @@ impl Gcn {
     /// Total parameter bytes (the all-reduce payload in Algorithm 1).
     pub fn parameter_bytes(&self) -> u64 {
         self.parameters().iter().map(|t| t.size_bytes()).sum()
-    }
-
-    /// Replaces this model's parameters with `new` (broadcast receive).
-    pub fn set_parameters(&mut self, new: &[Tensor]) {
-        for (dst, src) in self.parameters_mut().into_iter().zip(new) {
-            *dst = src.clone();
-        }
     }
 
     /// Clones the parameters out (broadcast send).
@@ -278,16 +273,6 @@ mod tests {
         assert_eq!(tape.shape(fwd.logits), (5, 3));
         assert_eq!(gcn.num_parameters(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(gcn.parameter_bytes(), 4 * (32 + 8 + 24 + 3) as u64);
-    }
-
-    #[test]
-    fn gcn_set_get_parameters_roundtrip() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let a = Gcn::new(4, 6, 2, &mut rng);
-        let mut b = Gcn::new(4, 6, 2, &mut rng);
-        assert_ne!(a, b);
-        b.set_parameters(&a.get_parameters());
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -422,6 +407,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let a = Gcn::new(4, 6, 2, &mut rng);
         assert_eq!(Gcn::from_parameters(&a.get_parameters()), a);
+        // Borrowed tensors too, as a device replica's views are read.
+        assert_eq!(Gcn::from_parameters(&a.parameters()), a);
     }
 
     #[test]

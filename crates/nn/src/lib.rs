@@ -44,6 +44,6 @@ pub mod prelude {
     pub use crate::layers::{Gcn, GcnLayer, Linear, Mlp};
     pub use crate::metrics::accuracy;
     pub use crate::optim::{Adam, Optimizer, Sgd};
-    pub use crate::resident::{ResidentAdam, ResidentParams, ResidentSgd};
+    pub use crate::resident::{ResidentAdam, ResidentParams};
     pub use crate::tape::{Tape, Var};
 }

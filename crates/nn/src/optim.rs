@@ -19,9 +19,7 @@ pub trait Optimizer {
     }
 }
 
-/// One SGD step's scalars. [`Sgd`] and
-/// [`ResidentSgd`](crate::resident::ResidentSgd) both update through it, so
-/// host and resident trajectories are bit-identical.
+/// One SGD step's scalars: the one-pass update kernels [`Sgd`] applies.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SgdStep {
     pub lr: f32,

@@ -9,9 +9,8 @@
 //! - [`ResidentParams`] — model parameters uploaded **once** and mutated
 //!   in place on the device; the only way back to the host is the explicit
 //!   [`ResidentParams::to_host`] sync point, which charges the D2H.
-//! - [`ResidentSgd`] / [`ResidentAdam`] — optimizers whose velocity/moment
-//!   state is allocated from the device pool on first use and never leaves.
-//!   Each shares the kernel of [`crate::optim::Sgd`] /
+//! - [`ResidentAdam`] — Adam whose moment state is allocated from the
+//!   device pool on first use and never leaves. It shares the kernel of
 //!   [`crate::optim::Adam`] (one in-place pass per element), so resident
 //!   training is **bit-identical** to the host path.
 //!
@@ -20,7 +19,7 @@
 //! `sagegpu_tensor::residency`); inside a fused training-step kernel they
 //! never exist on the host at all.
 
-use crate::optim::{AdamStep, SgdStep};
+use crate::optim::AdamStep;
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::gpu_exec::GpuExecutor;
 use sagegpu_tensor::residency::DeviceTensor;
@@ -79,65 +78,6 @@ impl ResidentParams {
     /// resident — this is a copy, not an eviction.
     pub fn to_host(&self, exec: &GpuExecutor) -> Result<Vec<Tensor>, TensorError> {
         self.tensors.iter().map(|t| exec.download(t)).collect()
-    }
-}
-
-/// SGD (with momentum) whose velocity state is device-resident.
-///
-/// Arithmetic matches [`Sgd`](crate::optim::Sgd) exactly; see the module docs.
-#[derive(Debug)]
-pub struct ResidentSgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: Vec<Option<DeviceTensor>>,
-}
-
-impl ResidentSgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `β`: `v ← βv + g; p ← p − lr·v`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update per parameter, entirely on the device: the
-    /// gradients are device-side values and the velocity slots live in the
-    /// pool across steps.
-    pub fn step_all(
-        &mut self,
-        exec: &GpuExecutor,
-        params: &mut ResidentParams,
-        grads: &[Tensor],
-    ) -> Result<(), TensorError> {
-        assert_eq!(params.len(), grads.len(), "param/grad count mismatch");
-        if self.velocity.len() < params.len() {
-            self.velocity.resize_with(params.len(), || None);
-        }
-        let step = SgdStep {
-            lr: self.lr,
-            momentum: self.momentum,
-        };
-        for (i, (p, grad)) in params.tensors_mut().iter_mut().zip(grads).enumerate() {
-            if step.momentum == 0.0 {
-                step.descend(p.tensor_mut(), grad);
-                continue;
-            }
-            match &mut self.velocity[i] {
-                Some(v) => step.momentum(p.tensor_mut(), v.tensor_mut(), grad),
-                slot @ None => {
-                    step.descend(p.tensor_mut(), grad);
-                    *slot = Some(exec.alloc_on_device(grad.clone())?);
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -203,7 +143,7 @@ impl ResidentAdam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer, Sgd};
+    use crate::optim::{Adam, Optimizer};
     use gpu_sim::{DeviceSpec, EventKind, Gpu};
     use std::sync::Arc;
 
@@ -237,26 +177,6 @@ mod tests {
         let back = dev_params.to_host(&e).unwrap();
         assert_eq!(back, host_params, "trajectories must match exactly");
         assert_eq!(dev_opt.steps(), 7);
-    }
-
-    #[test]
-    fn resident_sgd_is_bit_identical_to_host_sgd() {
-        let e = exec();
-        let init = vec![Tensor::full(3, 2, 0.8)];
-
-        let mut host_params = init.clone();
-        let mut host_opt = Sgd::with_momentum(0.1, 0.9);
-
-        let mut dev_params = ResidentParams::upload(&e, &init).unwrap();
-        let mut dev_opt = ResidentSgd::with_momentum(0.1, 0.9);
-
-        for step in 0..5 {
-            let grads = toy_grads(step)[..1].to_vec();
-            let grads = vec![Tensor::full(3, 2, grads[0].get(0, 0))];
-            host_opt.step_all(host_params.iter_mut().collect(), &grads);
-            dev_opt.step_all(&e, &mut dev_params, &grads).unwrap();
-        }
-        assert_eq!(dev_params.to_host(&e).unwrap(), host_params);
     }
 
     #[test]

@@ -410,6 +410,7 @@ impl Quantizer {
     /// on the coarse residuals, priced on `exec` when one is given. Each
     /// residual is taken against the list [`Self::assign`] routes its row
     /// to, so the codebook trains on the residuals the index stores.
+    /// Returns the quantizer and those lists, one per row of `data`.
     pub(crate) fn train(
         dim: usize,
         nlist: usize,
@@ -417,7 +418,7 @@ impl Quantizer {
         data: &[(usize, Vec<f32>)],
         seed: u64,
         exec: Option<&GpuExecutor>,
-    ) -> Result<Self, IndexError> {
+    ) -> Result<(Self, Vec<usize>), IndexError> {
         let (centroids, lists, coarse) = train_coarse(dim, nlist, data, seed)?;
         let codebook = match codec {
             Codec::Full => None,
@@ -434,13 +435,14 @@ impl Quantizer {
                 Some(PqCodebook::train(dim, cfg, &residuals, seed, exec)?)
             }
         };
-        Ok(Self {
+        let quant = Self {
             dim,
             panels: Panels::new(&centroids, dim),
             centroids,
             codebook,
             coarse,
-        })
+        };
+        Ok((quant, lists))
     }
 
     pub(crate) fn nlist(&self) -> usize {
@@ -914,7 +916,8 @@ impl std::fmt::Debug for IvfIndex {
 impl IvfIndex {
     /// Trains an unsharded host index on all of `data`: the coarse
     /// quantizer, then (Pq) the codebook on the coarse residuals, then
-    /// every vector into its list.
+    /// every vector into the list the coarse training left it in, which is
+    /// the list it routes to.
     ///
     /// `nprobe` is clamped to `1..=nlist`. Degenerate configurations are
     /// typed errors: an empty corpus, `nlist > data.len()`, `nlist == 0`,
@@ -928,10 +931,11 @@ impl IvfIndex {
         data: &[(usize, Vec<f32>)],
         seed: u64,
     ) -> Result<Self, IndexError> {
-        let quant = Quantizer::train(dim, nlist, codec, data, seed, None)?;
+        let (quant, lists) = Quantizer::train(dim, nlist, codec, data, seed, None)?;
         let entries = data
-            .par_iter()
-            .map(|(doc, v)| (*doc, v.as_slice(), quant.assign(v)))
+            .iter()
+            .zip(lists)
+            .map(|((doc, v), list)| (*doc, v.as_slice(), list))
             .collect();
         Ok(Self::assemble(quant, nprobe, vec![entries]))
     }
@@ -1410,23 +1414,49 @@ mod tests {
 
     #[test]
     fn ivf_train_repairs_recoverable_empty_clusters() {
-        // Two tight groups of distinct vectors with four lists: k-means
-        // wants two clusters, so two lists start empty; the deterministic
-        // re-seeding must fill them from the crowded lists.
+        // Two tight groups of distinct vectors with four lists. Every list
+        // has members when k-means ends, so the repair has nothing to do,
+        // and training must leave no list empty.
         let (_, embedder, _) = indexed_corpus(1);
-        let data: Vec<(usize, Vec<f32>)> = (0..12)
+        let mut data: Vec<(usize, Vec<f32>)> = (0..12)
             .map(|i| {
                 let topic = i % 2;
                 (i, embedder.embed(&format!("topic {topic} variant {i}")))
             })
             .collect();
-        let ivf = IvfIndex::train(96, 4, 4, Codec::Full, &data, 1).expect("repair succeeds");
+        let ivf = IvfIndex::train(96, 4, 4, Codec::Full, &data, 1).expect("trains");
+        assert!(ivf.shards()[0].ids.iter().all(|l| !l.is_empty()));
+
+        // The same corpus plus one document filed twice. A seeding that
+        // picks both copies starts two identical centroids; ties go to the
+        // lower list, so k-means leaves a list empty and the repair has to
+        // re-seed it from the worst-fitting member of the largest list.
+        let twice = embedder.embed("one document filed twice");
+        data.extend([(12, twice.clone()), (13, twice)]);
+        let rows: Vec<&[f32]> = data.iter().map(|(_, v)| v.as_slice()).collect();
+        let (seed, emptied) = (0..64)
+            .find_map(|seed| {
+                let (_, lists, _) = lloyd(&rows, 96, seeds(&rows, 4, seed), Metric::Dot);
+                let empty: Vec<usize> = (0..4).filter(|l| !lists.contains(l)).collect();
+                (!empty.is_empty()).then_some((seed, empty))
+            })
+            .expect("some seeding leaves a list empty after k-means");
+        let ivf = IvfIndex::train(96, 4, 4, Codec::Full, &data, seed).expect("repair succeeds");
         let lists = &ivf.shards()[0].ids;
         assert!(
             lists.iter().all(|l| !l.is_empty()),
             "every list must own at least one vector: {:?}",
             lists.iter().map(|l| l.len()).collect::<Vec<_>>()
         );
+        for list in emptied {
+            for &doc in &lists[list] {
+                assert_eq!(
+                    ivf.quant.assign(&data[doc].1),
+                    list,
+                    "re-seeded row {doc} sits outside the list it routes to"
+                );
+            }
+        }
     }
 
     #[test]

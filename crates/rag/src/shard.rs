@@ -155,7 +155,8 @@ impl IvfIndex {
             let gpu = gpus.device(s).map_err(TensorError::from)?;
             Ok(GpuExecutor::new(gpu.clone()))
         };
-        let quant = Quantizer::train(dim, plan.nlist, codec, &sample, seed, Some(&device(0)?))?;
+        let (quant, _) =
+            Quantizer::train(dim, plan.nlist, codec, &sample, seed, Some(&device(0)?))?;
 
         // Partition: route every vector to its list (in parallel), count
         // the lists in data order, then place the lists on shards.

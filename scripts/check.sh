@@ -19,7 +19,10 @@
 #    release codegen is what every benchmark and experiment runs. Then the
 #    taskflow tests in release mode pinned to one core (`taskset -c 0`):
 #    a cluster runs its workers on min(workers, cores) threads, so this is
-#    the path where one thread serves every worker. Then the RAG library
+#    the path where one thread serves every worker. Then the GCN tests on
+#    one core: resident Algorithm 1 steps each device replica on its
+#    worker's thread, and the training bit pins must hold when one thread
+#    runs every worker's tasks. Then the RAG library
 #    tests and the pinned fingerprint and property suites on one core:
 #    shard builds train, route and encode in parallel (k-means rows fan
 #    out across cores, PQ subspaces across block threads), and no
@@ -87,6 +90,7 @@ rm -rf "$example_tmp"
 cargo test -q --workspace
 cargo test --release -q -p sagegpu-tensor
 taskset -c 0 cargo test --release -q -p taskflow
+taskset -c 0 cargo test --release -q -p sagegpu-gcn
 taskset -c 0 cargo test --release -q -p sagegpu-rag --lib --test pinned --test properties
 
 echo "==> BENCH_A*.json: regenerate + check every artifact of \`repro --list\`"
