@@ -724,28 +724,18 @@ pub struct SchedulerRow {
 /// List-scheduling makespans of a skewed fork-join graph (one long chain
 /// plus many short independent tasks) under both policies.
 pub fn scheduler_ablation(worker_counts: &[usize]) -> Vec<SchedulerRow> {
-    use sagegpu_core::taskflow::graph::{SchedulePolicy, TaskGraph, TaskValue};
-    use std::sync::Arc as StdArc;
-    fn unit() -> TaskValue {
-        StdArc::new(())
-    }
+    use sagegpu_core::taskflow::graph::{SchedulePolicy, TaskGraph};
     let mut g = TaskGraph::new();
     // Many short independent tasks first (FIFO's trap) …
     for i in 0..12 {
-        g.add_task(&format!("short-{i}"), &[], 2.0, |_| unit())
+        g.add_task(&format!("short-{i}"), &[], 2.0)
             .expect("fresh name");
     }
     // … then a long dependent chain that dominates the critical path.
-    g.add_task("chain-0", &[], 8.0, |_| unit())
-        .expect("fresh name");
+    g.add_task("chain-0", &[], 8.0).expect("fresh name");
     for i in 1..4 {
-        g.add_task(
-            &format!("chain-{i}"),
-            &[&format!("chain-{}", i - 1)],
-            8.0,
-            |_| unit(),
-        )
-        .expect("fresh name");
+        g.add_task(&format!("chain-{i}"), &[&format!("chain-{}", i - 1)], 8.0)
+            .expect("fresh name");
     }
     worker_counts
         .iter()

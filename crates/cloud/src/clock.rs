@@ -34,11 +34,6 @@ impl SimClock {
     pub fn advance_hours(&self, hours: u64) {
         self.advance_secs(hours * 3600);
     }
-
-    /// Convenience: current time expressed in fractional hours.
-    pub fn now_hours(&self) -> f64 {
-        self.now_secs() as f64 / 3600.0
-    }
 }
 
 #[cfg(test)]
@@ -61,12 +56,5 @@ mod tests {
         let b = a.clone();
         a.advance_secs(10);
         assert_eq!(b.now_secs(), 10);
-    }
-
-    #[test]
-    fn now_hours_is_fractional() {
-        let c = SimClock::new();
-        c.advance_secs(1800);
-        assert!((c.now_hours() - 0.5).abs() < 1e-12);
     }
 }

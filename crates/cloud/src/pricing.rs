@@ -43,11 +43,6 @@ impl InstanceType {
             hourly_usd,
         }
     }
-
-    /// Whether this type carries at least one GPU.
-    pub fn is_gpu(&self) -> bool {
-        self.gpus > 0
-    }
 }
 
 /// The set of instance types the simulated region offers.
@@ -93,11 +88,6 @@ impl InstanceCatalog {
     /// All types.
     pub fn types(&self) -> &[InstanceType] {
         &self.types
-    }
-
-    /// All GPU-bearing types.
-    pub fn gpu_types(&self) -> impl Iterator<Item = &InstanceType> {
-        self.types.iter().filter(|t| t.is_gpu())
     }
 
     /// The course's single-GPU usage mix (hours-weighted shares across the
@@ -159,9 +149,9 @@ mod tests {
     #[test]
     fn catalog_contains_course_types() {
         let cat = InstanceCatalog::us_east_1();
-        assert!(cat.get("g4dn.xlarge").unwrap().is_gpu());
+        assert_eq!(cat.get("g4dn.xlarge").unwrap().gpus, 1);
         assert_eq!(cat.get("g4dn.12xlarge").unwrap().gpus, 4);
-        assert!(!cat.get("t3.medium").unwrap().is_gpu());
+        assert_eq!(cat.get("t3.medium").unwrap().gpus, 0);
         assert!(cat.get("nonexistent.type").is_none());
     }
 
@@ -205,12 +195,5 @@ mod tests {
         assert!((billable_cost(hourly, 10) - 0.06).abs() < 1e-12); // billed as 60 s
         assert!((billable_cost(hourly, 60) - 0.06).abs() < 1e-12);
         assert!((billable_cost(hourly, 3600) - 3.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gpu_types_iterator_filters() {
-        let cat = InstanceCatalog::us_east_1();
-        assert!(cat.gpu_types().all(|t| t.gpus > 0));
-        assert!(cat.gpu_types().count() >= 6);
     }
 }

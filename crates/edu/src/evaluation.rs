@@ -60,18 +60,6 @@ pub fn evaluation_profile(index: usize, level: Level) -> LikertSummary {
 /// Overall response rate reported in §IV-B.
 pub const RESPONSE_RATE: f64 = 0.85;
 
-/// Fig. 3 as data: per question, per level, the percentage vector
-/// `[Never, Seldom, Sometimes, Often, Always]`.
-pub fn figure3_percentages() -> Vec<(usize, Level, [f64; 5])> {
-    let mut out = Vec::with_capacity(12);
-    for q in 0..EVALUATION_QUESTIONS.len() {
-        for level in [Level::Undergraduate, Level::Graduate] {
-            out.push((q, level, evaluation_profile(q, level).percentages()));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,15 +125,6 @@ mod tests {
             for level in [Level::Undergraduate, Level::Graduate] {
                 assert_eq!(evaluation_profile(q, level).total(), 20);
             }
-        }
-    }
-
-    #[test]
-    fn figure3_has_twelve_series() {
-        let f = figure3_percentages();
-        assert_eq!(f.len(), 12);
-        for (_, _, pct) in f {
-            assert!((pct.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         }
     }
 

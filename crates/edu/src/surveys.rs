@@ -26,9 +26,11 @@ pub enum SurveyQuestion {
     NumbaCuda,
     /// "I feel confident in using AWS GPU Cluster" (4b).
     AwsCluster,
-    /// "… PyTorch Profiler and Nsight Systems for GPU Profiling" (4c).
+    /// "I feel confident in using PyTorch Profiler and Nsight Systems for
+    /// GPU Profiling" (4c).
     Profiling,
-    /// "… multi-GPU training and parallel computing for AI models" (4d).
+    /// "I feel confident applying multi-GPU training and parallel computing
+    /// for AI models" (4d).
     MultiGpu,
 }
 
@@ -40,22 +42,6 @@ impl SurveyQuestion {
         SurveyQuestion::Profiling,
         SurveyQuestion::MultiGpu,
     ];
-
-    /// Full statement text.
-    pub fn statement(&self) -> &'static str {
-        match self {
-            SurveyQuestion::NumbaCuda => {
-                "I can use Numba to implement a parallel algorithm using CUDA"
-            }
-            SurveyQuestion::AwsCluster => "I feel confident in using AWS GPU Cluster",
-            SurveyQuestion::Profiling => {
-                "I feel confident in using PyTorch Profiler and Nsight Systems for GPU Profiling"
-            }
-            SurveyQuestion::MultiGpu => {
-                "I feel confident applying multi-GPU training and parallel computing for AI models"
-            }
-        }
-    }
 }
 
 /// Survey administration wave.
@@ -311,14 +297,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn statements_are_present() {
-        for q in SurveyQuestion::ALL {
-            assert!(!q.statement().is_empty());
-        }
-        assert!(SurveyQuestion::Profiling.statement().contains("Nsight"));
     }
 
     #[test]

@@ -205,15 +205,6 @@ impl Gpu {
         self.kernels_launched.load(Ordering::Relaxed)
     }
 
-    /// Fraction of elapsed simulated time the device spent busy.
-    pub fn utilization(&self) -> f64 {
-        let now = self.now_ns();
-        if now == 0 {
-            return 0.0;
-        }
-        self.recorder.busy_ns(self.ordinal) as f64 / now as f64
-    }
-
     pub(crate) fn accounting_handle(&self) -> Arc<MemoryAccounting> {
         Arc::clone(&self.accounting)
     }
@@ -941,15 +932,6 @@ mod tests {
         let h2d = evs.iter().find(|e| e.kind == EventKind::MemcpyH2D).unwrap();
         assert!(range.start_ns <= h2d.start_ns);
         assert!(range.end_ns() >= h2d.end_ns());
-    }
-
-    #[test]
-    fn utilization_between_zero_and_one() {
-        let g = gpu();
-        assert_eq!(g.utilization(), 0.0);
-        let _ = g.htod(&vec![0f32; 1 << 16]).unwrap();
-        let u = g.utilization();
-        assert!(u > 0.0 && u <= 1.0, "u = {u}");
     }
 
     #[test]

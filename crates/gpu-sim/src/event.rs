@@ -87,15 +87,6 @@ impl TraceEvent {
     pub fn end_ns(&self) -> u64 {
         self.start_ns + self.dur_ns
     }
-
-    /// Effective bandwidth in bytes/sec for transfer events.
-    pub fn effective_bandwidth(&self) -> Option<f64> {
-        if self.kind.is_transfer() && self.dur_ns > 0 {
-            Some(self.bytes as f64 / (self.dur_ns as f64 * 1e-9))
-        } else {
-            None
-        }
-    }
 }
 
 /// Thread-safe, shareable sink of trace events.
@@ -139,17 +130,6 @@ impl EventRecorder {
     pub fn clear(&self) {
         self.inner.lock().clear();
     }
-
-    /// Total busy nanoseconds on a device (sum of event durations,
-    /// excluding user ranges which may nest over other events).
-    pub fn busy_ns(&self, device: u32) -> u64 {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|e| e.device == device && e.kind != EventKind::Range)
-            .map(|e| e.dur_ns)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -179,30 +159,6 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap[0].name, "a");
         assert_eq!(snap[1].name, "b");
-    }
-
-    #[test]
-    fn busy_ns_sums_per_device_and_skips_ranges() {
-        let rec = EventRecorder::new();
-        rec.record(ev("k0", 0, 0, 100));
-        rec.record(ev("k1", 0, 100, 50));
-        rec.record(ev("k2", 1, 0, 999));
-        let mut range = ev("outer", 0, 0, 1_000_000);
-        range.kind = EventKind::Range;
-        rec.record(range);
-        assert_eq!(rec.busy_ns(0), 150);
-        assert_eq!(rec.busy_ns(1), 999);
-    }
-
-    #[test]
-    fn effective_bandwidth_only_for_transfers() {
-        let mut t = ev("h2d", 0, 0, 1_000);
-        t.kind = EventKind::MemcpyH2D;
-        t.bytes = 1_000_000;
-        // 1 MB in 1 µs = 1e12 B/s
-        let bw = t.effective_bandwidth().unwrap();
-        assert!((bw - 1e12).abs() / 1e12 < 1e-9);
-        assert!(ev("k", 0, 0, 10).effective_bandwidth().is_none());
     }
 
     #[test]

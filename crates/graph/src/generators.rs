@@ -8,7 +8,10 @@
 //! graphs preserve the property the experiments measure: labels are
 //! *homophilous* (neighbors tend to share classes), so GCN aggregation
 //! carries real signal, and community structure gives METIS something to
-//! find that random partitioning misses.
+//! find that random partitioning misses. [`sbm`] builds one from explicit
+//! parameters and [`pubmed_like`] at PubMed's proportions; [`ring`],
+//! [`grid`] and [`erdos_renyi`] are label-free fixtures for the
+//! partitioners.
 
 use crate::csr::Graph;
 use crate::GraphError;
@@ -235,137 +238,6 @@ pub fn pubmed_like(scale: f64, seed: u64) -> Result<GraphDataset, GraphError> {
     Ok(ds)
 }
 
-/// A Reddit-shaped SBM: 41 classes, 602-d features, much denser
-/// (Reddit's mean degree ≈ 490; we scale it down with the node count).
-pub fn reddit_like(scale: f64, seed: u64) -> Result<GraphDataset, GraphError> {
-    let k = 41;
-    let per_block = ((232_965.0 * scale / k as f64) as usize).max(6);
-    let n = per_block * k;
-    let target_degree = (490.0 * scale).clamp(8.0, 64.0);
-    let p_in = target_degree * 0.9 / (per_block as f64);
-    let p_out = target_degree * 0.1 / (n as f64 - per_block as f64);
-    let mut ds = sbm(
-        &SbmParams {
-            block_sizes: vec![per_block; k],
-            p_in: p_in.min(1.0),
-            p_out: p_out.min(1.0),
-            feature_dim: 602,
-            feature_separation: 1.0,
-            train_fraction: 0.65,
-        },
-        seed,
-    )?;
-    ds.name = format!("reddit-like-{}", ds.num_nodes());
-    Ok(ds)
-}
-
-/// Zachary's karate club (34 nodes, 78 edges) with its canonical two-faction
-/// split as labels — the classic graph fixture.
-pub fn karate_club() -> GraphDataset {
-    let edges: [(usize, usize); 78] = [
-        (0, 1),
-        (0, 2),
-        (0, 3),
-        (0, 4),
-        (0, 5),
-        (0, 6),
-        (0, 7),
-        (0, 8),
-        (0, 10),
-        (0, 11),
-        (0, 12),
-        (0, 13),
-        (0, 17),
-        (0, 19),
-        (0, 21),
-        (0, 31),
-        (1, 2),
-        (1, 3),
-        (1, 7),
-        (1, 13),
-        (1, 17),
-        (1, 19),
-        (1, 21),
-        (1, 30),
-        (2, 3),
-        (2, 7),
-        (2, 8),
-        (2, 9),
-        (2, 13),
-        (2, 27),
-        (2, 28),
-        (2, 32),
-        (3, 7),
-        (3, 12),
-        (3, 13),
-        (4, 6),
-        (4, 10),
-        (5, 6),
-        (5, 10),
-        (5, 16),
-        (6, 16),
-        (8, 30),
-        (8, 32),
-        (8, 33),
-        (9, 33),
-        (13, 33),
-        (14, 32),
-        (14, 33),
-        (15, 32),
-        (15, 33),
-        (18, 32),
-        (18, 33),
-        (19, 33),
-        (20, 32),
-        (20, 33),
-        (22, 32),
-        (22, 33),
-        (23, 25),
-        (23, 27),
-        (23, 29),
-        (23, 32),
-        (23, 33),
-        (24, 25),
-        (24, 27),
-        (24, 31),
-        (25, 31),
-        (26, 29),
-        (26, 33),
-        (27, 33),
-        (28, 31),
-        (28, 33),
-        (29, 32),
-        (29, 33),
-        (30, 32),
-        (30, 33),
-        (31, 32),
-        (31, 33),
-        (32, 33),
-    ];
-    let mr_hi_faction = [0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 16, 17, 19, 21];
-    let labels: Vec<usize> = (0..34)
-        .map(|u| usize::from(!mr_hi_faction.contains(&u)))
-        .collect();
-    // Simple 8-d degree-bucket features.
-    let graph = Graph::from_edges(34, &edges).expect("static edge list is valid");
-    let d = 8;
-    let mut features = vec![0.0f32; 34 * d];
-    for u in 0..34 {
-        let deg = graph.degree(u).min(d - 1);
-        features[u * d + deg] = 1.0;
-    }
-    let train_mask = (0..34).map(|u| u % 3 == 0).collect();
-    GraphDataset {
-        graph,
-        features,
-        feature_dim: d,
-        labels,
-        num_classes: 2,
-        train_mask,
-        name: "karate".to_owned(),
-    }
-}
-
 /// A cycle graph on `n` nodes.
 pub fn ring(n: usize) -> Result<Graph, GraphError> {
     if n < 3 {
@@ -541,25 +413,6 @@ mod tests {
             mean_degree > 2.0 && mean_degree < 8.0,
             "mean degree {mean_degree}"
         );
-    }
-
-    #[test]
-    fn reddit_like_shape() {
-        let ds = reddit_like(0.002, 13).unwrap();
-        assert_eq!(ds.num_classes, 41);
-        assert_eq!(ds.feature_dim, 602);
-        assert!(ds.num_nodes() >= 41 * 6);
-    }
-
-    #[test]
-    fn karate_club_is_canonical() {
-        let ds = karate_club();
-        assert_eq!(ds.num_nodes(), 34);
-        assert_eq!(ds.graph.num_edges(), 78);
-        assert_eq!(ds.num_classes, 2);
-        // Node 0 (Mr. Hi) and node 33 (Officer) are in different factions.
-        assert_ne!(ds.labels[0], ds.labels[33]);
-        assert!(ds.edge_homophily() > 0.7);
     }
 
     #[test]

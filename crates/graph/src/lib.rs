@@ -10,8 +10,8 @@
 //!
 //! - [`csr::Graph`] — undirected graphs in CSR form with node/edge weights.
 //! - [`generators`] — stochastic-block-model datasets with class-correlated
-//!   node features, parameterized to PubMed-like and Reddit-like shapes
-//!   (plus classic fixtures: Zachary's karate club, rings, grids, G(n, p)).
+//!   node features, one parameterized to PubMed's shape (plus label-free
+//!   fixtures: rings, grids, G(n, p)).
 //!   SBM graphs have the property the GCN experiments need: label
 //!   homophily, so neighbor aggregation genuinely helps classification.
 //! - [`normalize`] — the symmetric GCN normalization Â = D^{-1/2}(A+I)D^{-1/2}.

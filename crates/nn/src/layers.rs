@@ -52,11 +52,6 @@ impl Linear {
     pub fn parameters_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.weight, &mut self.bias]
     }
-
-    /// Total scalar parameter count.
-    pub fn num_parameters(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
 }
 
 /// One graph convolution: `H' = σ(Â · H · W + b)` (σ applied by caller).
@@ -164,11 +159,6 @@ impl Gcn {
         ]
     }
 
-    /// Total scalar parameter count.
-    pub fn num_parameters(&self) -> usize {
-        self.parameters().iter().map(|t| t.len()).sum()
-    }
-
     /// Total parameter bytes (the all-reduce payload in Algorithm 1).
     pub fn parameter_bytes(&self) -> u64 {
         self.parameters().iter().map(|t| t.size_bytes()).sum()
@@ -245,7 +235,6 @@ mod tests {
         assert_eq!(v.shape(), (1, 2));
         assert_eq!(v.get(0, 0), 1.0 + 3.0 + 10.0);
         assert_eq!(v.get(0, 1), 2.0 + 3.0 + 20.0);
-        assert_eq!(lin.num_parameters(), 8);
     }
 
     #[test]
@@ -271,7 +260,6 @@ mod tests {
         let ax = Gcn::aggregate(&adj, &x);
         let fwd = gcn.forward(&tape, adj, &ax);
         assert_eq!(tape.shape(fwd.logits), (5, 3));
-        assert_eq!(gcn.num_parameters(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(gcn.parameter_bytes(), 4 * (32 + 8 + 24 + 3) as u64);
     }
 

@@ -23,35 +23,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize], mask: &[bool]) -> f64 {
     }
 }
 
-/// Per-class accuracy (None for classes absent from the masked rows).
-pub fn per_class_accuracy(
-    logits: &Tensor,
-    labels: &[usize],
-    mask: &[bool],
-    num_classes: usize,
-) -> Vec<Option<f64>> {
-    let preds = logits.argmax_rows();
-    let mut correct = vec![0usize; num_classes];
-    let mut total = vec![0usize; num_classes];
-    for r in 0..preds.len() {
-        if mask[r] {
-            total[labels[r]] += 1;
-            if preds[r] == labels[r] {
-                correct[labels[r]] += 1;
-            }
-        }
-    }
-    (0..num_classes)
-        .map(|c| {
-            if total[c] == 0 {
-                None
-            } else {
-                Some(correct[c] as f64 / total[c] as f64)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,15 +35,5 @@ mod tests {
         assert_eq!(accuracy(&logits, &labels, &[true, true, true]), 2.0 / 3.0);
         assert_eq!(accuracy(&logits, &labels, &[true, false, true]), 1.0);
         assert_eq!(accuracy(&logits, &labels, &[false, false, false]), 0.0);
-    }
-
-    #[test]
-    fn per_class_breaks_down_correctly() {
-        let logits = Tensor::from_rows(&[&[0.9, 0.1], &[0.9, 0.1], &[0.1, 0.9]]);
-        let labels = [0, 1, 1];
-        let per = per_class_accuracy(&logits, &labels, &[true, true, true], 3);
-        assert_eq!(per[0], Some(1.0)); // one class-0 row, predicted 0
-        assert_eq!(per[1], Some(0.5)); // rows 1 (wrong) and 2 (right)
-        assert_eq!(per[2], None); // class 2 absent
     }
 }

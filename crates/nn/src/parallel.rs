@@ -323,31 +323,6 @@ impl GradCompressor {
     }
 }
 
-/// Two-stage hierarchical weighted average: workers are grouped into
-/// islands of `island` consecutive workers, each island averages locally
-/// (weighted by worker weights), then island means are combined weighted by
-/// island weight sums — algebraically the same convex combination as
-/// [`weighted_average_gradients`], re-associated the way a two-tier
-/// hierarchical all-reduce combines partial sums. Used by property tests to
-/// pin that re-association keeps the result within float tolerance of the
-/// flat reduction.
-pub fn hierarchical_weighted_average_gradients(
-    per_worker: &[Vec<Tensor>],
-    weights: &[f64],
-    island: usize,
-) -> Vec<Tensor> {
-    assert!(!per_worker.is_empty(), "no worker gradients");
-    assert_eq!(per_worker.len(), weights.len(), "one weight per worker");
-    let m = island.clamp(1, per_worker.len());
-    let mut island_means: Vec<Vec<Tensor>> = Vec::new();
-    let mut island_weights: Vec<f64> = Vec::new();
-    for (chunk_g, chunk_w) in per_worker.chunks(m).zip(weights.chunks(m)) {
-        island_means.push(weighted_average_gradients(chunk_g, chunk_w));
-        island_weights.push(chunk_w.iter().sum());
-    }
-    weighted_average_gradients(&island_means, &island_weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,29 +569,6 @@ mod tests {
             hs.total_comm_ns,
             fs.total_comm_ns
         );
-    }
-
-    #[test]
-    fn hierarchical_average_matches_flat_within_float_tolerance() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(7);
-        for (workers, island) in [(8usize, 4usize), (8, 2), (6, 4), (5, 2), (7, 3), (4, 1)] {
-            let per_worker: Vec<Vec<Tensor>> = (0..workers)
-                .map(|_| vec![Tensor::randn(6, 5, &mut rng), Tensor::randn(1, 5, &mut rng)])
-                .collect();
-            let weights: Vec<f64> = (0..workers).map(|w| 1.0 + (w % 3) as f64).collect();
-            let flat = weighted_average_gradients(&per_worker, &weights);
-            let hier = hierarchical_weighted_average_gradients(&per_worker, &weights, island);
-            for (f, h) in flat.iter().zip(&hier) {
-                for (a, b) in f.data().iter().zip(h.data()) {
-                    assert!(
-                        (a - b).abs() <= 1e-5 * a.abs().max(1.0),
-                        "island={island}: {a} vs {b}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

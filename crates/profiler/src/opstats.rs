@@ -108,17 +108,6 @@ impl OpStatsTable {
         self.rows.iter().map(|r| r.total_ns).sum()
     }
 
-    /// Fraction of total time spent in `name` (0 when absent/empty).
-    pub fn time_fraction(&self, name: &str) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            return 0.0;
-        }
-        self.get(name)
-            .map(|r| r.total_ns as f64 / total as f64)
-            .unwrap_or(0.0)
-    }
-
     /// Renders an aligned text table (the artifact students read in labs).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -194,7 +183,6 @@ mod tests {
         let table = OpStatsTable::from_events(&[ev(EventKind::Range, "epoch", 999, 0, 0, 0.0)]);
         assert!(table.rows.is_empty());
         assert_eq!(table.total_ns(), 0);
-        assert_eq!(table.time_fraction("epoch"), 0.0);
     }
 
     #[test]
@@ -205,15 +193,6 @@ mod tests {
         let row = table.get("htod").unwrap();
         assert!((row.achieved_gbps() - 10.0).abs() < 1e-12);
         assert_eq!(row.achieved_gflops(), 0.0);
-    }
-
-    #[test]
-    fn time_fraction_partitions_unity() {
-        let table = OpStatsTable::from_events(&[
-            ev(EventKind::Kernel, "a", 300, 0, 0, 0.0),
-            ev(EventKind::Kernel, "b", 700, 0, 0, 0.0),
-        ]);
-        assert!((table.time_fraction("a") + table.time_fraction("b") - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-device timeline construction and idle-gap analysis.
+//! Per-device timelines: lanes, busy time and utilization.
 
 use gpu_sim::{EventKind, EventRecorder, TraceEvent};
 use std::collections::BTreeMap;
@@ -7,14 +7,6 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct Timeline {
     lanes: BTreeMap<u32, Vec<TraceEvent>>,
-}
-
-/// An idle gap on one device's lane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdleGap {
-    pub device: u32,
-    pub start_ns: u64,
-    pub dur_ns: u64,
 }
 
 impl Timeline {
@@ -115,44 +107,6 @@ impl Timeline {
         }
         self.busy_ns(device) as f64 / span as f64
     }
-
-    /// Idle gaps longer than `min_ns` on a device's lane (including the
-    /// leading gap before its first event).
-    pub fn idle_gaps(&self, device: u32, min_ns: u64) -> Vec<IdleGap> {
-        let mut gaps = Vec::new();
-        let mut cursor = 0u64;
-        for ev in self
-            .lane(device)
-            .iter()
-            .filter(|e| e.kind != EventKind::Range)
-        {
-            if ev.start_ns > cursor {
-                let dur = ev.start_ns - cursor;
-                if dur >= min_ns {
-                    gaps.push(IdleGap {
-                        device,
-                        start_ns: cursor,
-                        dur_ns: dur,
-                    });
-                }
-            }
-            cursor = cursor.max(ev.end_ns());
-        }
-        gaps
-    }
-
-    /// Load imbalance across devices: max busy / mean busy (1.0 = perfect).
-    pub fn load_imbalance(&self) -> f64 {
-        let busys: Vec<u64> = self.devices().iter().map(|&d| self.busy_ns(d)).collect();
-        if busys.is_empty() {
-            return 1.0;
-        }
-        let mean = busys.iter().sum::<u64>() as f64 / busys.len() as f64;
-        if mean == 0.0 {
-            return 1.0;
-        }
-        busys.iter().copied().max().unwrap_or(0) as f64 / mean
-    }
 }
 
 #[cfg(test)]
@@ -214,60 +168,27 @@ mod tests {
     fn engine_busy_counts_overlapped_streams_separately() {
         let mut copy = ev(0, EventKind::MemcpyH2D, 0, 10);
         copy.stream = 1;
+        let kernel = ev(0, EventKind::Kernel, 0, 10); // overlaps the stream-1 copy
         let t = Timeline::from_events(vec![
-            ev(0, EventKind::Kernel, 0, 10), // overlaps the stream-1 copy
-            copy,
+            kernel.clone(),
+            copy.clone(),
             ev(0, EventKind::Range, 0, 1000), // ignored
         ]);
         // Union busy time merges the overlap; engine-busy does not.
         assert_eq!(t.busy_ns(0), 10);
         assert_eq!(t.engine_busy_ns(0), 20);
+        // Utilization divides the union, so full overlap reads 1.0, not 2.0.
+        let t = Timeline::from_events(vec![kernel, copy]);
+        assert_eq!(t.utilization(0), 1.0);
     }
 
     #[test]
-    fn idle_gaps_detected() {
-        let t = Timeline::from_events(vec![
-            ev(0, EventKind::Kernel, 100, 10),
-            ev(0, EventKind::Kernel, 200, 10),
-        ]);
-        let gaps = t.idle_gaps(0, 1);
-        assert_eq!(gaps.len(), 2);
-        assert_eq!(
-            gaps[0],
-            IdleGap {
-                device: 0,
-                start_ns: 0,
-                dur_ns: 100
-            }
-        );
-        assert_eq!(
-            gaps[1],
-            IdleGap {
-                device: 0,
-                start_ns: 110,
-                dur_ns: 90
-            }
-        );
-        // Threshold filters small gaps.
-        assert_eq!(t.idle_gaps(0, 95).len(), 1);
-    }
-
-    #[test]
-    fn utilization_and_imbalance() {
+    fn utilization_is_against_the_global_makespan() {
         let t = Timeline::from_events(vec![
             ev(0, EventKind::Kernel, 0, 100),
             ev(1, EventKind::Kernel, 0, 50),
         ]);
         assert!((t.utilization(0) - 1.0).abs() < 1e-12);
         assert!((t.utilization(1) - 0.5).abs() < 1e-12);
-        // busy: 100 and 50 → mean 75, max 100 → imbalance 4/3.
-        assert!((t.load_imbalance() - 100.0 / 75.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_device_perfectly_balanced() {
-        let t = Timeline::from_events(vec![ev(0, EventKind::Kernel, 0, 10)]);
-        assert_eq!(t.load_imbalance(), 1.0);
-        assert_eq!(Timeline::from_events(vec![]).load_imbalance(), 1.0);
     }
 }

@@ -13,8 +13,6 @@ use crate::embed::Embedder;
 use crate::generate::MarkovGenerator;
 use crate::index::{RetrievalIndex, SearchHit};
 use sagegpu_tensor::gpu_exec::GpuExecutor;
-use std::sync::Arc;
-use taskflow::{LocalCluster, TaskError};
 
 /// One answered query.
 #[derive(Debug, Clone)]
@@ -197,62 +195,6 @@ impl<I: RetrievalIndex> RagPipeline<I> {
     }
 }
 
-impl<I: RetrievalIndex + 'static> RagPipeline<I> {
-    /// [`run_workload`](Self::run_workload) with batches dispatched as
-    /// cluster tasks — the serving deployment of Assignment 4, where a
-    /// request router spreads query batches over a worker pool. On a
-    /// single-worker cluster this reproduces `run_workload` exactly; with
-    /// more workers, batches overlap on the shared simulated device and
-    /// per-query latencies include that interference.
-    ///
-    /// A batch whose retry budget is exhausted (injected faults, panics,
-    /// deadlines) surfaces its [`TaskError`] instead of panicking the
-    /// workload; callers composing layers lift it into
-    /// `sagegpu_core::error::SageError` via `?`.
-    pub fn run_workload_on(
-        self: &Arc<Self>,
-        cluster: &LocalCluster,
-        queries: &[String],
-        batch_size: usize,
-        seed: u64,
-    ) -> Result<LatencyReport, TaskError> {
-        let start = self.gpu.gpu().now_ns();
-        let batch_size = batch_size.max(1);
-        let futures: Vec<_> = queries
-            .chunks(batch_size)
-            .enumerate()
-            .map(|(b, chunk)| {
-                let pipe = Arc::clone(self);
-                let chunk: Vec<String> = chunk.to_vec();
-                let batch_seed = seed.wrapping_add(b as u64);
-                cluster.submit(move |_ctx| {
-                    let refs: Vec<&str> = chunk.iter().map(|s| s.as_str()).collect();
-                    pipe.answer_batch(&refs, batch_seed)
-                })
-            })
-            .collect();
-        let mut latencies_ns: Vec<u64> = Vec::with_capacity(queries.len());
-        let mut retrieve_total = 0u64;
-        let mut total = 0u64;
-        for responses in cluster.gather(futures)? {
-            for r in responses {
-                latencies_ns.push(r.total_ns());
-                retrieve_total += r.retrieve_ns;
-                total += r.total_ns();
-            }
-        }
-        let end = self.gpu.gpu().now_ns();
-        let span_s = (end - start) as f64 * 1e-9;
-        Ok(summarize(
-            queries.len(),
-            latencies_ns,
-            retrieve_total,
-            total,
-            span_s,
-        ))
-    }
-}
-
 /// Share `i` of `span` split across `n` ways with the remainder spread over
 /// the first `span % n` shares, so the shares sum to `span` exactly.
 pub(crate) fn split_exact(span: u64, n: u64, i: u64) -> u64 {
@@ -421,26 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_workload_matches_sequential_on_one_worker() {
-        use taskflow::cluster::ClusterBuilder;
-        let queries: Vec<String> = (0..12)
-            .map(|i| Corpus::topic_query(i % 5, 4, i as u64))
-            .collect();
-        let sequential = build_flat_pipeline(30, 64, gpu(), 7).run_workload(&queries, 4, 0);
-        let p = Arc::new(build_flat_pipeline(30, 64, gpu(), 7));
-        let cluster = ClusterBuilder::new().workers(1).build();
-        let distributed = p.run_workload_on(&cluster, &queries, 4, 0).unwrap();
-        assert_eq!(distributed, sequential);
-
-        // More workers still answer every query with a coherent report.
-        let cluster = ClusterBuilder::new().workers(3).build();
-        let rep = p.run_workload_on(&cluster, &queries, 4, 1).unwrap();
-        assert_eq!(rep.queries, 12);
-        assert!(rep.p99_us >= rep.p50_us);
-        assert_eq!(cluster.metrics().total_tasks(), 3, "one task per batch");
-    }
-
-    #[test]
     fn batch_latency_attribution_is_exact() {
         // Summed per-query stage times must equal the batch spans exactly
         // (integer division used to drop up to n-1 ns per stage).
@@ -483,24 +405,6 @@ mod tests {
         let report = summarize(100, ns, 1, 2, 1.0);
         assert_eq!(report.p50_us, 50.0);
         assert_eq!(report.p99_us, 99.0);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_error_instead_of_panicking() {
-        use taskflow::cluster::ClusterBuilder;
-        use taskflow::policy::FaultPlan;
-        // Every attempt crashes and there are no retries: the workload must
-        // return the task error rather than panic.
-        let p = Arc::new(build_flat_pipeline(20, 64, gpu(), 3));
-        let cluster = ClusterBuilder::new()
-            .workers(2)
-            .fault_plan(FaultPlan::crashes(1, 1.0))
-            .build();
-        let queries: Vec<String> = (0..6)
-            .map(|i| Corpus::topic_query(i % 5, 4, i as u64))
-            .collect();
-        let err = p.run_workload_on(&cluster, &queries, 2, 0).unwrap_err();
-        assert!(matches!(err, taskflow::TaskError::Panicked(_)), "{err:?}");
     }
 
     #[test]

@@ -333,15 +333,6 @@ impl ResponseHandle {
             slot = self.inner.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
         }
     }
-
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<ServedResponse, ServeError>> {
-        self.inner
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
 }
 
 fn fulfill(slot: &SlotInner, result: Result<ServedResponse, ServeError>) {

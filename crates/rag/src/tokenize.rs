@@ -5,11 +5,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens(&text.to_lowercase()).map(str::to_owned).collect()
 }
 
-/// Token count without allocating the tokens.
-pub fn token_count(text: &str) -> usize {
-    tokens(&text.to_lowercase()).count()
-}
-
 /// The tokens of already-lowercased text, borrowed from it: what
 /// [`tokenize`] returns for the original text, without a `String` per token.
 pub(crate) fn tokens(lower: &str) -> impl Iterator<Item = &str> {
@@ -42,11 +37,5 @@ mod tests {
     fn empty_and_symbol_only_inputs() {
         assert!(tokenize("").is_empty());
         assert!(tokenize("!!! --- ***").is_empty());
-    }
-
-    #[test]
-    fn count_matches_tokenize() {
-        let text = "The GPU, the whole GPU, and nothing but the GPU.";
-        assert_eq!(token_count(text), tokenize(text).len());
     }
 }

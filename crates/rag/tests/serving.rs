@@ -1,5 +1,6 @@
 //! Integration tests for the online serving layer: load-shedding under
-//! backpressure, determinism under injected faults, and cache-hit fidelity.
+//! backpressure, determinism under injected faults, typed errors once the
+//! retry budget runs out, and cache-hit fidelity.
 
 use gpu_sim::{DeviceSpec, Gpu};
 use sagegpu_rag::corpus::Corpus;
@@ -9,7 +10,7 @@ use sagegpu_tensor::gpu_exec::GpuExecutor;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use taskflow::{ClusterBuilder, FaultPlan, RetryPolicy};
+use taskflow::{ClusterBuilder, FaultPlan, RetryPolicy, TaskError};
 
 fn gpu() -> GpuExecutor {
     GpuExecutor::new(Arc::new(Gpu::new(0, DeviceSpec::t4())))
@@ -128,6 +129,40 @@ fn seeded_fault_run_returns_the_same_answers_as_a_fault_free_run() {
         clean, faulted,
         "per-request seeding must make answers independent of batching and retries"
     );
+}
+
+#[test]
+fn exhausted_retries_fail_every_request_with_a_typed_error() {
+    // Every attempt crashes and there are no retries: each batch's error
+    // must reach its requests' handles instead of panicking the server.
+    let pipeline = Arc::new(build_flat_pipeline(20, 64, gpu(), 3));
+    let cluster = ClusterBuilder::new()
+        .workers(2)
+        .fault_plan(FaultPlan::crashes(1, 1.0))
+        .build();
+    let server = RagServer::start(
+        pipeline,
+        cluster,
+        ServerConfig::new().max_batch(2).retry(RetryPolicy::none()),
+    );
+    let handles: Vec<_> = (0..6)
+        .map(|i| {
+            server
+                .submit(Corpus::topic_query(i % 5, 4, i as u64))
+                .expect("ample capacity")
+        })
+        .collect();
+    let submitted = handles.len() as u64;
+    for handle in handles {
+        let err = handle.wait().expect_err("every attempt crashes");
+        assert!(
+            matches!(err, ServeError::Task(TaskError::Panicked(_))),
+            "{err:?}"
+        );
+    }
+    let report = server.shutdown();
+    assert_eq!(report.failed, submitted);
+    assert_eq!(report.served, 0);
 }
 
 #[test]

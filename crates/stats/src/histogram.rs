@@ -24,16 +24,6 @@ impl Histogram {
         self.counts.iter().map(|&c| c as f64 / t).collect()
     }
 
-    /// Index of the fullest bin.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
     /// Center of each bin (for plotting).
     pub fn centers(&self) -> Vec<f64> {
         self.edges.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
@@ -110,10 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn mode_bin_and_frequencies() {
+    fn frequencies_sum_to_one() {
         let xs = [1.0, 1.1, 1.2, 5.0, 9.0];
         let h = histogram_range(&xs, 3, 0.0, 9.0).unwrap();
-        assert_eq!(h.mode_bin(), 0);
         let f = h.frequencies();
         assert!((f[0] - 0.6).abs() < 1e-12);
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);

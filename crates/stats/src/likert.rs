@@ -49,29 +49,6 @@ impl LikertResponse {
             _ => LikertResponse::StronglyAgree,
         }
     }
-
-    /// Label under the agreement wording (Fig. 4 axes).
-    pub fn agreement_label(&self) -> &'static str {
-        match self {
-            LikertResponse::StronglyDisagree => "Strongly Disagree",
-            LikertResponse::Disagree => "Disagree",
-            LikertResponse::Neutral => "Neutral",
-            LikertResponse::Agree => "Agree",
-            LikertResponse::StronglyAgree => "Strongly Agree",
-        }
-    }
-
-    /// Label under the frequency wording of the university's evaluation
-    /// form (Fig. 3 axes: "Always" … "Never").
-    pub fn frequency_label(&self) -> &'static str {
-        match self {
-            LikertResponse::StronglyDisagree => "Never",
-            LikertResponse::Disagree => "Seldom",
-            LikertResponse::Neutral => "Sometimes",
-            LikertResponse::Agree => "Often",
-            LikertResponse::StronglyAgree => "Always",
-        }
-    }
 }
 
 /// Tabulated responses to one Likert item.
@@ -210,14 +187,6 @@ mod tests {
         assert_eq!(s.mode(), Neutral);
         assert!(s.mean_score() > 3.0, "leaning positive overall");
         assert!((s.top_two_box() - 12.0 / 21.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn labels_match_both_wordings() {
-        assert_eq!(StronglyAgree.agreement_label(), "Strongly Agree");
-        assert_eq!(StronglyAgree.frequency_label(), "Always");
-        assert_eq!(StronglyDisagree.frequency_label(), "Never");
-        assert_eq!(Neutral.frequency_label(), "Sometimes");
     }
 
     #[test]

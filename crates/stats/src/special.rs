@@ -4,7 +4,6 @@
 //! - `ln_gamma`: Lanczos approximation (g = 7, 9 coefficients), |ε| < 1e-13.
 //! - `erf`/`erfc`: Numerical-Recipes Chebyshev fit, fractional |ε| < 1.2e-7
 //!   — ample accuracy for every p-value computed in this reproduction.
-//! - Regularized incomplete gamma `P(a, x)`: series + continued fraction.
 //! - Regularized incomplete beta `I_x(a, b)`: Lentz continued fraction.
 //! - Normal quantile: Acklam's rational approximation + one Halley step.
 
@@ -138,59 +137,6 @@ pub fn normal_quantile(p: f64) -> Result<f64, StatsError> {
     Ok(x - u / (1.0 + x * u / 2.0))
 }
 
-/// Regularized lower incomplete gamma `P(a, x)` for `a > 0`, `x ≥ 0`.
-pub fn gamma_p(a: f64, x: f64) -> Result<f64, StatsError> {
-    if a <= 0.0 || x < 0.0 {
-        return Err(StatsError::BadParameter(format!(
-            "gamma_p requires a>0, x>=0 (a={a}, x={x})"
-        )));
-    }
-    if x == 0.0 {
-        return Ok(0.0);
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut ap = a;
-        let mut sum = 1.0 / a;
-        let mut del = sum;
-        for _ in 0..500 {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if del.abs() < sum.abs() * 1e-15 {
-                break;
-            }
-        }
-        Ok((sum * (-x + a * x.ln() - ln_gamma(a)).exp()).clamp(0.0, 1.0))
-    } else {
-        // Continued fraction for Q(a, x).
-        let mut b = x + 1.0 - a;
-        let mut c = 1e300;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < 1e-300 {
-                d = 1e-300;
-            }
-            c = b + an / c;
-            if c.abs() < 1e-300 {
-                c = 1e-300;
-            }
-            d = 1.0 / d;
-            let del = d * c;
-            h *= del;
-            if (del - 1.0).abs() < 1e-15 {
-                break;
-            }
-        }
-        let q = (-x + a * x.ln() - ln_gamma(a)).exp() * h;
-        Ok((1.0 - q).clamp(0.0, 1.0))
-    }
-}
-
 /// Continued fraction for the incomplete beta (Lentz's method).
 fn betacf(a: f64, b: f64, x: f64) -> f64 {
     const EPS: f64 = 1e-15;
@@ -286,19 +232,6 @@ pub fn f_cdf(f: f64, d1: f64, d2: f64) -> Result<f64, StatsError> {
     beta_inc(d1 / 2.0, d2 / 2.0, x)
 }
 
-/// Chi-square CDF with `k` degrees of freedom.
-pub fn chi2_cdf(x: f64, k: f64) -> Result<f64, StatsError> {
-    if k <= 0.0 {
-        return Err(StatsError::BadParameter(format!(
-            "chi2_cdf df must be > 0, got {k}"
-        )));
-    }
-    if x <= 0.0 {
-        return Ok(0.0);
-    }
-    gamma_p(k / 2.0, x / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,17 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn gamma_p_known_values() {
-        // P(1, x) = 1 - e^{-x}
-        close(gamma_p(1.0, 1.0).unwrap(), 1.0 - (-1.0f64).exp(), 1e-12);
-        close(gamma_p(1.0, 2.5).unwrap(), 1.0 - (-2.5f64).exp(), 1e-12);
-        // P(0.5, x) = erf(√x)
-        close(gamma_p(0.5, 1.0).unwrap(), erf(1.0), 1e-6);
-        assert_eq!(gamma_p(2.0, 0.0).unwrap(), 0.0);
-        assert!(gamma_p(3.0, 1e6).unwrap() > 1.0 - 1e-12);
-    }
-
-    #[test]
     fn beta_inc_known_values() {
         // I_x(1,1) = x
         close(beta_inc(1.0, 1.0, 0.3).unwrap(), 0.3, 1e-12);
@@ -417,16 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn chi2_cdf_known_values() {
-        // χ²_{0.95}(1) = 3.841
-        close(chi2_cdf(3.841, 1.0).unwrap(), 0.95, 1e-3);
-        // χ²_{0.95}(10) = 18.307
-        close(chi2_cdf(18.307, 10.0).unwrap(), 0.95, 1e-3);
-        // χ²(2) is Exp(1/2): CDF(x) = 1 - e^{-x/2}.
-        close(chi2_cdf(3.0, 2.0).unwrap(), 1.0 - (-1.5f64).exp(), 1e-12);
-    }
-
-    #[test]
     fn relation_t_squared_is_f() {
         // t²(df) ~ F(1, df): P(|T| ≤ t) = P(F ≤ t²).
         let t: f64 = 1.7;
@@ -438,11 +350,9 @@ mod tests {
 
     #[test]
     fn bad_parameters_rejected() {
-        assert!(gamma_p(-1.0, 1.0).is_err());
         assert!(beta_inc(0.0, 1.0, 0.5).is_err());
         assert!(beta_inc(1.0, 1.0, 1.5).is_err());
         assert!(t_cdf(1.0, 0.0).is_err());
         assert!(f_cdf(1.0, 0.0, 5.0).is_err());
-        assert!(chi2_cdf(1.0, -2.0).is_err());
     }
 }

@@ -321,7 +321,7 @@ impl LocalCluster {
                         if attempt >= retry.max_retries {
                             break Err(err);
                         }
-                        let mut pause = retry.backoff_for(attempt);
+                        let mut pause = retry.backoff;
                         if let Some(d) = deadline_ns {
                             // Never sleep past the deadline.
                             let remaining = d.saturating_sub(env.now_ns());

@@ -3,17 +3,10 @@
 use crate::TaskError;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Lifecycle of the shared result slot.
-#[derive(Debug)]
-enum Slot<T> {
-    Pending,
-    Ready(Result<T, TaskError>),
-    Consumed,
-}
-
 #[derive(Debug)]
 struct Inner<T> {
-    slot: Mutex<Slot<T>>,
+    /// `None` until the task's result arrives.
+    slot: Mutex<Option<Result<T, TaskError>>>,
     cv: Condvar,
 }
 
@@ -38,7 +31,7 @@ pub(crate) struct TaskPromise<T> {
 /// `cluster`.
 pub(crate) fn oneshot<T>(cluster: u64) -> (TaskFuture<T>, TaskPromise<T>) {
     let inner = Arc::new(Inner {
-        slot: Mutex::new(Slot::Pending),
+        slot: Mutex::new(None),
         cv: Condvar::new(),
     });
     (
@@ -54,8 +47,8 @@ impl<T> TaskPromise<T> {
     pub(crate) fn fulfill(mut self, value: Result<T, TaskError>) {
         if let Some(inner) = self.inner.take() {
             let mut slot = inner.slot.lock().unwrap_or_else(|e| e.into_inner());
-            if matches!(*slot, Slot::Pending) {
-                *slot = Slot::Ready(value);
+            if slot.is_none() {
+                *slot = Some(value);
             }
             drop(slot);
             inner.cv.notify_all();
@@ -67,8 +60,8 @@ impl<T> Drop for TaskPromise<T> {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
             let mut slot = inner.slot.lock().unwrap_or_else(|e| e.into_inner());
-            if matches!(*slot, Slot::Pending) {
-                *slot = Slot::Ready(Err(TaskError::ClusterShutDown));
+            if slot.is_none() {
+                *slot = Some(Err(TaskError::ClusterShutDown));
             }
             drop(slot);
             inner.cv.notify_all();
@@ -90,27 +83,10 @@ impl<T> TaskFuture<T> {
         }
         let mut slot = self.inner.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            match std::mem::replace(&mut *slot, Slot::Consumed) {
-                Slot::Ready(v) => return v,
-                Slot::Consumed => return Err(TaskError::ClusterShutDown),
-                Slot::Pending => {
-                    *slot = Slot::Pending;
-                    slot = self.inner.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
-                }
+            if let Some(result) = slot.take() {
+                return result;
             }
-        }
-    }
-
-    /// Non-blocking poll; returns `None` while the task is still running.
-    pub fn try_wait(&self) -> Option<Result<T, TaskError>> {
-        let mut slot = self.inner.slot.lock().unwrap_or_else(|e| e.into_inner());
-        match std::mem::replace(&mut *slot, Slot::Consumed) {
-            Slot::Ready(v) => Some(v),
-            Slot::Consumed => Some(Err(TaskError::ClusterShutDown)),
-            Slot::Pending => {
-                *slot = Slot::Pending;
-                None
-            }
+            slot = self.inner.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -134,14 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn try_wait_polls() {
-        let (fut, prom) = oneshot::<&str>(0);
-        assert!(fut.try_wait().is_none());
-        prom.fulfill(Ok("done"));
-        assert_eq!(fut.try_wait(), Some(Ok("done")));
-    }
-
-    #[test]
     fn error_propagates() {
         let (fut, prom) = oneshot::<u32>(0);
         prom.fulfill(Err(TaskError::Panicked("boom".into())));
@@ -154,13 +122,5 @@ mod tests {
         let h = std::thread::spawn(move || prom.fulfill(Ok(7)));
         assert_eq!(fut.wait(), Ok(7));
         h.join().unwrap();
-    }
-
-    #[test]
-    fn second_try_wait_reports_consumed() {
-        let (fut, prom) = oneshot::<u8>(0);
-        prom.fulfill(Ok(1));
-        assert_eq!(fut.try_wait(), Some(Ok(1)));
-        assert_eq!(fut.try_wait(), Some(Err(TaskError::ClusterShutDown)));
     }
 }

@@ -1,29 +1,20 @@
-//! Deterministic dependency-graph execution.
+//! Dependency graphs and their list-scheduling makespan.
 //!
 //! Dask programs are task graphs; this module gives the reproduction an
-//! explicit one: named tasks with declared dependencies, cycle detection,
-//! a critical-path metric, and execution either sequentially (reference
-//! semantics) or wave-parallel over a [`LocalCluster`]. The scheduling
-//! policy — FIFO insertion order vs. critical-path-first — is the knob the
-//! scheduler-ablation benchmark turns.
+//! explicit one: named tasks with declared dependencies and costs, a
+//! critical-path metric, and a deterministic list-scheduling makespan
+//! estimate. The scheduling policy — FIFO insertion order vs.
+//! critical-path-first — is the knob the scheduler-ablation benchmark
+//! turns. The graph only prices schedules; tasks run on a
+//! [`LocalCluster`](crate::cluster::LocalCluster).
 
-use crate::cluster::LocalCluster;
 use crate::TaskError;
-use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Type-erased task output.
-pub type TaskValue = Arc<dyn Any + Send + Sync>;
-
-type TaskFn = Arc<dyn Fn(&[TaskValue]) -> TaskValue + Send + Sync>;
 
 struct TaskNode {
-    name: String,
     deps: Vec<usize>,
     /// Estimated cost (arbitrary units) used by critical-path scheduling.
     cost: f64,
-    f: TaskFn,
 }
 
 /// Order in which ready tasks are released to workers.
@@ -58,19 +49,10 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
-    /// Adds a task. `deps` are names of previously added tasks whose outputs
-    /// are passed to `f` in the declared order. `cost` feeds the
-    /// critical-path schedule (use 1.0 when unknown).
-    pub fn add_task<F>(
-        &mut self,
-        name: &str,
-        deps: &[&str],
-        cost: f64,
-        f: F,
-    ) -> Result<(), TaskError>
-    where
-        F: Fn(&[TaskValue]) -> TaskValue + Send + Sync + 'static,
-    {
+    /// Adds a task. `deps` are names of previously added tasks, so the
+    /// graph is acyclic by construction. `cost` feeds the critical-path
+    /// schedule (use 1.0 when unknown).
+    pub fn add_task(&mut self, name: &str, deps: &[&str], cost: f64) -> Result<(), TaskError> {
         if self.index.contains_key(name) {
             return Err(TaskError::DuplicateTask(name.to_owned()));
         }
@@ -88,10 +70,8 @@ impl TaskGraph {
             .collect::<Result<Vec<_>, _>>()?;
         self.index.insert(name.to_owned(), self.tasks.len());
         self.tasks.push(TaskNode {
-            name: name.to_owned(),
             deps: dep_ids,
             cost,
-            f: Arc::new(f),
         });
         Ok(())
     }
@@ -200,173 +180,20 @@ impl TaskGraph {
     pub fn total_work(&self) -> f64 {
         self.tasks.iter().map(|t| t.cost).sum()
     }
-
-    /// Kahn waves: tasks grouped into fronts that may run concurrently,
-    /// ordered within a wave by `policy`.
-    fn waves(&self, policy: SchedulePolicy) -> Vec<Vec<usize>> {
-        let weight = self.downstream_weight();
-        let mut remaining_deps: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for &d in &t.deps {
-                children[d].push(i);
-            }
-        }
-        let mut done = vec![false; self.tasks.len()];
-        let mut waves = Vec::new();
-        loop {
-            let mut ready: Vec<usize> = (0..self.tasks.len())
-                .filter(|&i| !done[i] && remaining_deps[i] == 0)
-                .collect();
-            if ready.is_empty() {
-                break;
-            }
-            match policy {
-                SchedulePolicy::Fifo => {} // already insertion-ordered
-                SchedulePolicy::CriticalPath => {
-                    ready.sort_by(|&a, &b| weight[b].partial_cmp(&weight[a]).expect("finite"));
-                }
-            }
-            for &i in &ready {
-                done[i] = true;
-                for &c in &children[i] {
-                    remaining_deps[c] -= 1;
-                }
-            }
-            waves.push(ready);
-        }
-        waves
-    }
-
-    fn check_acyclic(&self) -> Result<(), TaskError> {
-        // add_task's "deps must already exist" rule makes cycles impossible,
-        // but verify anyway (the invariant is cheap and load-bearing).
-        let executed: usize = self
-            .waves(SchedulePolicy::Fifo)
-            .iter()
-            .map(|w| w.len())
-            .sum();
-        if executed != self.tasks.len() {
-            let stuck = self
-                .tasks
-                .iter()
-                .map(|t| t.name.clone())
-                .next()
-                .unwrap_or_default();
-            return Err(TaskError::CycleDetected { involving: stuck });
-        }
-        Ok(())
-    }
-
-    /// Runs every task in one thread, in topological order. The reference
-    /// execution: parallel runs must produce identical results.
-    pub fn run_sequential(&self) -> Result<HashMap<String, TaskValue>, TaskError> {
-        self.check_acyclic()?;
-        let mut outputs: Vec<Option<TaskValue>> = vec![None; self.tasks.len()];
-        for wave in self.waves(SchedulePolicy::Fifo) {
-            for i in wave {
-                let task = &self.tasks[i];
-                let inputs: Vec<TaskValue> = task
-                    .deps
-                    .iter()
-                    .map(|&d| outputs[d].clone().expect("dep computed"))
-                    .collect();
-                outputs[i] = Some((task.f)(&inputs));
-            }
-        }
-        Ok(self.collect(outputs))
-    }
-
-    /// Runs the graph wave-parallel on `cluster`, releasing each wave's
-    /// tasks in `policy` order.
-    pub fn run_on(
-        &self,
-        cluster: &LocalCluster,
-        policy: SchedulePolicy,
-    ) -> Result<HashMap<String, TaskValue>, TaskError> {
-        self.check_acyclic()?;
-        let mut outputs: Vec<Option<TaskValue>> = vec![None; self.tasks.len()];
-        for wave in self.waves(policy) {
-            let futs: Vec<(usize, crate::future::TaskFuture<TaskValue>)> = wave
-                .iter()
-                .map(|&i| {
-                    let task = &self.tasks[i];
-                    let f = Arc::clone(&task.f);
-                    let inputs: Vec<TaskValue> = task
-                        .deps
-                        .iter()
-                        .map(|&d| outputs[d].clone().expect("dep computed"))
-                        .collect();
-                    (i, cluster.submit(move |_| f(&inputs)))
-                })
-                .collect();
-            for (i, fut) in futs {
-                outputs[i] = Some(fut.wait()?);
-            }
-        }
-        Ok(self.collect(outputs))
-    }
-
-    fn collect(&self, outputs: Vec<Option<TaskValue>>) -> HashMap<String, TaskValue> {
-        self.tasks
-            .iter()
-            .zip(outputs)
-            .map(|(t, o)| (t.name.clone(), o.expect("all tasks executed")))
-            .collect()
-    }
-}
-
-/// Typed accessor into a result map.
-pub fn get_result<T: Any + Send + Sync>(
-    results: &HashMap<String, TaskValue>,
-    name: &str,
-) -> Option<Arc<T>> {
-    results.get(name)?.clone().downcast::<T>().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterBuilder;
-
-    fn value<T: Any + Send + Sync>(v: T) -> TaskValue {
-        Arc::new(v)
-    }
 
     fn diamond() -> TaskGraph {
-        // a → b, a → c, (b, c) → d : d = (a+1) * (a+2)
+        // a → b, a → c, (b, c) → d
         let mut g = TaskGraph::new();
-        g.add_task("a", &[], 1.0, |_| value(10i64)).unwrap();
-        g.add_task("b", &["a"], 2.0, |deps| {
-            value(*deps[0].clone().downcast::<i64>().unwrap() + 1)
-        })
-        .unwrap();
-        g.add_task("c", &["a"], 3.0, |deps| {
-            value(*deps[0].clone().downcast::<i64>().unwrap() + 2)
-        })
-        .unwrap();
-        g.add_task("d", &["b", "c"], 1.0, |deps| {
-            let b = *deps[0].clone().downcast::<i64>().unwrap();
-            let c = *deps[1].clone().downcast::<i64>().unwrap();
-            value(b * c)
-        })
-        .unwrap();
+        g.add_task("a", &[], 1.0).unwrap();
+        g.add_task("b", &["a"], 2.0).unwrap();
+        g.add_task("c", &["a"], 3.0).unwrap();
+        g.add_task("d", &["b", "c"], 1.0).unwrap();
         g
-    }
-
-    #[test]
-    fn sequential_diamond_computes_correctly() {
-        let results = diamond().run_sequential().unwrap();
-        assert_eq!(*get_result::<i64>(&results, "d").unwrap(), 11 * 12);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let cluster = ClusterBuilder::new().workers(4).build();
-        for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
-            let results = diamond().run_on(&cluster, policy).unwrap();
-            assert_eq!(*get_result::<i64>(&results, "d").unwrap(), 132);
-        }
     }
 
     #[test]
@@ -380,62 +207,18 @@ mod tests {
     #[test]
     fn unknown_dependency_rejected() {
         let mut g = TaskGraph::new();
-        let err = g.add_task("x", &["ghost"], 1.0, |_| value(())).unwrap_err();
+        let err = g.add_task("x", &["ghost"], 1.0).unwrap_err();
         assert!(matches!(err, TaskError::UnknownDependency { .. }));
     }
 
     #[test]
     fn duplicate_name_rejected() {
         let mut g = TaskGraph::new();
-        g.add_task("x", &[], 1.0, |_| value(())).unwrap();
+        g.add_task("x", &[], 1.0).unwrap();
         assert!(matches!(
-            g.add_task("x", &[], 1.0, |_| value(())),
+            g.add_task("x", &[], 1.0),
             Err(TaskError::DuplicateTask(_))
         ));
-    }
-
-    #[test]
-    fn waves_respect_dependencies() {
-        let g = diamond();
-        let waves = g.waves(SchedulePolicy::Fifo);
-        assert_eq!(waves.len(), 3);
-        assert_eq!(waves[0], vec![0]);
-        assert_eq!(waves[1], vec![1, 2]);
-        assert_eq!(waves[2], vec![3]);
-    }
-
-    #[test]
-    fn critical_path_policy_orders_heavy_first() {
-        let g = diamond();
-        let waves = g.waves(SchedulePolicy::CriticalPath);
-        // In wave 1, c (weight 4) precedes b (weight 3).
-        assert_eq!(waves[1], vec![2, 1]);
-    }
-
-    #[test]
-    fn wide_graph_executes_fully() {
-        let mut g = TaskGraph::new();
-        g.add_task("src", &[], 1.0, |_| value(1u64)).unwrap();
-        for i in 0..50 {
-            g.add_task(&format!("n{i}"), &["src"], 1.0, move |deps| {
-                value(*deps[0].clone().downcast::<u64>().unwrap() + i)
-            })
-            .unwrap();
-        }
-        let dep_names: Vec<String> = (0..50).map(|i| format!("n{i}")).collect();
-        let dep_refs: Vec<&str> = dep_names.iter().map(|s| s.as_str()).collect();
-        g.add_task("sink", &dep_refs, 1.0, |deps| {
-            value(
-                deps.iter()
-                    .map(|d| *d.clone().downcast::<u64>().unwrap())
-                    .sum::<u64>(),
-            )
-        })
-        .unwrap();
-        let cluster = ClusterBuilder::new().workers(8).build();
-        let results = g.run_on(&cluster, SchedulePolicy::Fifo).unwrap();
-        // Σ (1 + i) for i in 0..50 = 50 + 1225.
-        assert_eq!(*get_result::<u64>(&results, "sink").unwrap(), 50 + 1225);
     }
 
     #[test]
@@ -461,26 +244,15 @@ mod tests {
         // One long chain (10+10) and many short tasks, 2 workers. FIFO
         // starts the shorts first and the chain straggles; critical-path
         // starts the chain immediately.
+        // FIFO dispatches in insertion order, so the shorts go in first.
         let mut g = TaskGraph::new();
-        g.add_task("chain-a", &[], 10.0, |_| value(())).unwrap();
-        g.add_task("chain-b", &["chain-a"], 10.0, |_| value(()))
-            .unwrap();
         for i in 0..6 {
-            g.add_task(&format!("short-{i}"), &[], 2.0, |_| value(()))
-                .unwrap();
+            g.add_task(&format!("short-{i}"), &[], 2.0).unwrap();
         }
-        // FIFO dispatches in insertion order — but insertion puts chain-a
-        // first here, so invert: re-build with shorts first.
-        let mut g2 = TaskGraph::new();
-        for i in 0..6 {
-            g2.add_task(&format!("short-{i}"), &[], 2.0, |_| value(()))
-                .unwrap();
-        }
-        g2.add_task("chain-a", &[], 10.0, |_| value(())).unwrap();
-        g2.add_task("chain-b", &["chain-a"], 10.0, |_| value(()))
-            .unwrap();
-        let fifo = g2.estimate_makespan(2, SchedulePolicy::Fifo);
-        let cp = g2.estimate_makespan(2, SchedulePolicy::CriticalPath);
+        g.add_task("chain-a", &[], 10.0).unwrap();
+        g.add_task("chain-b", &["chain-a"], 10.0).unwrap();
+        let fifo = g.estimate_makespan(2, SchedulePolicy::Fifo);
+        let cp = g.estimate_makespan(2, SchedulePolicy::CriticalPath);
         assert!(
             cp < fifo,
             "critical path {cp} should beat FIFO {fifo} on skewed forks"
@@ -495,19 +267,7 @@ mod tests {
     fn empty_graph_runs() {
         let g = TaskGraph::new();
         assert!(g.is_empty());
-        assert!(g.run_sequential().unwrap().is_empty());
         assert_eq!(g.critical_path(), 0.0);
-    }
-
-    #[test]
-    fn panicking_task_surfaces_error_in_parallel_run() {
-        let mut g = TaskGraph::new();
-        g.add_task("bad", &[], 1.0, |_| -> TaskValue { panic!("exploded") })
-            .unwrap();
-        let cluster = ClusterBuilder::new().workers(2).build();
-        assert!(matches!(
-            g.run_on(&cluster, SchedulePolicy::Fifo),
-            Err(TaskError::Panicked(_))
-        ));
+        assert_eq!(g.estimate_makespan(1, SchedulePolicy::Fifo), 0.0);
     }
 }

@@ -24,9 +24,10 @@
 //!   pool.
 //! - [`store`] — per-worker keyed object stores (Dask's distributed
 //!   memory), type-safe via downcasting.
-//! - [`graph::TaskGraph`] — a deterministic dependency-graph executor with
-//!   cycle detection and pluggable scheduling policy (FIFO vs. critical
-//!   path), used by the scheduler-ablation benchmark.
+//! - [`graph::TaskGraph`] — named tasks with dependencies and costs, and
+//!   the deterministic list-scheduling makespan of each scheduling policy
+//!   (FIFO vs. critical path) that the scheduler-ablation benchmark
+//!   compares.
 //!
 //! ```
 //! use taskflow::cluster::ClusterBuilder;
@@ -77,8 +78,6 @@ pub enum TaskError {
     DeadlineExceeded { timeout_ms: u64, attempts: u32 },
     /// A task asked for the pinned GPU on a CPU-only worker.
     NoGpu { worker: usize },
-    /// The task graph contains a dependency cycle.
-    CycleDetected { involving: String },
     /// A task referenced an unknown dependency name.
     UnknownDependency { task: String, dep: String },
     /// A duplicate task name was added to a graph.
@@ -108,9 +107,6 @@ impl std::fmt::Display for TaskError {
                 f,
                 "worker {worker} has no pinned GPU; build the cluster with ClusterBuilder::gpus"
             ),
-            TaskError::CycleDetected { involving } => {
-                write!(f, "task graph has a cycle involving '{involving}'")
-            }
             TaskError::UnknownDependency { task, dep } => {
                 write!(f, "task '{task}' depends on unknown task '{dep}'")
             }

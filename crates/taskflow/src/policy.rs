@@ -22,20 +22,17 @@ pub enum Dispatch {
     WorkStealing,
 }
 
-/// Retry budget and backoff curve for failed task attempts.
+/// Retry budget and backoff for failed task attempts.
 ///
-/// An attempt fails when the task panics, when fault injection crashes it
-/// or drops its result, or (for graph nodes) when a dependency retries.
-/// After `max_retries` additional attempts the original error surfaces to
-/// the caller.
+/// An attempt fails when the task panics or when fault injection crashes
+/// it or drops its result. After `max_retries` additional attempts the
+/// original error surfaces to the caller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 = fail fast).
     pub max_retries: u32,
-    /// Sleep before the first retry.
+    /// Sleep before every retry.
     pub backoff: Duration,
-    /// Multiplier applied to the backoff after every retry (1.0 = fixed).
-    pub factor: f64,
 }
 
 impl RetryPolicy {
@@ -44,7 +41,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             backoff: Duration::ZERO,
-            factor: 1.0,
         }
     }
 
@@ -53,26 +49,7 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries: n,
             backoff,
-            factor: 1.0,
         }
-    }
-
-    /// `n` retries with exponential backoff: `base`, `2·base`, `4·base`, …
-    pub fn exponential(n: u32, base: Duration) -> Self {
-        RetryPolicy {
-            max_retries: n,
-            backoff: base,
-            factor: 2.0,
-        }
-    }
-
-    /// Backoff before retry number `retry` (0-based).
-    pub fn backoff_for(&self, retry: u32) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let scale = self.factor.powi(retry as i32).max(0.0);
-        self.backoff.mul_f64(scale)
     }
 }
 
@@ -271,19 +248,5 @@ mod tests {
         let plan = FaultPlan::none();
         assert!((0..1000u64).all(|t| plan.fault_for(t, 0).is_none()));
         assert!(!plan.is_active());
-    }
-
-    #[test]
-    fn backoff_curves() {
-        let fixed = RetryPolicy::fixed(3, Duration::from_millis(10));
-        assert_eq!(fixed.backoff_for(0), Duration::from_millis(10));
-        assert_eq!(fixed.backoff_for(2), Duration::from_millis(10));
-
-        let exp = RetryPolicy::exponential(3, Duration::from_millis(5));
-        assert_eq!(exp.backoff_for(0), Duration::from_millis(5));
-        assert_eq!(exp.backoff_for(1), Duration::from_millis(10));
-        assert_eq!(exp.backoff_for(2), Duration::from_millis(20));
-
-        assert_eq!(RetryPolicy::none().backoff_for(0), Duration::ZERO);
     }
 }

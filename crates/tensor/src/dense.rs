@@ -153,25 +153,6 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A new tensor keeping only the given rows (gather).
-    pub fn select_rows(&self, indices: &[usize]) -> Result<Self, TensorError> {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            if i >= self.rows {
-                return Err(TensorError::OutOfBounds {
-                    index: i,
-                    len: self.rows,
-                });
-            }
-            data.extend_from_slice(self.row(i));
-        }
-        Ok(Self {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        })
-    }
-
     fn zip_check(&self, other: &Self) -> Result<(), TensorError> {
         if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
@@ -691,11 +672,8 @@ mod tests {
     }
 
     #[test]
-    fn row_select_and_broadcast() {
+    fn row_broadcast() {
         let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let sel = a.select_rows(&[2, 0]).unwrap();
-        assert_eq!(sel, Tensor::from_rows(&[&[5.0, 6.0], &[1.0, 2.0]]));
-        assert!(a.select_rows(&[3]).is_err());
         let bias = Tensor::from_rows(&[&[10.0, 20.0]]);
         let ab = a.add_row_broadcast(&bias).unwrap();
         assert_eq!(ab.get(2, 1), 26.0);

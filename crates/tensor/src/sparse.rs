@@ -189,20 +189,6 @@ impl CsrMatrix {
         Tensor::from_vec(self.rows, n, out)
     }
 
-    /// Sparse-vector product.
-    pub fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, TensorError> {
-        if self.cols != x.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected: format!("vector of length {}", self.cols),
-                got: format!("{}", x.len()),
-            });
-        }
-        Ok((0..self.rows)
-            .into_par_iter()
-            .map(|r| self.row_entries(r).map(|(c, v)| v * x[c]).sum())
-            .collect())
-    }
-
     /// Densifies (for tests and small matrices only).
     pub fn to_dense(&self) -> Tensor {
         let mut out = Tensor::zeros(self.rows, self.cols);
@@ -321,14 +307,6 @@ mod tests {
         let got = m.spmm(&Tensor::zeros(4, 0)).unwrap();
         assert_eq!(got.shape(), (3, 0));
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn spmv_matches_dense() {
-        let m = sample();
-        let y = m.spmv(&[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![3.0, 0.0, 7.0]);
-        assert!(m.spmv(&[1.0]).is_err());
     }
 
     #[test]

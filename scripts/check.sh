@@ -6,6 +6,11 @@
 #                               # (tests/golden/) before the trace-diff step
 #
 # 1. cargo fmt --check       — formatting
+#    then scripts/pub_audit.sh — fails on a `pub fn` under crates/*/src
+#                               that nothing but its own file's tests
+#                               names, unless scripts/pub_audit.allow
+#                               lists it with a reason (and on allowlist
+#                               entries that no longer match one)
 # 2. cargo clippy -D warnings — lints, workspace-wide incl. tests/benches
 # 3. cargo doc -D warnings    — rustdoc builds clean (broken intra-doc
 #                               links, private-item leaks, bad HTML)
@@ -71,6 +76,9 @@ tree_before=$(tree_state)
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> pub audit: no caller-less public functions outside the allowlist"
+scripts/pub_audit.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
