@@ -6,7 +6,7 @@ use crate::exec::{
     capture_epoch, charge_aggregate, charge_epoch_tracked, EpochDims, EpochGraph, ExecMode,
     SubmitMode,
 };
-use crate::sequential::{dataset_adjacency, dataset_features, infer};
+use crate::sequential::infer;
 use crate::{EpochStats, TrainConfig};
 use gpu_sim::{
     DeviceSpec, EventKind, GpuCluster, GpuEvent, LinkKind, ResidencySnapshot, StreamId, Topology,
@@ -20,7 +20,6 @@ use sagegpu_graph::normalize::normalized_adjacency;
 use sagegpu_graph::partition::{edge_cut, metis_partition, partition_balance, random_partition};
 use sagegpu_graph::GraphError;
 use sagegpu_nn::layers::Gcn;
-use sagegpu_nn::metrics::accuracy;
 use sagegpu_nn::optim::{Adam, Optimizer};
 use sagegpu_nn::parallel::{
     bucket_gradients, charge_bucketed_all_reduce, merge_simultaneous_buckets,
@@ -138,10 +137,10 @@ pub struct DistResult {
     pub strategy: &'static str,
     pub epoch_stats: Vec<EpochStats>,
     /// Accuracy with partitioned inference (each node aggregates within its
-    /// partition — how the course's students evaluated).
+    /// partition — how the course's students evaluated). The trained
+    /// model's accuracy over the full, uncut graph is
+    /// [`crate::sequential::full_graph_test_accuracy`] of [`Self::model`].
     pub test_accuracy: f64,
-    /// Accuracy running the trained model over the full, uncut graph.
-    pub test_accuracy_full_graph: f64,
     /// Simulated makespan of the whole run.
     pub sim_time_ns: u64,
     /// Partition quality: total cut edge weight.
@@ -312,29 +311,33 @@ type Replica = Mutex<(GpuExecutor, ResidentParams, ResidentAdam)>;
 /// Parameter-shaped tensors shared by every worker's task: θ or a gradient.
 type Shared = Arc<Vec<Tensor>>;
 
-/// The model a worker task runs: the broadcast host θ (naive), or the worker's replica once line
-/// 13 has run for every epoch before `epoch` (resident). `last_avg`, the previous epoch's
-/// average, is applied unless a dropped attempt of this task already applied it, so a replica
-/// steps once per epoch however often its task is retried. `sync` also reads the replica back
-/// to the host (one D2H).
-fn local_model(
+/// Runs `f` over the parameters a worker task trains or evaluates, borrowed, not copied: the
+/// broadcast host θ (naive), or the worker's replica once line 13 has run for every epoch before
+/// `epoch` (resident), locked while `f` runs. `last_avg`, the previous epoch's average, is
+/// applied unless a dropped attempt of this task already applied it, so a replica steps once per
+/// epoch however often its task is retried. `sync` also reads the replica back to the host (one
+/// D2H).
+fn with_local_model<R>(
     ctx: &WorkerCtx,
     key: DataKey,
     (theta, last_avg): &(Option<Shared>, Option<Shared>),
     epoch: usize,
     sync: bool,
-) -> (Gcn, Option<Vec<Tensor>>) {
+    f: impl FnOnce(&[&Tensor]) -> R,
+) -> (R, Option<Vec<Tensor>>) {
     if let Some(params) = theta {
-        return (Gcn::from_parameters(params), None);
+        return (f(&params.iter().collect::<Vec<_>>()), None);
     }
     let replica = ctx.store.get::<Replica>(key).expect("replica uploaded");
-    let mut replica = replica.lock().expect("no replica step panicked");
+    let mut replica = replica
+        .lock()
+        .expect("no task panicked holding the replica");
     let (exec, params, opt) = &mut *replica;
     if let Some(avg) = last_avg.as_ref().filter(|_| (opt.steps() as usize) < epoch) {
         opt.step_all(exec, params, avg).expect("resident step");
     }
     let synced = sync.then(|| params.to_host(exec).expect("final sync"));
-    (Gcn::from_parameters(&params.device_views()), synced)
+    (f(&params.device_views()), synced)
 }
 
 /// Trains a GCN distributed over `k` simulated GPUs per Algorithm 1,
@@ -522,40 +525,44 @@ pub fn train_distributed_with_opts(
                             params.iter().flat_map(Tensor::data).copied().collect();
                         gpu.htod(&flat).expect("θ fits")
                     });
-                    let (local, _) = local_model(ctx, replica_key, &theta, epoch, false);
                     let dims = data.dims;
-                    let body = || {
-                        // Lines 10–11: local loss and gradients.
-                        let tape = Tape::new();
-                        let fwd = local.forward(&tape, Arc::clone(&data.adj), ax);
-                        let loss = tape.cross_entropy(fwd.logits, &data.labels, &data.train_mask);
-                        let loss_val = tape.value(loss).get(0, 0);
-                        let mut grads = tape.backward(loss);
-                        let grad_tensors: Vec<Tensor> = fwd
-                            .params
-                            .iter()
-                            .map(|v| grads[v.index()].take().expect("param grad"))
-                            .collect();
-                        let train_count = data.train_mask.iter().filter(|&&m| m).count();
-                        (grad_tensors, loss_val, train_count)
-                    };
-                    let ((grad_tensors, loss_val, train_count), mut grads_ready) = match submit {
-                        SubmitMode::Eager => charge_epoch_tracked(gpu, exec_mode, dims, body),
-                        SubmitMode::Captured => {
-                            // First epoch on this worker: record the DAG
-                            // once; every later epoch replays it.
-                            let graph = match ctx.store.get::<EpochGraph>(graph_key) {
-                                Some(g) => g,
-                                None => {
-                                    let g = capture_epoch(gpu, exec_mode, dims)
-                                        .expect("epoch plan is capturable");
-                                    ctx.store.put(graph_key, g);
-                                    ctx.store.get::<EpochGraph>(graph_key).expect("just stored")
-                                }
-                            };
-                            graph.charge(gpu, body)
+                    let run = |params: &[&Tensor]| {
+                        let body = || {
+                            // Lines 10–11: local loss and gradients.
+                            let tape = Tape::new();
+                            let fwd = Gcn::forward_with(params, &tape, Arc::clone(&data.adj), ax);
+                            let loss =
+                                tape.cross_entropy(fwd.logits, &data.labels, &data.train_mask);
+                            let loss_val = tape.value(loss).get(0, 0);
+                            let mut grads = tape.backward(loss);
+                            let grad_tensors: Vec<Tensor> = fwd
+                                .params
+                                .iter()
+                                .map(|v| grads[v.index()].take().expect("param grad"))
+                                .collect();
+                            let train_count = data.train_mask.iter().filter(|&&m| m).count();
+                            (grad_tensors, loss_val, train_count)
+                        };
+                        match submit {
+                            SubmitMode::Eager => charge_epoch_tracked(gpu, exec_mode, dims, body),
+                            SubmitMode::Captured => {
+                                // First epoch on this worker: record the
+                                // DAG once; every later epoch replays it.
+                                let graph = match ctx.store.get::<EpochGraph>(graph_key) {
+                                    Some(g) => g,
+                                    None => {
+                                        let g = capture_epoch(gpu, exec_mode, dims)
+                                            .expect("epoch plan is capturable");
+                                        ctx.store.put(graph_key, g);
+                                        ctx.store.get::<EpochGraph>(graph_key).expect("just stored")
+                                    }
+                                };
+                                graph.charge(gpu, body)
+                            }
                         }
                     };
+                    let (((grad_tensors, loss_val, train_count), mut grads_ready), _) =
+                        with_local_model(ctx, replica_key, &theta, epoch, false, run);
                     // Naive residency: pull the gradients (same footprint
                     // as θ) back through host RAM for the exchange. No
                     // gradient can enter a collective before that D2H
@@ -656,9 +663,11 @@ pub fn train_distributed_with_opts(
                     .get::<(Arc<PartitionData>, Tensor)>(part_key)
                     .expect("partition scattered");
                 let (data, ax) = &*worker_state;
-                let (local, synced) = local_model(ctx, replica_key, &theta, epochs, worker == 0);
-                let logits = infer(&local, &data.adj, ax);
-                (data.nodes.clone(), logits.argmax_rows(), synced)
+                let (preds, synced) =
+                    with_local_model(ctx, replica_key, &theta, epochs, worker == 0, |params| {
+                        infer(params, &data.adj, ax).argmax_rows()
+                    });
+                (data.nodes.clone(), preds, synced)
             })
             .expect("worker exists");
         eval_futures.push(fut);
@@ -674,16 +683,9 @@ pub fn train_distributed_with_opts(
         Some((model, _)) => model,
         None => Gcn::from_parameters(&synced.expect("worker 0 syncs θ")),
     };
-    let test_mask: Vec<bool> = ds.train_mask.iter().map(|&m| !m).collect();
-    let test: Vec<usize> = (0..ds.num_nodes()).filter(|&u| test_mask[u]).collect();
+    let test: Vec<usize> = ds.test_nodes();
     let correct = test.iter().filter(|&&u| preds[u] == ds.labels[u]).count();
     let test_accuracy = correct as f64 / test.len().max(1) as f64;
-
-    // Evaluation 2: full-graph inference with the same trained weights.
-    let full_adj = dataset_adjacency(ds);
-    let full_ax = Gcn::aggregate(&full_adj, &dataset_features(ds));
-    let full_logits = infer(&model, &full_adj, &full_ax);
-    let test_accuracy_full_graph = accuracy(&full_logits, &ds.labels, &test_mask);
 
     let timeline = Timeline::from_recorder(gpus.recorder());
     let device_utilization = (0..k as u32).map(|d| timeline.utilization(d)).collect();
@@ -720,7 +722,6 @@ pub fn train_distributed_with_opts(
         strategy: strategy.name(),
         epoch_stats,
         test_accuracy,
-        test_accuracy_full_graph,
         sim_time_ns: gpus.makespan_ns(),
         edge_cut: cut,
         balance,
@@ -751,7 +752,7 @@ pub fn train_distributed_with_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::train_sequential;
+    use crate::sequential::{full_graph_test_accuracy, train_sequential};
     use gpu_sim::trace::RecordBody;
     use sagegpu_graph::generators::{sbm, SbmParams};
     use sagegpu_nn::tape::NodeWork;
@@ -1462,7 +1463,7 @@ mod tests {
                 };
                 // The one aggregation, recorded as the spmm it is.
                 let agg_tape = Tape::new();
-                let agg = agg_tape.spmm(Arc::clone(&part.adj), agg_tape.constant(x.clone()));
+                let agg = agg_tape.spmm(Arc::clone(&part.adj), agg_tape.constant(x));
                 let ax = Gcn::aggregate(&part.adj, x);
                 assert_eq!(agg_tape.value(agg), ax);
                 let aggregate = tally(&agg_tape);
@@ -1543,7 +1544,10 @@ mod tests {
         let final_loss = r.epoch_stats.last().unwrap().loss;
         assert_eq!(final_loss.to_bits(), 0x3c1f_b9d0, "final loss {final_loss}");
         assert_eq!(r.test_accuracy.to_bits(), 0x3fee_7627_6276_2762);
-        assert_eq!(r.test_accuracy_full_graph.to_bits(), 0x3fef_13b1_3b13_b13b);
+        assert_eq!(
+            full_graph_test_accuracy(&r.model, &ds()).to_bits(),
+            0x3fef_13b1_3b13_b13b
+        );
         assert_eq!(r.sim_time_ns, 3_209_387);
         assert_eq!(parameter_fingerprint(&r.model), 0xe056_6ed8_5b61_a56a);
     }

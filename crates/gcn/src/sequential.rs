@@ -68,11 +68,23 @@ pub fn train_step(
     loss_val
 }
 
-/// Inference logits under `model` over `ax` = [`Gcn::aggregate`]`(adj, x)`.
-pub fn infer(model: &Gcn, adj: &Arc<CsrMatrix>, ax: &Tensor) -> Tensor {
+/// Inference logits under the GCN holding `params` (see
+/// [`Gcn::forward_with`]) over `ax` = [`Gcn::aggregate`]`(adj, x)`.
+pub fn infer(params: &[&Tensor], adj: &Arc<CsrMatrix>, ax: &Tensor) -> Tensor {
     let tape = Tape::new();
-    let fwd = model.forward(&tape, Arc::clone(adj), ax);
+    let fwd = Gcn::forward_with(params, &tape, Arc::clone(adj), ax);
     tape.value(fwd.logits)
+}
+
+/// Held-out accuracy of `model` run over the full, uncut graph of `ds`: the
+/// figure to set beside a distributed run's partitioned-inference
+/// [`DistResult::test_accuracy`](crate::distributed::DistResult::test_accuracy),
+/// whose nodes aggregate only within their partition.
+pub fn full_graph_test_accuracy(model: &Gcn, ds: &GraphDataset) -> f64 {
+    let adj = dataset_adjacency(ds);
+    let ax = Gcn::aggregate(&adj, &dataset_features(ds));
+    let logits = infer(&model.parameters(), &adj, &ax);
+    accuracy(&logits, &ds.labels, &ds.test_nodes_mask())
 }
 
 /// Trains on the full graph on one simulated GPU (Algorithm 1 with k = 1,
@@ -105,7 +117,7 @@ pub fn train_sequential(ds: &GraphDataset, cfg: &TrainConfig) -> SeqResult {
         epoch_stats.push(EpochStats { epoch, loss });
     }
 
-    let logits = infer(&model, &adj, &ax);
+    let logits = infer(&model.parameters(), &adj, &ax);
     let test_accuracy = accuracy(&logits, &ds.labels, &ds.test_nodes_mask());
     let train_accuracy = accuracy(&logits, &ds.labels, &ds.train_mask);
     SeqResult {

@@ -8,7 +8,7 @@
 //! 1. **Coarsening** — heavy-edge matching collapses matched pairs into
 //!    super-nodes (weights summed, parallel edges merged) until the graph
 //!    is small. Each coarse level's CSR is built straight from the fine
-//!    CSR, with no edge list and no global sort.
+//!    CSR, with no edge list and no sort.
 //! 2. **Initial partitioning** — greedy region growing on the coarsest
 //!    graph: BFS floods carve off ~1/k of the node weight per part, then
 //!    refinement passes (below) polish it there.
@@ -97,37 +97,36 @@ fn heavy_edge_matching(g: &Graph, visit_order: &[usize]) -> (Vec<usize>, usize) 
     (coarse_id, next)
 }
 
-/// The fine edges joining one coarse node to one coarse neighbour, as
-/// `((min, max) fine endpoints, weight)` in ascending endpoint order. A
-/// matching merges at most two nodes, so at most 2 × 2 fine edges join two
-/// coarse nodes.
-#[derive(Default)]
-struct FineEdges {
-    len: usize,
-    edges: [((usize, usize), f64); 4],
-}
-
-impl FineEdges {
-    fn insert(&mut self, key: (usize, usize), w: f64) {
-        let mut i = self.len;
-        while i > 0 && self.edges[i - 1].0 > key {
-            self.edges[i] = self.edges[i - 1];
-            i -= 1;
+/// The weight of the coarse edge joining a node with members `mc` to one
+/// with members `mv`, from its fine-edge weights: `joins[2a + b]` joins
+/// `mc[a]` to `mv[b]`, for each slot set in `present`. A matching merges at
+/// most two nodes, so at most 2 × 2 fine edges join two coarse nodes.
+///
+/// The terms are summed left to right from the first in ascending
+/// `(min, max)` fine-endpoint order. That is the order in which sorting and
+/// merging the contracted edge list adds them, so the bits match it for any
+/// finite weights, and w(a, b) and w(b, a) sum the same terms alike. One or
+/// two terms sum the same in any order, so only three or four are sorted.
+fn coarse_weight(mc: &[usize; 2], mv: &[usize; 2], joins: &[f64; 4], present: u8) -> f64 {
+    let (low, high) = (present.trailing_zeros(), 7 - present.leading_zeros());
+    match present.count_ones() {
+        1 => return joins[low as usize],
+        2 => return joins[low as usize] + joins[high as usize],
+        _ => {}
+    }
+    let mut terms = [((0, 0), 0f64); 4];
+    let mut len = 0;
+    for (slot, &w) in joins.iter().enumerate() {
+        if present & (1 << slot) != 0 {
+            let (u, v) = (mc[slot / 2], mv[slot % 2]);
+            terms[len] = ((u.min(v), u.max(v)), w);
+            len += 1;
         }
-        self.edges[i] = (key, w);
-        self.len += 1;
     }
-
-    /// The coarse edge weight: the terms summed left to right from the
-    /// first, in fine-edge order. That is the order in which sorting and
-    /// merging the contracted edge list adds them, so the bits match it for
-    /// any weights, and w(a, b) and w(b, a) sum the same terms alike.
-    fn weight(&self) -> f64 {
-        let (first, rest) = self.edges[..self.len]
-            .split_first()
-            .expect("a coarse edge has a fine edge");
-        rest.iter().fold(first.1, |sum, &(_, w)| sum + w)
-    }
+    let terms = &mut terms[..len];
+    terms.sort_unstable_by_key(|&(key, _)| key);
+    let (first, rest) = terms.split_first().expect("a coarse edge has a fine edge");
+    rest.iter().fold(first.1, |sum, &(_, w)| sum + w)
 }
 
 /// One coarsening level: a heavy-edge matching over a shuffled visit order,
@@ -135,16 +134,18 @@ impl FineEdges {
 /// fine→coarse map.
 ///
 /// The coarse CSR is built straight from the fine one in one pass, O(E + n)
-/// plus a sort of each coarse row: coarse nodes in id order, each row
-/// gathered from its one or two members' fine rows. A marker array collects
-/// every coarse neighbour once, and each row's ids are sorted, since
-/// neighbour order drives the next level's matching tie-breaks.
+/// with no sort: coarse nodes in id order, each row gathered from its one or
+/// two members' fine rows into a join table indexed by coarse neighbour. A
+/// bitset over the coarse ids marks the row's neighbours, and reading it
+/// word by word yields them in ascending id order, which the next level's
+/// matching tie-breaks depend on.
 fn coarsen(g: &Graph, rng: &mut SmallRng) -> (Graph, Vec<usize>) {
     let n = g.num_nodes();
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     let (fine_to_coarse, coarse_n) = heavy_edge_matching(g, &order);
 
+    // Members in ascending fine id, the second `usize::MAX` if unmatched.
     let mut members = vec![[usize::MAX; 2]; coarse_n];
     let mut node_weights = vec![0u64; coarse_n];
     for (u, &c) in fine_to_coarse.iter().enumerate() {
@@ -157,38 +158,43 @@ fn coarsen(g: &Graph, rng: &mut SmallRng) -> (Graph, Vec<usize>) {
         node_weights[c] += g.node_weight(u);
     }
 
-    // `slot[c]` = index of coarse neighbour `c` in the row being built.
-    let mut slot = vec![usize::MAX; coarse_n];
-    let mut row: Vec<usize> = Vec::new();
-    let mut joins: Vec<FineEdges> = Vec::new();
+    // For the row being built: `joins[cv]` and `present[cv]` hold the fine
+    // edges to coarse neighbour `cv` (see `coarse_weight`), and bit `cv` of
+    // `marked` is set. Emitting the row clears all three.
+    let mut joins = vec![[0f64; 4]; coarse_n];
+    let mut present = vec![0u8; coarse_n];
+    let mut marked = vec![0u64; coarse_n.div_ceil(64)];
     let mut indptr = Vec::with_capacity(coarse_n + 1);
     indptr.push(0);
     let mut indices = Vec::with_capacity(2 * g.num_edges());
     let mut edge_weights = Vec::with_capacity(2 * g.num_edges());
-    for (c, pair) in members.iter().enumerate() {
-        for &u in pair.iter().filter(|&&u| u != usize::MAX) {
+    for (c, mc) in members.iter().enumerate() {
+        let (mut lo, mut hi) = (marked.len(), 0);
+        for (a, &u) in mc.iter().enumerate().filter(|&(_, &u)| u != usize::MAX) {
             for (v, w) in g.neighbors(u) {
                 let cv = fine_to_coarse[v];
                 if cv == c {
                     continue;
                 }
-                if slot[cv] == usize::MAX {
-                    slot[cv] = row.len();
-                    row.push(cv);
-                    joins.push(FineEdges::default());
-                }
-                joins[slot[cv]].insert((u.min(v), u.max(v)), w);
+                let slot = 2 * a + usize::from(members[cv][0] != v);
+                joins[cv][slot] = w;
+                present[cv] |= 1 << slot;
+                marked[cv / 64] |= 1 << (cv % 64);
+                lo = lo.min(cv / 64);
+                hi = hi.max(cv / 64 + 1);
             }
         }
-        row.sort_unstable();
-        for &cv in &row {
-            indices.push(cv);
-            edge_weights.push(joins[slot[cv]].weight());
-            slot[cv] = usize::MAX;
+        for (word, bits) in marked.iter_mut().enumerate().take(hi).skip(lo) {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let cv = 64 * word + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mask = std::mem::take(&mut present[cv]);
+                indices.push(cv);
+                edge_weights.push(coarse_weight(mc, &members[cv], &joins[cv], mask));
+            }
         }
         indptr.push(indices.len());
-        row.clear();
-        joins.clear();
     }
     let graph = Graph::from_csr(indptr, indices, edge_weights, node_weights);
     (graph, fine_to_coarse)
@@ -254,12 +260,13 @@ fn refine(g: &Graph, parts: &mut [usize], k: usize, passes: usize, imbalance: f6
     for u in 0..n {
         part_weight[parts[u]] += g.node_weight(u) as f64;
     }
+    // Connectivity of the node being visited to each part.
+    let mut conn = vec![0f64; k];
     for _ in 0..passes {
         let mut moved = false;
         for u in 0..n {
             let home = parts[u];
-            // Connectivity of u to each part.
-            let mut conn = vec![0f64; k];
+            conn.fill(0.0);
             for (v, w) in g.neighbors(u) {
                 conn[parts[v]] += w;
             }
@@ -466,6 +473,48 @@ mod tests {
                 let reference = coarsen_by_sorting(&g, &fine_to_coarse, coarse.num_nodes());
                 prop_assert_eq!(csr_bits(&coarse), csr_bits(&reference));
                 g = coarse;
+            }
+        }
+    }
+
+    /// Two coarse nodes joined by four fine edges and two joined by three,
+    /// with weights whose sum depends on the order of its terms: 1 + 1 +
+    /// 1e16 keeps the ones, 1e16 + 1 + 1 rounds them away. Each row's join
+    /// sums them in the sort-based builder's order, bit for bit, in both
+    /// directions, whichever ids the matching hands out.
+    #[test]
+    fn coarsen_sums_three_and_four_fine_edges_in_endpoint_order() {
+        // The 1e17 edges force the matching {0, 1}, {2, 3}, {4, 5}, {6, 7}.
+        let edges = [
+            (0, 1, 1e17),
+            (2, 3, 1e17),
+            (0, 2, 1.0),
+            (0, 3, 1e16),
+            (1, 2, 1.0),
+            (1, 3, 1.0),
+            (4, 5, 1e17),
+            (6, 7, 1e17),
+            (4, 6, 1.0),
+            (4, 7, 1e16),
+            (5, 6, 1.0),
+        ];
+        let g = Graph::from_weighted_edges(8, &edges, vec![1; 8]).unwrap();
+        for seed in 0..8 {
+            let (coarse, fine_to_coarse) = coarsen(&g, &mut SmallRng::seed_from_u64(seed));
+            let c = |u: usize| fine_to_coarse[u];
+            assert_eq!(coarse.num_nodes(), 4);
+            assert!([(0, 1), (2, 3), (4, 5), (6, 7)]
+                .iter()
+                .all(|&(u, v)| c(u) == c(v)));
+            let reference = coarsen_by_sorting(&g, &fine_to_coarse, 4);
+            assert_eq!(csr_bits(&coarse), csr_bits(&reference), "seed {seed}");
+            for (u, v) in [(0, 2), (2, 0), (4, 6), (6, 4)] {
+                let joined: Vec<f64> = coarse
+                    .neighbors(c(u))
+                    .filter(|&(cv, _)| cv == c(v))
+                    .map(|(_, w)| w)
+                    .collect();
+                assert_eq!(joined, [1e16], "seed {seed}, {u} → {v}");
             }
         }
     }

@@ -90,7 +90,7 @@ impl SmallCnn {
     }
 
     /// Forward pass over an image batch.
-    pub fn forward(&self, tape: &Tape, images: &ImageBatch) -> CnnForward {
+    pub fn forward<'a>(&'a self, tape: &Tape<'a>, images: &ImageBatch) -> CnnForward {
         let cols = im2col(images, self.k);
         let p = patches_per_image(images.height, images.width, self.k);
         let x = tape.constant(cols);

@@ -26,21 +26,18 @@ impl Linear {
     /// Records the forward pass, returning `(output, weight_var, bias_var)`
     /// — the param vars are needed to read gradients after `backward`.
     /// Recorded as one fused `linear` node (sgemm + bias epilogue); values
-    /// and gradients are bit-identical to `add_bias(matmul(x, w), b)`.
-    pub fn forward(&self, tape: &Tape, x: Var) -> (Var, Var, Var) {
-        let w = tape.leaf(self.weight.clone());
-        let b = tape.leaf(self.bias.clone());
-        let out = tape.linear(x, w, b);
-        (out, w, b)
+    /// and gradients are bit-identical to `add_bias(matmul(x, w), b)`. The
+    /// tape borrows the parameters.
+    pub fn forward<'a>(&'a self, tape: &Tape<'a>, x: Var) -> (Var, Var, Var) {
+        let (w, b) = (tape.leaf(&self.weight), tape.leaf(&self.bias));
+        (tape.linear(x, w, b), w, b)
     }
 
     /// [`Self::forward`] with a fused ReLU epilogue: `relu(x·W + b)` as a
     /// single node.
-    pub fn forward_relu(&self, tape: &Tape, x: Var) -> (Var, Var, Var) {
-        let w = tape.leaf(self.weight.clone());
-        let b = tape.leaf(self.bias.clone());
-        let out = tape.linear_relu(x, w, b);
-        (out, w, b)
+    pub fn forward_relu<'a>(&'a self, tape: &Tape<'a>, x: Var) -> (Var, Var, Var) {
+        let (w, b) = (tape.leaf(&self.weight), tape.leaf(&self.bias));
+        (tape.linear_relu(x, w, b), w, b)
     }
 
     /// Flat list of parameter tensors (for optimizers / all-reduce sizing).
@@ -66,12 +63,6 @@ impl GcnLayer {
         Self {
             linear: Linear::new(in_dim, out_dim, rng),
         }
-    }
-
-    /// Records aggregation + transform; returns `(output, w_var, b_var)`.
-    pub fn forward(&self, tape: &Tape, adj: Arc<CsrMatrix>, h: Var) -> (Var, Var, Var) {
-        let agg = tape.spmm(adj, h);
-        self.linear.forward(tape, agg)
     }
 }
 
@@ -127,14 +118,36 @@ impl Gcn {
 
     /// Records the forward pass over `ax` = [`Self::aggregate`]`(adj, x)`
     /// with adjacency `adj` (layer 2 aggregates its hidden state per pass).
-    /// `ax` enters as a [`Tape::constant`]: nothing reads its gradient, so
-    /// `backward` computes none.
-    pub fn forward(&self, tape: &Tape, adj: Arc<CsrMatrix>, ax: &Tensor) -> GcnForward {
-        let vax = tape.constant(ax.clone());
-        let (h1, w1, b1) = self.layer1.linear.forward_relu(tape, vax);
-        let (logits, w2, b2) = self.layer2.forward(tape, adj, h1);
+    pub fn forward<'a>(
+        &'a self,
+        tape: &Tape<'a>,
+        adj: Arc<CsrMatrix>,
+        ax: &'a Tensor,
+    ) -> GcnForward {
+        Self::forward_with(&self.parameters(), tape, adj, ax)
+    }
+
+    /// [`Self::forward`] of the GCN holding `params`, in the order of
+    /// [`GcnForward::params`], without building one: a device replica's
+    /// views or a broadcast θ. The tape borrows the parameters, and `ax`
+    /// as a [`Tape::constant`]: nothing reads its gradient, so `backward`
+    /// computes none.
+    pub fn forward_with<'a>(
+        params: &[&'a Tensor],
+        tape: &Tape<'a>,
+        adj: Arc<CsrMatrix>,
+        ax: &'a Tensor,
+    ) -> GcnForward {
+        let &[w1, b1, w2, b2] = params else {
+            panic!("a GCN has 4 parameter tensors, got {}", params.len());
+        };
+        let vax = tape.constant(ax);
+        let (w1, b1) = (tape.leaf(w1), tape.leaf(b1));
+        let h1 = tape.linear_relu(vax, w1, b1);
+        let agg = tape.spmm(adj, h1);
+        let (w2, b2) = (tape.leaf(w2), tape.leaf(b2));
         GcnForward {
-            logits,
+            logits: tape.linear(agg, w2, b2),
             params: [w1, b1, w2, b2],
         }
     }
@@ -193,10 +206,10 @@ impl Mlp {
         }
     }
 
-    /// Records the forward pass over input rows `x` (a
+    /// Records the forward pass over input rows `x` (a borrowed
     /// [`Tape::constant`]).
-    pub fn forward(&self, tape: &Tape, x: &Tensor) -> MlpForward {
-        let vx = tape.constant(x.clone());
+    pub fn forward<'a>(&'a self, tape: &Tape<'a>, x: &'a Tensor) -> MlpForward {
+        let vx = tape.constant(x);
         let (h, w1, b1) = self.layer1.forward_relu(tape, vx);
         let (logits, w2, b2) = self.layer2.forward(tape, h);
         MlpForward {
@@ -334,8 +347,9 @@ mod tests {
         let x = Tensor::randn(4, 5, &mut rng);
         let labels = [0, 2, 1, 1];
 
+        let ax = Gcn::aggregate(&adj, &x);
         let tape = Tape::new();
-        let fwd = gcn.forward(&tape, Arc::clone(&adj), &Gcn::aggregate(&adj, &x));
+        let fwd = gcn.forward(&tape, Arc::clone(&adj), &ax);
         let hoisted_logits = tape.value(fwd.logits);
         let hoisted = param_grads(&tape, fwd.logits, fwd.params, &labels);
 
@@ -348,7 +362,8 @@ mod tests {
             };
             let agg = tape.spmm(Arc::clone(&adj), vx);
             let (h1, w1, b1) = gcn.layer1.linear.forward_relu(&tape, agg);
-            let (logits, w2, b2) = gcn.layer2.forward(&tape, Arc::clone(&adj), h1);
+            let agg2 = tape.spmm(Arc::clone(&adj), h1);
+            let (logits, w2, b2) = gcn.layer2.linear.forward(&tape, agg2);
             assert_eq!(
                 tape.value(logits),
                 hoisted_logits,

@@ -11,9 +11,14 @@
 //! a node that does not need one, so feeding a data matrix in as a constant
 //! skips its input-gradient products (for a GCN, whose layer 1 reads the
 //! precomputed aggregate `ÂX`: the `∂(ÂX)` sgemm).
+//!
+//! A leaf or constant holds its tensor owned or borrowed: a `Tape<'a>`
+//! borrows data that outlives it (parameters, a cached aggregate) instead
+//! of copying it, and owns what an op computes.
 
 use sagegpu_tensor::dense::Tensor;
 use sagegpu_tensor::sparse::CsrMatrix;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -59,9 +64,9 @@ enum Op {
     MeanPoolRows { input: Var, group: usize },
 }
 
-struct Node {
+struct Node<'a> {
     op: Op,
-    value: Tensor,
+    value: Cow<'a, Tensor>,
     /// Whether a gradient flows to this node: false for constants and for
     /// ops whose inputs are all constant.
     needs_grad: bool,
@@ -92,13 +97,13 @@ pub enum NodeWork {
     Other,
 }
 
-/// The autograd tape.
+/// The autograd tape. `'a` bounds the tensors its leaves borrow.
 #[derive(Default)]
-pub struct Tape {
-    nodes: RefCell<Vec<Node>>,
+pub struct Tape<'a> {
+    nodes: RefCell<Vec<Node<'a>>>,
 }
 
-impl Tape {
+impl<'a> Tape<'a> {
     /// An empty tape.
     pub fn new() -> Self {
         Self::default()
@@ -114,7 +119,7 @@ impl Tape {
         self.nodes.borrow().is_empty()
     }
 
-    fn push(&self, op: Op, value: Tensor) -> Var {
+    fn push(&self, op: Op, value: impl Into<Cow<'a, Tensor>>) -> Var {
         let mut nodes = self.nodes.borrow_mut();
         let needs_grad = match &op {
             Op::Leaf => true,
@@ -133,31 +138,32 @@ impl Tape {
         };
         nodes.push(Node {
             op,
-            value,
+            value: value.into(),
             needs_grad,
         });
         Var(nodes.len() - 1)
     }
 
     /// Records a leaf holding `value` (a parameter or an input whose
-    /// gradient is wanted).
-    pub fn leaf(&self, value: Tensor) -> Var {
+    /// gradient is wanted), owned or borrowed.
+    pub fn leaf(&self, value: impl Into<Cow<'a, Tensor>>) -> Var {
         self.push(Op::Leaf, value)
     }
 
     /// Records a leaf holding `value` that needs no gradient (a data
-    /// matrix): `backward` returns `None` for it and computes no gradient
-    /// that only it would consume. Parameter gradients are bit-identical
-    /// to the same tape built with [`Self::leaf`].
-    pub fn constant(&self, value: Tensor) -> Var {
-        let v = self.push(Op::Leaf, value);
+    /// matrix), owned or borrowed: `backward` returns `None` for it and
+    /// computes no gradient that only it would consume. Parameter
+    /// gradients are bit-identical to the same tape built with
+    /// [`Self::leaf`].
+    pub fn constant(&self, value: impl Into<Cow<'a, Tensor>>) -> Var {
+        let v = self.leaf(value);
         self.nodes.borrow_mut()[v.0].needs_grad = false;
         v
     }
 
     /// The forward value of `v` (cloned).
     pub fn value(&self, v: Var) -> Tensor {
-        self.nodes.borrow()[v.0].value.clone()
+        Tensor::clone(&self.nodes.borrow()[v.0].value)
     }
 
     /// Shape of `v`'s value.
@@ -372,8 +378,9 @@ impl Tape {
     }
 
     /// Reverse pass from scalar `loss`; returns gradient tensors indexed by
-    /// var id (`None` where no gradient flows, and for every node that needs
-    /// none).
+    /// var id: each leaf's that needs one and receives one, `None` for every
+    /// other node. An op's gradient is moved on to its inputs, not copied,
+    /// so an op never keeps one (PyTorch's default for non-leaf tensors).
     pub fn backward(&self, loss: Var) -> Vec<Option<Tensor>> {
         let nodes = self.nodes.borrow();
         let n = nodes.len();
@@ -397,7 +404,7 @@ impl Tape {
             if matches!(nodes[i].op, Op::Leaf) {
                 continue;
             }
-            let Some(grad) = grads[i].clone() else {
+            let Some(grad) = grads[i].take() else {
                 continue;
             };
             match &nodes[i].op {
@@ -706,15 +713,19 @@ mod tests {
         );
         let fresh = CsrMatrix::clone(&s);
         for tape_no in 0..3 {
+            let x = Tensor::randn(4, 3, &mut rng);
+            let (u, r) = (Tensor::randn(1, 5, &mut rng), Tensor::randn(3, 1, &mut rng));
             let tape = Tape::new();
-            let vx = tape.leaf(Tensor::randn(4, 3, &mut rng));
+            let vx = tape.leaf(&x);
             let agg = tape.spmm(Arc::clone(&s), vx);
-            let u = tape.constant(Tensor::randn(1, 5, &mut rng));
-            let r = tape.constant(Tensor::randn(3, 1, &mut rng));
-            let loss = tape.matmul(tape.matmul(u, agg), r);
+            let (vu, vr) = (tape.constant(&u), tape.constant(&r));
+            let loss = tape.matmul(tape.matmul(vu, agg), vr);
             let grads = tape.backward(loss);
-            let upstream = grads[agg.index()].as_ref().unwrap();
-            let want = s.transpose().spmm(upstream).unwrap();
+            // `backward` moves an op's gradient on, so `∂agg` is rebuilt
+            // here by the two MatMul rules it applied.
+            assert!(grads[agg.index()].is_none());
+            let upstream = u.t_matmul(&Tensor::ones(1, 1).matmul(&r.transpose()).unwrap());
+            let want = s.transpose().spmm(&upstream.unwrap()).unwrap();
             let got = grads[vx.index()].as_ref().unwrap();
             assert_eq!(bits(got), bits(&want), "tape {tape_no}");
         }
@@ -1010,7 +1021,7 @@ mod tests {
         let run = |constant: bool| {
             let tape = Tape::new();
             let vx = if constant {
-                tape.constant(x0.clone())
+                tape.constant(&x0)
             } else {
                 tape.leaf(x0.clone())
             };
@@ -1028,11 +1039,10 @@ mod tests {
                 .iter()
                 .map(|v| grads[v.index()].clone().expect("param grad"))
                 .collect();
-            (
-                grads[vx.index()].is_some(),
-                grads[agg.index()].is_some(),
-                params,
-            )
+            let NodeWork::Spmm { needs_grad, .. } = tape.node_work()[agg.index()] else {
+                panic!("agg is an spmm");
+            };
+            (grads[vx.index()].is_some(), needs_grad, params)
         };
         let (leaf_x, leaf_agg, leaf_params) = run(false);
         let (const_x, const_agg, const_params) = run(true);

@@ -48,11 +48,13 @@ impl Timeline {
         self.len() == 0
     }
 
-    /// End of the last event across all devices.
+    /// End of the last non-range event across all devices: the span of the
+    /// work [`Self::busy_ns`] counts, however far a user range reaches.
     pub fn makespan_ns(&self) -> u64 {
         self.lanes
             .values()
             .flatten()
+            .filter(|e| e.kind != EventKind::Range)
             .map(|e| e.end_ns())
             .max()
             .unwrap_or(0)
@@ -180,6 +182,22 @@ mod tests {
         // Utilization divides the union, so full overlap reads 1.0, not 2.0.
         let t = Timeline::from_events(vec![kernel, copy]);
         assert_eq!(t.utilization(0), 1.0);
+    }
+
+    #[test]
+    fn a_range_stretches_neither_makespan_nor_utilization() {
+        let t = Timeline::from_events(vec![
+            ev(0, EventKind::Range, 0, 1000),
+            ev(0, EventKind::Kernel, 100, 10),
+        ]);
+        assert_eq!(t.makespan_ns(), 110);
+        assert_eq!(t.utilization(0), 10.0 / 110.0);
+        let t = Timeline::from_events(vec![
+            ev(0, EventKind::Range, 0, 1000),
+            ev(0, EventKind::Kernel, 0, 10),
+        ]);
+        assert_eq!(t.utilization(0), 1.0);
+        assert_eq!(t.len(), 2, "the range stays in its lane");
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::kernels::{self, Isa};
 use crate::TensorError;
 use rand::Rng;
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// A dense, row-major f32 tensor of rank ≤ 2.
 ///
@@ -413,6 +414,20 @@ impl Tensor {
     /// Memory footprint in bytes.
     pub fn size_bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<f32>()) as u64
+    }
+}
+
+/// A tensor handed over by value, for an API that owns or borrows.
+impl From<Tensor> for Cow<'_, Tensor> {
+    fn from(t: Tensor) -> Self {
+        Cow::Owned(t)
+    }
+}
+
+/// A tensor lent for `'a`, for an API that owns or borrows.
+impl<'a> From<&'a Tensor> for Cow<'a, Tensor> {
+    fn from(t: &'a Tensor) -> Self {
+        Cow::Borrowed(t)
     }
 }
 

@@ -13,6 +13,7 @@ use sagemaker_gpu_workflows::sagegpu::gcn::distributed::{
     train_distributed, train_distributed_with_opts, DistOptions, PartitionStrategy,
 };
 use sagemaker_gpu_workflows::sagegpu::gcn::experiment::{render_scaling_table, scaling_experiment};
+use sagemaker_gpu_workflows::sagegpu::gcn::sequential::full_graph_test_accuracy;
 use sagemaker_gpu_workflows::sagegpu::gcn::TrainConfig;
 use sagemaker_gpu_workflows::sagegpu::graph::generators::{sbm, SbmParams};
 use sagemaker_gpu_workflows::sagegpu::taskflow::policy::{FaultPlan, RetryPolicy};
@@ -71,7 +72,8 @@ fn main() {
     }
     println!(
         "  partitioned-inference accuracy {:.4} | full-graph inference {:.4}",
-        detail.test_accuracy, detail.test_accuracy_full_graph
+        detail.test_accuracy,
+        full_graph_test_accuracy(&detail.model, &ds)
     );
 
     // Resilience: seeded fault injection kills workers mid-run; the retry
